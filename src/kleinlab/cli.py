@@ -9,7 +9,7 @@ Subcommands:
     validate-gog   splitting-shape report for a graph of groups
     tree-limit     quotient metric of a tree system
     cuts           valency and cut-pair report for a finite graph
-    bench          word-traversal throughput
+    bench          matrix-product throughput over reduced words (not the DFS)
 
 Configuration precedence: built-in defaults, then --preset, then --config
 file, then explicit flags.  Every artifact starts with a header recording
@@ -270,6 +270,20 @@ def _fmt_complex(z: complex, digits: int = 9) -> str:
     return f"{z.real:.{digits}f}{sign}{abs(z.imag):.{digits}f}i"
 
 
+def _cloud_text(points) -> str:
+    """One 'x y word_length word' row per cloud point, 'inf inf' for
+    infinity and '-' for the empty word."""
+    lines = []
+    for p in points:
+        if p.point is INFINITY:
+            xy = "inf inf"
+        else:
+            z = complex(p.point)
+            xy = f"{z.real:.17g} {z.imag:.17g}"
+        lines.append(f"{xy} {p.word_length} {p.word or '-'}")
+    return "\n".join(lines) + "\n"
+
+
 def _load_marked_group(cfg: RunConfig):
     ref = cfg.marking or "preset:hw-marking"
     return load_marking(_resolve_input(ref))
@@ -296,14 +310,7 @@ def _cmd_solve(cfg: RunConfig, argv: list[str]) -> int:
 def _cmd_points(cfg: RunConfig, argv: list[str]) -> int:
     group = _load_marked_group(cfg)
     cloud = limit_points_by_fixed_points(group, cfg.depth)
-    lines = []
-    for p in cloud.points:
-        if p.point is INFINITY:
-            lines.append(f"inf inf {p.word_length} {p.word}")
-        else:
-            z = complex(p.point)
-            lines.append(f"{z.real:.17g} {z.imag:.17g} {p.word_length} {p.word}")
-    _emit(cfg, _header_text(cfg, argv), "\n".join(lines) + "\n")
+    _emit(cfg, _header_text(cfg, argv), _cloud_text(cloud.points))
     print(f"{len(cloud.points)} limit points at depth {cfg.depth}")
     return 0
 
@@ -324,25 +331,18 @@ def _cmd_dfs(cfg: RunConfig, argv: list[str]) -> int:
     result = limit_set_dfs(group, dfs_config)
     header = _header_text(cfg, argv)
 
-    circle_lines = []
-    for e in result.circles:
-        base = dump_packing(CirclePacking([e.circle])).strip()
-        note = f"  # w={e.word or '-'}" + ("  depth-exhausted" if e.depth_exhausted else "")
-        circle_lines.append(base + note)
+    circles = [e.circle for e in result.circles]
+    rows = dump_packing(CirclePacking(circles)).splitlines()
+    circle_lines = [
+        row + f"  # w={e.word or '-'}" + ("  depth-exhausted" if e.depth_exhausted else "")
+        for row, e in zip(rows, result.circles)
+    ]
     _write_atomic(cfg.out + ".circles.txt", _commented(header, "\n".join(circle_lines) + "\n"))
-
-    cloud_lines = []
-    for p in result.cloud.points:
-        if p.point is INFINITY:
-            cloud_lines.append(f"inf inf {p.word_length} {p.word or '-'}")
-        else:
-            z = complex(p.point)
-            cloud_lines.append(f"{z.real:.17g} {z.imag:.17g} {p.word_length} {p.word or '-'}")
-    _write_atomic(cfg.out + ".cloud.txt", _commented(header, "\n".join(cloud_lines) + "\n"))
+    _write_atomic(cfg.out + ".cloud.txt", _commented(header, _cloud_text(result.cloud.points)))
 
     image = render(
         result.cloud,
-        [e.circle for e in result.circles],
+        circles,
         cfg.window,
         cfg.resolution,
         comment=header,

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 from .mobius import (
     INFINITY,
-    Circline,
     MoebiusMap,
     SpherePoint,
     moebius_mapping,
+    moebius_to_zero_one_inf,
     sphere_coords,
     transform_hermitian,
 )
@@ -112,6 +112,12 @@ class OrientedCircle:
         out.C = -2.0 * offset / n
         return out
 
+    @classmethod
+    def from_three_points(cls, p: SpherePoint, q: SpherePoint, r: SpherePoint) -> "OrientedCircle":
+        """The circle or line through three distinct sphere points; the real
+        axis carried from (0, 1, infinity) onto (p, q, r)."""
+        return cls.from_line(1j, 0.0).transform(moebius_to_zero_one_inf(p, q, r).inverse())
+
     def reversed(self) -> "OrientedCircle":
         """Same locus, complementary disk."""
         out = object.__new__(OrientedCircle)
@@ -154,6 +160,22 @@ class OrientedCircle:
         z = complex(z)
         return self.A * abs(z) ** 2 + 2.0 * (self.B.conjugate() * z).real + self.C
 
+    def contains(self, p: SpherePoint, tol: float = 1e-9) -> bool:
+        """Whether p lies on the locus.  For a discriminant-1 triple the form
+        divided by 1 + |z|^2 is, near the locus, about the chordal distance
+        to it, so tol is a distance on the sphere, fair near infinity."""
+        if p is INFINITY:
+            return abs(self.A) < tol
+        z = complex(p)
+        return abs(self.evaluate(z)) / (1.0 + abs(z) ** 2) < tol
+
+    def same_locus(self, other: "OrientedCircle", tol: float = 1e-9) -> bool:
+        """Equal as unoriented circles: the discriminant-1 triple of a locus
+        is unique up to sign, so compare componentwise against both signs."""
+        plus = max(abs(self.A - other.A), abs(self.B - other.B), abs(self.C - other.C))
+        minus = max(abs(self.A + other.A), abs(self.B + other.B), abs(self.C + other.C))
+        return min(plus, minus) <= tol
+
     def transform(self, m: MoebiusMap) -> "OrientedCircle":
         # m has determinant 1, so the discriminant is preserved analytically.
         # Recomputing it here would subtract two large near-equal products
@@ -174,9 +196,6 @@ class OrientedCircle:
             - self.A * other.C
             - other.A * self.C
         )
-
-    def as_circline(self) -> Circline:
-        return Circline(self.A, self.B, self.C)
 
     def __repr__(self) -> str:
         if self.is_line:
@@ -368,19 +387,25 @@ def standard_base_quadruple() -> list[OrientedCircle]:
     return standard_base_triple() + [OrientedCircle.from_center_radius(1.0 + 0.5j, 0.5)]
 
 
-class _CircleSet:
-    """Dedup accumulator keyed on the rounded normalized triple."""
+class _TripleSet:
+    """Dedup set of normalized triples keyed on their rounded components.
+
+    Takes the four real components rather than a circle so the DFS hot loop
+    can test a triple before building any object for it.
+    """
+
+    __slots__ = ("grid", "_seen")
 
     def __init__(self, grid: float = 1e-8):
         self.grid = grid
-        self.circles: list[OrientedCircle] = []
         self._seen: set[tuple[int, int, int, int]] = set()
 
-    def add(self, c: OrientedCircle) -> bool:
+    def try_add(self, A: float, Bre: float, Bim: float, C: float) -> bool:
+        """Record the triple; False when it (or one within rounding) was seen."""
         g = self.grid
-        comps = (c.A / g, c.B.real / g, c.B.imag / g, c.C / g)
+        comps = (A / g, Bre / g, Bim / g, C / g)
         key = tuple(round(q) for q in comps)
-        # Probe neighbor keys so equal circles straddling a rounding
+        # Probe neighbor keys so equal triples straddling a rounding
         # boundary still collide.
         options = []
         for q, k in zip(comps, key):
@@ -397,15 +422,20 @@ class _CircleSet:
                         if (k0, k1, k2, k3) in self._seen:
                             return False
         self._seen.add(key)
-        self.circles.append(c)
         return True
 
 
 def _expand_quadruples(seed_quadruples, generations: int) -> list[OrientedCircle]:
-    acc = _CircleSet()
+    seen = _TripleSet()
+    circles: list[OrientedCircle] = []
+
+    def add(c: OrientedCircle) -> None:
+        if seen.try_add(c.A, c.B.real, c.B.imag, c.C):
+            circles.append(c)
+
     for quad in seed_quadruples:
         for c in quad:
-            acc.add(c)
+            add(c)
 
     def grow(quad, skip: int, depth: int) -> None:
         if depth == 0:
@@ -414,14 +444,14 @@ def _expand_quadruples(seed_quadruples, generations: int) -> list[OrientedCircle
             if i == skip:
                 continue
             new = tangent_quadruple_flip(*(quad[j] for j in range(4) if j != i), quad[i])
-            acc.add(new)
+            add(new)
             child = list(quad)
             child[i] = new
             grow(tuple(child), i, depth - 1)
 
     for quad in seed_quadruples:
         grow(tuple(quad), -1, generations)
-    return acc.circles
+    return circles
 
 
 def standard_gasket(generations: int, span: int = 1) -> CirclePacking:

@@ -13,10 +13,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
-import numpy as np
-from scipy.spatial import cKDTree
-
-from .gasket import OrientedCircle
+from .gasket import OrientedCircle, _TripleSet
 from .groups import MarkedGroup
 from .mobius import (
     INFINITY,
@@ -238,38 +235,6 @@ def _circle_meets_window(c: OrientedCircle, w: Rectangle) -> bool:
     return dmin <= r <= dmax
 
 
-class _TripleGrid:
-    """Dedup grid for emitted circles keyed on the rounded normalized triple,
-    probing neighbor keys near rounding boundaries."""
-
-    __slots__ = ("grid", "_seen")
-
-    def __init__(self, grid: float = 1e-8):
-        self.grid = grid
-        self._seen: set[tuple[int, int, int, int]] = set()
-
-    def try_add(self, A: float, Bre: float, Bim: float, C: float) -> bool:
-        g = self.grid
-        comps = (A / g, Bre / g, Bim / g, C / g)
-        key = tuple(round(q) for q in comps)
-        options = []
-        for q, k in zip(comps, key):
-            opts = [k]
-            if q - k > 0.49:
-                opts.append(k + 1)
-            elif q - k < -0.49:
-                opts.append(k - 1)
-            options.append(opts)
-        for k0 in options[0]:
-            for k1 in options[1]:
-                for k2 in options[2]:
-                    for k3 in options[3]:
-                        if (k0, k1, k2, k3) in self._seen:
-                            return False
-        self._seen.add(key)
-        return True
-
-
 def limit_set_dfs(group: MarkedGroup, config: DfsConfig) -> DfsResult:
     """Depth-first enumeration of the seed-circline orbit over reduced words.
 
@@ -288,7 +253,7 @@ def limit_set_dfs(group: MarkedGroup, config: DfsConfig) -> DfsResult:
     stats = DfsStats()
     cloud = LimitSetCloud(config.dedup)
     emitted: list[EmittedCircle] = []
-    grid = _TripleGrid()
+    grid = _TripleSet()
     window = config.window
     eps2 = config.epsilon * config.epsilon
     max_depth = config.max_depth
@@ -388,18 +353,25 @@ def limit_set_dfs(group: MarkedGroup, config: DfsConfig) -> DfsResult:
     return DfsResult(cloud, emitted, stats)
 
 
-def _windowed_finite(points, window: Rectangle) -> np.ndarray:
+def _finite(points) -> list[complex]:
+    """Finite points of a LimitSetCloud or of an iterable of sphere points."""
     if isinstance(points, LimitSetCloud):
-        pts = points.finite_points()
-    else:
-        pts = [complex(p) for p in points if p is not INFINITY]
-    arr = [(z.real, z.imag) for z in pts if window.contains(z)]
+        return points.finite_points()
+    return [complex(p) for p in points if p is not INFINITY]
+
+
+def _windowed_finite(points, window: Rectangle):
+    import numpy as np
+
+    arr = [(z.real, z.imag) for z in _finite(points) if window.contains(z)]
     return np.asarray(arr, dtype=float).reshape(-1, 2)
 
 
 def hausdorff_distance(a, b, window: Rectangle) -> float:
     """Symmetric Hausdorff distance between the finite points of two clouds
     restricted to a window, in the plane metric of the window."""
+    from scipy.spatial import cKDTree
+
     pa = _windowed_finite(a, window)
     pb = _windowed_finite(b, window)
     if len(pa) == 0 or len(pb) == 0:
@@ -509,10 +481,7 @@ def render(
 
     red = (200, 0, 0)
     if cloud is not None:
-        pts = cloud.finite_points() if isinstance(cloud, LimitSetCloud) else [
-            complex(p) for p in cloud if p is not INFINITY
-        ]
-        for z in pts:
+        for z in _finite(cloud):
             if window.contains(z):
                 x, y = to_px(z)
                 plot(x, y, red)
@@ -540,7 +509,11 @@ class BenchResult(NamedTuple):
 
 def benchmark_word_traversal(group: MarkedGroup, max_depth: int) -> BenchResult:
     """Visit every nonempty reduced word up to max_depth with incremental
-    matrix products, mimicking the DFS inner loop without geometry."""
+    matrix products.
+
+    This times matrix products over reduced words, not the circle DFS: it
+    does no circle transport, pruning, dedup or emission, so its words per
+    second run well above what ``limit_set_dfs`` visits."""
     letters = group.alphabet.letters
     nletters = len(letters)
     gen_mats = [group.letter_map(x).matrix for x in letters]

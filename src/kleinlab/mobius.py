@@ -1,11 +1,11 @@
-"""Moebius transformations on the Riemann sphere, and the circles and lines
-they permute.
+"""Moebius transformations on the Riemann sphere, and how they move the
+circles and lines they permute.
 
 Matrices are determinant-normalized at construction, so traces are defined up
 to a global sign and classification reads off the squared trace.  Circles and
-lines share one representation, a Hermitian coefficient triple, which keeps
-every geometric predicate to a single code path and makes the image of a
-circline under a map an exact linear operation on coefficients.
+lines are Hermitian coefficient triples, and ``transform_hermitian`` pushes a
+triple forward by a map as an exact linear operation on coefficients; the
+circle type built on it, ``OrientedCircle``, lives in ``kleinlab.gasket``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ __all__ = [
     "IdentityMapError",
     "MapClass",
     "MoebiusMap",
-    "Circline",
     "chordal_distance",
     "sphere_coords",
     "transform_hermitian",
@@ -305,165 +304,6 @@ def transform_hermitian(
         - 2.0 * (B * a * b.conjugate()).real
     )
     return (A2, B2, C2)
-
-
-class Circline:
-    """A circle or line as the zero set of A|z|^2 + 2 Re(conj(B) z) + C.
-
-    A and C are real, B complex, and the locus is a genuine circle or line
-    exactly when |B|^2 - A C > 0; A = 0 gives a line.  Instances are stored
-    in a canonical scaling (largest coefficient magnitude 1, leading sign
-    positive), so equal loci produce identical coefficient triples and the
-    triples can be used directly as dedup keys.
-    """
-
-    __slots__ = ("A", "B", "C")
-
-    def __init__(self, A: float, B: complex, C: float):
-        A = float(A)
-        B = complex(B)
-        C = float(C)
-        scale = max(abs(A), abs(B), abs(C))
-        if scale == 0.0:
-            raise ValueError("zero Hermitian form does not define a circline")
-        A, B, C = A / scale, B / scale, C / scale
-        # Sign convention: first sufficiently large entry of
-        # (A, Re B, Im B, C) is made positive.
-        for lead in (A, B.real, B.imag, C):
-            if abs(lead) > 1e-9:
-                if lead < 0.0:
-                    A, B, C = -A, -B, -C
-                break
-        self.A = A
-        self.B = B
-        self.C = C
-
-    # -- factories ---------------------------------------------------------
-
-    @classmethod
-    def from_center_radius(cls, center: complex, radius: float) -> "Circline":
-        if not radius > 0.0:
-            raise ValueError(f"radius must be positive, got {radius}")
-        center = complex(center)
-        return cls(1.0, -center, abs(center) ** 2 - radius * radius)
-
-    @classmethod
-    def from_line(cls, normal: complex, offset: float) -> "Circline":
-        """The line Re(conj(normal) z) = offset."""
-        normal = complex(normal)
-        n = abs(normal)
-        if n == 0.0:
-            raise ValueError("line normal must be nonzero")
-        return cls(0.0, normal / n, -2.0 * offset / n)
-
-    @classmethod
-    def from_three_points(cls, p: SpherePoint, q: SpherePoint, r: SpherePoint) -> "Circline":
-        pts = [p, q, r]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if chordal_distance(pts[i], pts[j]) < 1e-12:
-                    raise ValueError("three distinct points are required")
-        at_inf = [isinstance(x, _Infinity) for x in pts]
-        if any(at_inf):
-            u, v = (complex(x) for x in pts if not isinstance(x, _Infinity))
-            direction = (v - u) / abs(v - u)
-            normal = direction * 1j
-            return cls.from_line(normal, (normal.conjugate() * u).real)
-        z1, z2, z3 = (complex(x) for x in pts)
-        rows = [
-            (abs(z1) ** 2, z1.real, z1.imag),
-            (abs(z2) ** 2, z2.real, z2.imag),
-            (abs(z3) ** 2, z3.real, z3.imag),
-        ]
-
-        def minor(col: int) -> float:
-            # 3x3 determinant of rows with the given column of
-            # (w, x, y, 1) removed; column 3 is the constant 1.
-            cols = [k for k in range(4) if k != col]
-            m = [[(row + (1.0,))[k] for k in cols] for row in rows]
-            return (
-                m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-            )
-
-        A = minor(0)
-        Bx = -minor(1) / 2.0
-        By = minor(2) / 2.0
-        C = -minor(3)
-        return cls(A, complex(Bx, By), C)
-
-    # -- predicates and geometry -------------------------------------------
-
-    @property
-    def discriminant(self) -> float:
-        return abs(self.B) ** 2 - self.A * self.C
-
-    @property
-    def is_line(self) -> bool:
-        return abs(self.A) < 1e-12
-
-    def evaluate(self, z: complex) -> float:
-        z = complex(z)
-        return self.A * abs(z) ** 2 + 2.0 * (self.B.conjugate() * z).real + self.C
-
-    def contains(self, p: SpherePoint, tol: float = 1e-9) -> bool:
-        if isinstance(p, _Infinity):
-            return abs(self.A) < tol
-        z = complex(p)
-        # Dividing by 1 + |z|^2 makes the test chordally fair near infinity.
-        return abs(self.evaluate(z)) / (1.0 + abs(z) ** 2) < tol
-
-    def geometry(self):
-        """("circle", center, radius) or ("line", unit_normal, offset)."""
-        if self.is_line:
-            n = abs(self.B)
-            return ("line", self.B / n, -self.C / (2.0 * n))
-        disc = self.discriminant
-        if disc <= 0.0:
-            raise ValueError("degenerate circline has no real locus")
-        return ("circle", -self.B / self.A, math.sqrt(disc) / abs(self.A))
-
-    def chordal_diameter(self) -> float:
-        """Diameter of the locus on the unit sphere; scale-invariant.
-
-        Lines through the origin and the unit circle are great circles and
-        return 2.
-        """
-        disc = self.discriminant
-        if disc <= 0.0:
-            return 0.0
-        denom = 4.0 * abs(self.B) ** 2 + (self.A - self.C) ** 2
-        return 4.0 * math.sqrt(disc) / math.sqrt(denom)
-
-    def transform(self, m: MoebiusMap) -> "Circline":
-        return Circline(*transform_hermitian(m, self.A, self.B, self.C))
-
-    def inversive_distance(self, other: "Circline") -> float:
-        """|cos| of the intersection angle, extended past tangency.
-
-        1 means tangent, < 1 crossing, > 1 disjoint.  Unoriented, hence the
-        absolute value.
-        """
-        t1 = 1.0 / math.sqrt(self.discriminant)
-        t2 = 1.0 / math.sqrt(other.discriminant)
-        prod = (
-            2.0 * (self.B * other.B.conjugate()).real
-            - self.A * other.C
-            - other.A * self.C
-        )
-        return abs(prod) * t1 * t2 / 2.0
-
-    def __repr__(self) -> str:
-        return f"Circline(A={self.A!r}, B={self.B!r}, C={self.C!r})"
-
-    def almost_equal(self, other: "Circline", tol: float = 1e-9) -> bool:
-        # Canonical form makes this a plain componentwise comparison,
-        # except that a leading coefficient sitting under the sign
-        # threshold can still flip; compare both signs.
-        plus = max(abs(self.A - other.A), abs(self.B - other.B), abs(self.C - other.C))
-        minus = max(abs(self.A + other.A), abs(self.B + other.B), abs(self.C + other.C))
-        return min(plus, minus) <= tol
 
 
 def moebius_to_zero_one_inf(p1: SpherePoint, p2: SpherePoint, p3: SpherePoint) -> MoebiusMap:

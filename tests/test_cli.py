@@ -29,6 +29,17 @@ def run_cli(*args, cwd=None):
     )
 
 
+def test_cli_import_leaves_numpy_and_scipy_unloaded():
+    # No subcommand needs numpy or scipy, so starting the CLI must not pay
+    # for importing them; only hausdorff_distance loads them, on first call.
+    code = "import sys, kleinlab.cli; print([m for m in ('numpy', 'scipy') if m in sys.modules])"
+    r = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=300
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
 def test_version_flag():
     r = run_cli("--version")
     assert r.returncode == 0

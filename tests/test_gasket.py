@@ -22,6 +22,7 @@ from kleinlab.gasket import (
     standard_gasket,
     tangency_point,
     tangent_quadruple_flip,
+    _TripleSet,
 )
 from kleinlab.mobius import INFINITY, MoebiusMap, chordal_distance
 
@@ -89,6 +90,26 @@ def test_transform_keeps_unit_discriminant():
         img = c.transform(random_map(rng))
         disc = abs(img.B) ** 2 - img.A * img.C
         assert disc == pytest.approx(1.0, abs=1e-9)
+
+
+def test_triple_set_dedups_across_rounding_boundary():
+    grid = 1e-8
+    # A sits 0.496 and 0.504 grid steps past 2: the two triples round to
+    # different keys yet are 8e-11 apart, so the neighbour probe must match.
+    low = (2.496 * grid, 0.3, -0.7, 0.25)
+    high = (2.504 * grid, 0.3, -0.7, 0.25)
+    assert high[0] - low[0] < 1e-10
+    assert round(low[0] / grid) != round(high[0] / grid)
+    for first, second in ((low, high), (high, low)):
+        seen = _TripleSet(grid)
+        assert seen.try_add(*first)
+        assert not seen.try_add(*second)
+        assert not seen.try_add(*first)
+        # Three grid steps away in any one component is a different triple.
+        far = [list(first) for _ in range(4)]
+        for i in range(4):
+            far[i][i] += 3 * grid
+            assert seen.try_add(*far[i])
 
 
 def test_tangency_point_of_touching_circles():

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
+from kleinlab.gasket import OrientedCircle
 from kleinlab.mobius import (
-    Circline,
     DegenerateMatrixError,
     IdentityMapError,
     INFINITY,
@@ -157,17 +157,16 @@ def test_chordal_distance():
 
 
 def test_circline_center_radius_roundtrip():
-    c = Circline.from_center_radius(1 + 2j, 0.75)
-    kind, center, radius = c.geometry()
-    assert kind == "circle"
-    assert center == pytest.approx(1 + 2j)
-    assert radius == pytest.approx(0.75)
+    c = OrientedCircle.from_center_radius(1 + 2j, 0.75)
+    assert not c.is_line
+    assert c.center == pytest.approx(1 + 2j)
+    assert c.radius == pytest.approx(0.75)
     assert c.contains(1 + 2j + 0.75)
     assert not c.contains(1 + 2j)
 
 
 def test_circline_line_contains_infinity():
-    line = Circline.from_line(1j, 0.0)  # the real axis
+    line = OrientedCircle.from_line(1j, 0.0)  # the real axis
     assert line.is_line
     assert line.contains(INFINITY)
     assert line.contains(5.0)
@@ -175,44 +174,43 @@ def test_circline_line_contains_infinity():
 
 
 def test_circline_from_three_points():
-    c = Circline.from_three_points(1, 1j, -1)
-    kind, center, radius = c.geometry()
-    assert kind == "circle"
-    assert center == pytest.approx(0)
-    assert radius == pytest.approx(1.0)
-    line = Circline.from_three_points(0, 1, INFINITY)
+    c = OrientedCircle.from_three_points(1, 1j, -1)
+    assert not c.is_line
+    assert c.center == pytest.approx(0)
+    assert c.radius == pytest.approx(1.0)
+    line = OrientedCircle.from_three_points(0, 1, INFINITY)
     assert line.is_line
+    with pytest.raises(ValueError):
+        OrientedCircle.from_three_points(1, 1j, 1)
 
 
 def test_translate_unit_circle():
-    c = Circline.from_center_radius(0, 1.0).transform(A_MAT)
-    kind, center, radius = c.geometry()
-    assert center == pytest.approx(1.0)
-    assert radius == pytest.approx(1.0)
+    c = OrientedCircle.from_center_radius(0, 1.0).transform(A_MAT)
+    assert c.center == pytest.approx(1.0)
+    assert c.radius == pytest.approx(1.0)
 
 
 def test_translation_preserves_real_axis():
-    line = Circline.from_line(1j, 0.0)
-    assert line.transform(A_MAT).almost_equal(line)
+    line = OrientedCircle.from_line(1j, 0.0)
+    assert line.transform(A_MAT).same_locus(line)
 
 
 def test_inversion_of_vertical_line():
     # 1/z sends Re z = 1/2 to the circle through 0 and 2; fitting the images
     # of three sample points pins it as center 1, radius 1.
     inv = MoebiusMap(0, 1, 1, 0)
-    line = Circline.from_line(1.0, 0.5)
+    line = OrientedCircle.from_line(1.0, 0.5)
     image = line.transform(inv)
     samples = [0.5, 0.5 + 1j, 0.5 - 2j]
-    fitted = Circline.from_three_points(*(inv.apply(z) for z in samples))
-    assert image.almost_equal(fitted)
-    kind, center, radius = image.geometry()
-    assert center == pytest.approx(1.0)
-    assert radius == pytest.approx(1.0)
+    fitted = OrientedCircle.from_three_points(*(inv.apply(z) for z in samples))
+    assert image.same_locus(fitted)
+    assert image.center == pytest.approx(1.0)
+    assert image.radius == pytest.approx(1.0)
 
 
 def test_transform_commutes_with_apply():
     rng = random.Random(29)
-    base = Circline.from_center_radius(0.3 - 0.2j, 1.7)
+    base = OrientedCircle.from_center_radius(0.3 - 0.2j, 1.7)
     for _ in range(25):
         m = random_map(rng)
         image = base.transform(m)
@@ -224,19 +222,19 @@ def test_transform_commutes_with_apply():
 
 def test_transform_hermitian_matches_circline_transform():
     rng = random.Random(31)
-    c = Circline.from_center_radius(1 + 1j, 2.0)
+    c = OrientedCircle.from_center_radius(1 + 1j, 2.0)
     for _ in range(10):
         m = random_map(rng)
         A, B, C = transform_hermitian(m, c.A, c.B, c.C)
-        assert Circline(A, B, C).almost_equal(c.transform(m))
+        assert OrientedCircle(A, B, C).same_locus(c.transform(m))
 
 
 def test_chordal_diameter():
-    assert Circline.from_line(1j, 0.0).chordal_diameter() == pytest.approx(2.0)
+    assert OrientedCircle.from_line(1j, 0.0).chordal_diameter() == pytest.approx(2.0)
     # a tiny circle far from the origin is even smaller chordally
-    small = Circline.from_center_radius(10 + 10j, 1e-3)
+    small = OrientedCircle.from_center_radius(10 + 10j, 1e-3)
     assert small.chordal_diameter() < 2e-3
-    unit = Circline.from_center_radius(0, 1.0)
+    unit = OrientedCircle.from_center_radius(0, 1.0)
     assert unit.chordal_diameter() == pytest.approx(2.0)
 
 
