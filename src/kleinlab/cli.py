@@ -40,14 +40,7 @@ from .decomposition import (
     tree_system_limit,
     validate_bowditch,
 )
-from .gasket import (
-    CirclePacking,
-    apply_to_packing,
-    dump_packing,
-    is_apollonian_like,
-    load_packing,
-    normalize_to_standard_gasket,
-)
+from .gasket import CirclePacking, dump_packing, is_apollonian_like, load_packing
 from .groups import load_marking, solve_parabolic_commutator
 from .limitset import (
     DfsConfig,
@@ -382,10 +375,9 @@ def _cmd_verify_gasket(cfg: RunConfig, argv: list[str]) -> int:
     if cfg.input is None:
         raise _UsageError("verify-gasket needs an input packing file")
     packing = load_packing(_resolve_input(cfg.input))
-    if cfg.normalize:
-        to_standard = normalize_to_standard_gasket(packing, tangency_tol=cfg.tol)
-        packing = apply_to_packing(to_standard, packing)
-    verdict = is_apollonian_like(packing, residual_tol=cfg.residual, tangency_tol=cfg.tol)
+    verdict = is_apollonian_like(
+        packing, residual_tol=cfg.residual, tangency_tol=cfg.tol, normalize=cfg.normalize
+    )
     doc = {
         "version": __version__,
         "command": "kleinlab " + " ".join(argv),

@@ -90,6 +90,20 @@ class GoGEdge:
     label: str = ""
 
 
+def _connected(adjacency: dict[str, Iterable[str]]) -> bool:
+    """Whether a nonempty graph, given as vertex -> neighbours, is connected."""
+    start = next(iter(adjacency))
+    seen = {start}
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        for y in adjacency[x]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return len(seen) == len(adjacency)
+
+
 class GraphOfGroups:
     def __init__(self, vertices: Iterable[GoGVertex], edges: Iterable[GoGEdge]):
         self.vertices: dict[str, GoGVertex] = {}
@@ -104,24 +118,12 @@ class GraphOfGroups:
                     raise UnknownVertexError(f"edge endpoint {end!r} is not a vertex")
         if not self.vertices:
             raise ValueError("graph of groups needs at least one vertex")
-        if not self._connected():
-            raise ValueError("underlying graph must be connected")
-
-    def _connected(self) -> bool:
-        ids = list(self.vertices)
-        seen = {ids[0]}
-        stack = [ids[0]]
-        adj: dict[str, list[str]] = {i: [] for i in ids}
+        adj: dict[str, list[str]] = {i: [] for i in self.vertices}
         for e in self.edges:
             adj[e.u].append(e.v)
             adj[e.v].append(e.u)
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen) == len(ids)
+        if not _connected(adj):
+            raise ValueError("underlying graph must be connected")
 
     def incident(self, vertex_id: str) -> list[GoGEdge]:
         return [e for e in self.edges if vertex_id in (e.u, e.v)]
@@ -300,7 +302,7 @@ class TreeSystem:
                 raise ValueError("tree edges must be distinct and loop-free")
             adj[t1].add(t2)
             adj[t2].add(t1)
-        if len(self.tree_edges) != len(ids) - 1 or not self._connected(adj):
+        if len(self.tree_edges) != len(ids) - 1 or not _connected(adj):
             raise ValueError("edges must form a tree on the vertex spaces")
         for edge in self.tree_edges:
             pairs = self.gluings.get(edge)
@@ -315,22 +317,10 @@ class TreeSystem:
                 self.spaces[t1].index(p)
             for q in right:
                 self.spaces[t2].index(q)
+        edges = set(self.tree_edges)
         for edge in self.gluings:
-            if edge not in [tuple(e) for e in self.tree_edges]:
+            if edge not in edges:
                 raise ValueError(f"gluing given for non-edge {edge}")
-
-    @staticmethod
-    def _connected(adj: dict[str, set[str]]) -> bool:
-        start = next(iter(adj))
-        seen = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen) == len(adj)
 
 
 def tree_system_limit(system: TreeSystem) -> FiniteMetricSpace:

@@ -284,6 +284,15 @@ class TangencyGraph:
     def edge_point(self, i: int, j: int) -> SpherePoint:
         return self._points[(min(i, j), max(i, j))]
 
+    def triangles(self):
+        """Every mutually tangent (i, j, k) with i < j < k, in
+        index-lexicographic order."""
+        adj = self.adjacency
+        for i in range(self.n):
+            for j in sorted(x for x in adj[i] if x > i):
+                for k in sorted(x for x in adj[i] & adj[j] if x > j):
+                    yield i, j, k
+
     def is_connected(self) -> bool:
         if self.n == 0:
             return True
@@ -334,16 +343,17 @@ def _near_pairs(circles: list[OrientedCircle]):
 
 
 def _scan_products(circles: list[OrientedCircle], tol: float):
-    """(tangent pairs, overlapping pairs) among all pairs that could touch."""
-    tangent: list[tuple[int, int]] = []
+    """(tangency graph, overlapping pairs) from one pass over all pairs
+    that could touch; each edge carries its tangency point."""
+    edges: list[TangencyEdge] = []
     overlap: list[tuple[int, int]] = []
     for i, j in _near_pairs(circles):
         p = circles[i].inversive_product(circles[j])
         if abs(p + 2.0) <= tol:
-            tangent.append((i, j))
+            edges.append(TangencyEdge(i, j, tangency_point(circles[i], circles[j])))
         elif p > -2.0:
             overlap.append((i, j))
-    return tangent, overlap
+    return TangencyGraph(len(circles), edges), overlap
 
 
 def detect_tangencies(packing: CirclePacking, tol: float = 1e-6) -> TangencyGraph:
@@ -353,14 +363,10 @@ def detect_tangencies(packing: CirclePacking, tol: float = 1e-6) -> TangencyGrap
     OverlappingCirclesError if any pair of disks overlaps deeper than tol;
     duplicated circles count as overlapping.
     """
-    circles = packing.circles
-    tangent, overlap = _scan_products(circles, tol)
+    graph, overlap = _scan_products(packing.circles, tol)
     if overlap:
         raise OverlappingCirclesError(overlap)
-    edges = [
-        TangencyEdge(i, j, tangency_point(circles[i], circles[j])) for i, j in tangent
-    ]
-    return TangencyGraph(len(circles), edges)
+    return graph
 
 
 # -- reference configurations ------------------------------------------------
@@ -507,18 +513,14 @@ def normalize_to_standard_gasket(
     inverse; a size-based choice would not.  Shipped packings list their
     largest circles first, which keeps the three anchor points well spread.
     """
-    graph = detect_tangencies(packing, tangency_tol)
-    adj = graph.adjacency
-    n = len(packing.circles)
-    for i in range(n):
-        for j in sorted(x for x in adj[i] if x > i):
-            for k in sorted(x for x in adj[i] & adj[j] if x > j):
-                src = (
-                    graph.edge_point(i, j),
-                    graph.edge_point(i, k),
-                    graph.edge_point(j, k),
-                )
-                return moebius_mapping(src, STANDARD_TANGENCY_POINTS)
+    return _anchor_map(detect_tangencies(packing, tangency_tol))
+
+
+def _anchor_map(graph: TangencyGraph) -> MoebiusMap:
+    """The map from the first triangle's tangency points to (infinity, 0, i)."""
+    for i, j, k in graph.triangles():
+        src = (graph.edge_point(i, j), graph.edge_point(i, k), graph.edge_point(j, k))
+        return moebius_mapping(src, STANDARD_TANGENCY_POINTS)
     raise NoTangentTripleError("packing has no mutually tangent triple")
 
 
@@ -538,45 +540,44 @@ def is_apollonian_like(
     packing: CirclePacking,
     residual_tol: float = 1e-5,
     tangency_tol: float = 1e-6,
+    normalize: bool = False,
 ) -> GasketVerdict:
     """Desk-scale gasket check on a finite packing.
 
     Verifies that the tangency graph is connected, that no two disks cross,
     and that every quadruple formed by a mutually tangent triangle plus a
     circle tangent to all three has Descartes residual below residual_tol.
+
+    With normalize, the residuals are those of the packing moved by the map
+    normalize_to_standard_gasket returns, and that function's errors come
+    first.  Inversive products are Moebius-invariant, so one tangency scan
+    of the input serves both the map and the verdict.
     """
     circles = packing.circles
+    graph, overlap = _scan_products(circles, tangency_tol)
+    curv = [c.A for c in circles]
+    if normalize:
+        if overlap:
+            raise OverlappingCirclesError(overlap)
+        to_standard = _anchor_map(graph)
+        curv = [c.transform(to_standard).A for c in circles]
     if len(circles) < 4:
         raise ValueError(f"need at least 4 circles, got {len(circles)}")
-    tangent, overlap = _scan_products(circles, tangency_tol)
-    edges = [TangencyEdge(i, j, None) for i, j in tangent]
-    graph = TangencyGraph(len(circles), edges)
     connected = graph.is_connected()
     adj = graph.adjacency
-    curv = [c.A for c in circles]
 
     worst = 0.0
     worst_quad = None
     triangles = 0
     quadruples = 0
-    for i in range(len(circles)):
-        ai = adj[i]
-        for j in sorted(ai):
-            if j <= i:
-                continue
-            common = ai & adj[j]
-            for k in sorted(common):
-                if k <= j:
-                    continue
-                triangles += 1
-                for l in sorted(common & adj[k]):
-                    if l <= k:
-                        continue
-                    quadruples += 1
-                    r = descartes_residual(curv[i], curv[j], curv[k], curv[l])
-                    if abs(r) > worst:
-                        worst = abs(r)
-                        worst_quad = (i, j, k, l)
+    for i, j, k in graph.triangles():
+        triangles += 1
+        for l in sorted(x for x in adj[i] & adj[j] & adj[k] if x > k):
+            quadruples += 1
+            r = descartes_residual(curv[i], curv[j], curv[k], curv[l])
+            if abs(r) > worst:
+                worst = abs(r)
+                worst_quad = (i, j, k, l)
 
     failures = []
     if not connected:

@@ -61,6 +61,7 @@ from kleinlab.limitset import (
 from kleinlab.mobius import MoebiusMap, sphere_coords
 
 from childenv import child_env
+from randommap import random_map
 
 
 def report(n: int, ok: bool, detail: str) -> bool:
@@ -75,13 +76,6 @@ def strip_seeds():
         OrientedCircle.from_center_radius(-0.5, 0.5),
         OrientedCircle.from_center_radius(0.5, 0.5),
     )
-
-
-def random_map(rng):
-    while True:
-        entries = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4)]
-        if abs(entries[0] * entries[3] - entries[1] * entries[2]) > 0.1:
-            return MoebiusMap(*entries)
 
 
 def test_criterion_1_solver_constants():
@@ -147,10 +141,7 @@ def test_criterion_3_gasket_verdict_of_dfs_output():
     )
     result = limit_set_dfs(group, cfg)
     packing = CirclePacking([e.circle for e in result.circles])
-    to_standard = normalize_to_standard_gasket(packing)
-    verdict = is_apollonian_like(
-        apply_to_packing(to_standard, packing), residual_tol=1e-5
-    )
+    verdict = is_apollonian_like(packing, residual_tol=1e-5, normalize=True)
     elapsed = time.perf_counter() - t0
     ok = verdict.passed and verdict.worst_residual < 1e-5 and elapsed < 60.0
     assert report(

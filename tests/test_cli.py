@@ -174,6 +174,38 @@ def test_verify_gasket_missing_file_is_input_error(tmp_path):
     assert r.returncode == 2
 
 
+OVERLAPPING = "C 0 0 1\nC 1 0 1\nC 5 0 1\nC 9 0 1\n"
+CHAIN = "C 0 0 1\nC 2 0 1\nC 4 0 1\nC 6 0 1\n"
+
+
+def test_verify_gasket_normalize_rejects_overlap(tmp_path):
+    packing_file = tmp_path / "overlap.txt"
+    packing_file.write_text(OVERLAPPING)
+    r = run_cli("verify-gasket", str(packing_file), "--normalize")
+    assert r.returncode == 2
+    assert "overlapping circle pairs" in r.stderr
+    assert r.stdout == ""
+
+
+def test_verify_gasket_normalize_needs_a_triangle(tmp_path):
+    packing_file = tmp_path / "chain.txt"
+    packing_file.write_text(CHAIN)
+    r = run_cli("verify-gasket", str(packing_file), "--normalize")
+    assert r.returncode == 2
+    assert "no mutually tangent triple" in r.stderr
+    assert r.stdout == ""
+
+
+def test_verify_gasket_reports_overlap_without_normalize(tmp_path):
+    packing_file = tmp_path / "overlap.txt"
+    packing_file.write_text(OVERLAPPING)
+    r = run_cli("verify-gasket", str(packing_file))
+    assert r.returncode == 1
+    doc = json.loads(r.stdout)
+    assert doc["passed"] is False
+    assert doc["overlap_pairs"] == [[0, 1]]
+
+
 def test_validate_gog_bundled_example():
     r = run_cli("validate-gog", "abc-example")
     assert r.returncode == 0

@@ -1,5 +1,6 @@
 import itertools
 import random
+from importlib import resources
 
 import pytest
 
@@ -24,14 +25,11 @@ from kleinlab.gasket import (
     tangent_quadruple_flip,
     _TripleSet,
 )
+from kleinlab.groups import load_marking
+from kleinlab.limitset import DfsConfig, Rectangle, limit_set_dfs
 from kleinlab.mobius import INFINITY, MoebiusMap, chordal_distance
 
-
-def random_map(rng):
-    while True:
-        entries = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4)]
-        if abs(entries[0] * entries[3] - entries[1] * entries[2]) > 0.1:
-            return MoebiusMap(*entries)
+from randommap import random_map
 
 
 def test_descartes_residual_values():
@@ -318,3 +316,57 @@ def test_loaded_circles_keep_exact_discriminant():
     assert disc == pytest.approx(1.0, abs=1e-7)
     reloaded = load_packing(dump_packing(CirclePacking([c]))).circles[0]
     assert reloaded.curvature == pytest.approx(13794.0, rel=1e-12)
+
+
+def hw_gasket_packing(epsilon):
+    """The circles of `dfs --preset hw-gasket` at the given epsilon."""
+    preset = resources.files("kleinlab").joinpath("presets")
+    group = load_marking(preset.joinpath("hw-marking.txt").read_text())
+    seeds = load_packing(preset.joinpath("hw-seeds.txt").read_text()).circles
+    config = DfsConfig(
+        epsilon=epsilon, max_depth=64, seeds=tuple(seeds), window=Rectangle(-1.0, -1.0, 2.0, 2.0)
+    )
+    return CirclePacking([e.circle for e in limit_set_dfs(group, config).circles])
+
+
+def test_triangles_match_brute_force():
+    graph = detect_tangencies(bounded_gasket(3))
+    brute = [
+        (i, j, k)
+        for i, j, k in itertools.combinations(range(graph.n), 3)
+        if graph.has_edge(i, j) and graph.has_edge(i, k) and graph.has_edge(j, k)
+    ]
+    assert brute
+    assert list(graph.triangles()) == brute
+
+
+def test_normalized_verdict_matches_two_scan_composition():
+    # One scan of the input, carried through normalization, must give the
+    # verdict of normalizing first and rescanning the moved packing.
+    rng = random.Random(59)
+    gasket = standard_gasket(2)
+    packings = [apply_to_packing(random_map(rng), gasket) for _ in range(10)]
+    packings += [bounded_gasket(3), hw_gasket_packing(1e-2)]
+    for packing in packings:
+        moved = apply_to_packing(normalize_to_standard_gasket(packing), packing)
+        expected = is_apollonian_like(moved)
+        assert expected.passed
+        assert is_apollonian_like(packing, normalize=True) == expected
+
+
+def test_normalized_verdict_raises_normalization_errors_first():
+    overlapping = CirclePacking(
+        [OrientedCircle.from_center_radius(x, 1.0) for x in (0.0, 1.0, 5.0, 9.0)]
+    )
+    with pytest.raises(OverlappingCirclesError):
+        is_apollonian_like(overlapping, normalize=True)
+    assert is_apollonian_like(overlapping).overlap_pairs == ((0, 1),)
+    chain = CirclePacking(
+        [OrientedCircle.from_center_radius(x, 1.0) for x in (0.0, 2.0, 4.0, 6.0)]
+    )
+    with pytest.raises(NoTangentTripleError):
+        is_apollonian_like(chain, normalize=True)
+    with pytest.raises(NoTangentTripleError):
+        is_apollonian_like(CirclePacking(standard_base_triple()[:2]), normalize=True)
+    with pytest.raises(ValueError, match="need at least 4 circles"):
+        is_apollonian_like(CirclePacking(standard_base_triple()), normalize=True)

@@ -18,15 +18,10 @@ from kleinlab.mobius import (
     transform_hermitian,
 )
 
+from randommap import random_map
+
 A_MAT = MoebiusMap(1, 1, 0, 1)
 B_MAT = MoebiusMap(1, 0, 2j, 1)
-
-
-def random_map(rng):
-    while True:
-        entries = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4)]
-        if abs(entries[0] * entries[3] - entries[1] * entries[2]) > 0.1:
-            return MoebiusMap(*entries)
 
 
 def test_compose_translation_with_parabolic():
