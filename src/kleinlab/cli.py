@@ -9,7 +9,6 @@ Subcommands:
     validate-gog   splitting-shape report for a graph of groups
     tree-limit     quotient metric of a tree system
     cuts           valency and cut-pair report for a finite graph
-    bench          matrix-product throughput over reduced words (not the DFS)
 
 Configuration precedence: built-in defaults, then --preset, then --config
 file, then explicit flags.  Every artifact starts with a header recording
@@ -41,11 +40,10 @@ from .decomposition import (
     validate_bowditch,
 )
 from .gasket import CirclePacking, dump_packing, is_apollonian_like, load_packing
-from .groups import load_marking, solve_parabolic_commutator
+from .groups import _format_lines, load_marking, solve_parabolic_commutator
 from .limitset import (
     DfsConfig,
     Rectangle,
-    benchmark_word_traversal,
     limit_points_by_fixed_points,
     limit_set_dfs,
     render,
@@ -102,7 +100,7 @@ _DEFAULTS: dict[str, object] = {
     "normalize": False,
 }
 
-_DEPTH_DEFAULTS = {"points": 8, "dfs": 64, "bench": 12}
+_DEPTH_DEFAULTS = {"points": 8, "dfs": 64}
 
 
 @dataclass(frozen=True)
@@ -166,10 +164,7 @@ def load_config(text: str, source: str = "<config>") -> dict[str, object]:
     """Parse key=value lines; '#' comments and blank lines allowed.
     Unknown keys and malformed values are errors with line numbers."""
     out: dict[str, object] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in _format_lines(text):
         key, sep, value = line.partition("=")
         key = key.strip()
         value = value.strip()
@@ -194,10 +189,10 @@ def _preset_text(name: str) -> str:
         raise _UsageError(f"no bundled preset file {name!r}") from None
 
 
-def _resolve_input(ref: str) -> str:
+def _resolve_input(ref: str, suffix: str = ".txt") -> str:
     """Read a path, or a bundled file via the preset:<name> scheme."""
     if ref.startswith("preset:"):
-        return _preset_text(ref.split(":", 1)[1] + ".txt")
+        return _preset_text(ref.split(":", 1)[1] + suffix)
     with open(ref, "r") as fh:
         return fh.read()
 
@@ -406,12 +401,7 @@ def _cmd_validate_gog(cfg: RunConfig, argv: list[str]) -> int:
     ref = cfg.input
     if not os.path.exists(ref) and not ref.startswith("preset:") and "/" not in ref:
         ref = "preset:" + ref  # bare names fall back to bundled files
-    if ref.startswith("preset:"):
-        text = _preset_text(ref.split(":", 1)[1] + ".gog")
-    else:
-        with open(ref, "r") as fh:
-            text = fh.read()
-    graph = load_graph_of_groups(text)
+    graph = load_graph_of_groups(_resolve_input(ref, ".gog"))
     report = validate_bowditch(graph)
     lines = [
         f"vertices: {len(graph.vertices)}  edges: {len(graph.edges)}  "
@@ -464,19 +454,6 @@ def _cmd_cuts(cfg: RunConfig, argv: list[str]) -> int:
     return 0
 
 
-def _cmd_bench(cfg: RunConfig, argv: list[str]) -> int:
-    group = (
-        load_marking(_resolve_input(cfg.marking))
-        if cfg.marking
-        else solve_parabolic_commutator().group
-    )
-    result = benchmark_word_traversal(group, cfg.depth)
-    print(f"visited {result.words_visited} reduced words to depth {cfg.depth}")
-    print(f"elapsed {result.seconds:.3f}s")
-    print(f"throughput {result.words_per_second:.0f} words/s")
-    return 0
-
-
 _COMMANDS = {
     "solve": _cmd_solve,
     "points": _cmd_points,
@@ -485,7 +462,6 @@ _COMMANDS = {
     "validate-gog": _cmd_validate_gog,
     "tree-limit": _cmd_tree_limit,
     "cuts": _cmd_cuts,
-    "bench": _cmd_bench,
 }
 
 

@@ -16,6 +16,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
+from .groups import _format_lines
+
 __all__ = [
     "UnknownVertexError",
     "UnknownPointError",
@@ -90,7 +92,7 @@ class GoGEdge:
     label: str = ""
 
 
-def _connected(adjacency: dict[str, Iterable[str]]) -> bool:
+def _connected(adjacency: dict) -> bool:
     """Whether a nonempty graph, given as vertex -> neighbours, is connected."""
     start = next(iter(adjacency))
     seen = {start}
@@ -504,23 +506,7 @@ def link_valency(g: SimpleGraph, v: str) -> int:
     subdivision vertices, every subdivision vertex gets link valency 2 even
     though the graph minus that vertex stays connected."""
     _require_vertex(g, v)
-    nbrs = sorted(g.adjacency[v])
-    seen: set[str] = set()
-    count = 0
-    for start in nbrs:
-        if start in seen:
-            continue
-        count += 1
-        comp = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in g.adjacency[x]:
-                if y in g.adjacency[v] and y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
-    return count
+    return len(g._components(set(g.vertices) - g.adjacency[v]))
 
 
 @dataclass(frozen=True)
@@ -561,10 +547,7 @@ def load_graph_of_groups(text: str) -> GraphOfGroups:
     vertices: list[GoGVertex] = []
     edges: list[GoGEdge] = []
     types = {t.value: t for t in VertexType}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in _format_lines(text):
         parts = line.split()
         if parts[0] == "vertex" and len(parts) >= 3:
             vid, vtype = parts[1], parts[2]
@@ -615,10 +598,7 @@ def load_graph_of_groups(text: str) -> GraphOfGroups:
 def load_simple_graph(text: str) -> SimpleGraph:
     """One edge per line: `u v`."""
     edges = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in _format_lines(text):
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"line {line_no}: expected 'u v'")
@@ -637,26 +617,14 @@ def load_tree_system(text: str) -> TreeSystem:
     spaces: dict[str, FiniteMetricSpace] = {}
     tree_edges: list[tuple[str, str]] = []
     gluings: dict[tuple[str, str], list[tuple[str, str]]] = {}
-    lines = text.splitlines()
-    i = 0
-
-    def stripped(raw: str) -> str:
-        return raw.split("#", 1)[0].strip()
-
-    while i < len(lines):
-        line = stripped(lines[i])
-        i += 1
-        if not line:
-            continue
+    lines = _format_lines(text)
+    for _, line in lines:
         parts = line.split()
         if parts[0] == "space" and len(parts) == 3:
             sid, n = parts[1], int(parts[2])
             matrix = []
-            while len(matrix) < n and i < len(lines):
-                row_line = stripped(lines[i])
-                i += 1
-                if not row_line:
-                    continue
+            # range(n) comes first, so a space of n <= 0 points takes no line.
+            for _, (_, row_line) in zip(range(n), lines):
                 row_parts = row_line.split()
                 if row_parts[0] != "row" or len(row_parts) != n + 1:
                     raise ValueError(f"space {sid}: expected 'row' with {n} entries")

@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .decomposition import _connected
+from .groups import _format_lines
 from .mobius import (
     INFINITY,
     MoebiusMap,
@@ -294,17 +296,7 @@ class TangencyGraph:
                     yield i, j, k
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in self.adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
+        return self.n == 0 or _connected(self.adjacency)
 
 
 # Circles with chordal diameter above this are paired exhaustively; the rest
@@ -611,10 +603,7 @@ def is_apollonian_like(
 
 def load_packing(text: str) -> CirclePacking:
     circles: list[OrientedCircle] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in _format_lines(text):
         parts = line.split()
         if len(parts) != 4 or parts[0] not in ("C", "L"):
             raise ValueError(f"line {line_no}: expected 'C re im radius' or 'L re im offset'")

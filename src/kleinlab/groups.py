@@ -341,6 +341,8 @@ def _parse_entry(text: str, line_no: int) -> complex:
 
 
 def _format_lines(text: str):
+    """(line number, text) of each line of a kleinlab text format, with the
+    `#` comment cut off and blank lines skipped."""
     for i, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:

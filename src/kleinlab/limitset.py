@@ -39,8 +39,6 @@ __all__ = [
     "hausdorff_distance",
     "RenderResult",
     "render",
-    "BenchResult",
-    "benchmark_word_traversal",
 ]
 
 
@@ -145,31 +143,29 @@ def limit_points_by_fixed_points(
     """Attracting (or parabolic) fixed points of every nontrivial reduced
     word up to max_word_len, visited in length-lexicographic order.
 
-    The per-length pass makes the depth-d cloud an exact prefix of the
-    depth-(d+1) cloud.  Raises EllipticOnlyError when no word contributes.
+    Level n extends each level-(n-1) word and map, in order, by every
+    letter that does not cancel its last one, so each word is composed
+    once and the depth-d cloud is an exact prefix of the depth-(d+1) cloud.
+    Raises EllipticOnlyError when no word contributes.
     """
     if max_word_len < 1:
         raise ValueError("max_word_len must be >= 1")
     cloud = LimitSetCloud(dedup)
     letters = group.alphabet.letters
     maps = [group.letter_map(x) for x in letters]
-    banned = {x: x.swapcase() for x in letters}
 
-    def visit(word: str, m: MoebiusMap, remaining: int) -> None:
-        if remaining == 0:
+    level = [("", MoebiusMap.identity())]
+    for _ in range(max_word_len):
+        level = [
+            (word + x, m.compose(mx))
+            for word, m in level
+            for x, mx in zip(letters, maps)
+            if not word or x != word[-1].swapcase()
+        ]
+        for word, m in level:
             kind = m.classify()
-            if kind is MapClass.IDENTITY or kind is MapClass.ELLIPTIC:
-                return
-            cloud.try_add(m.attracting_fixed_point(), word)
-            return
-        last = word[-1] if word else None
-        for x, mx in zip(letters, maps):
-            if last is not None and banned[last] == x:
-                continue
-            visit(word + x, m.compose(mx), remaining - 1)
-
-    for n in range(1, max_word_len + 1):
-        visit("", MoebiusMap.identity(), n)
+            if kind is not MapClass.IDENTITY and kind is not MapClass.ELLIPTIC:
+                cloud.try_add(m.attracting_fixed_point(), word)
     if not cloud.points:
         raise EllipticOnlyError(
             f"no parabolic or loxodromic word up to length {max_word_len}"
@@ -496,51 +492,3 @@ def render(
             header += b"# " + line.encode("ascii", "replace") + b"\n"
     header += f"{width} {height}\n255\n".encode("ascii")
     return RenderResult(header + bytes(raster), "\n".join(svg_parts) + "\n")
-
-
-class BenchResult(NamedTuple):
-    words_visited: int
-    seconds: float
-
-    @property
-    def words_per_second(self) -> float:
-        return self.words_visited / self.seconds if self.seconds > 0 else math.inf
-
-
-def benchmark_word_traversal(group: MarkedGroup, max_depth: int) -> BenchResult:
-    """Visit every nonempty reduced word up to max_depth with incremental
-    matrix products.
-
-    This times matrix products over reduced words, not the circle DFS: it
-    does no circle transport, pruning, dedup or emission, so its words per
-    second run well above what ``limit_set_dfs`` visits."""
-    letters = group.alphabet.letters
-    nletters = len(letters)
-    gen_mats = [group.letter_map(x).matrix for x in letters]
-    inverse_rank = [group.alphabet.letter_rank(x.swapcase()) for x in letters]
-    count = 0
-
-    def visit(a, b, c, d, last_rank: int, depth: int) -> None:
-        nonlocal count
-        count += 1
-        if depth >= max_depth:
-            return
-        skip = inverse_rank[last_rank]
-        for rank in range(nletters):
-            if rank == skip:
-                continue
-            ga, gb, gc, gd = gen_mats[rank]
-            visit(
-                a * ga + b * gc,
-                a * gb + b * gd,
-                c * ga + d * gc,
-                c * gb + d * gd,
-                rank,
-                depth + 1,
-            )
-
-    t0 = time.perf_counter()
-    for rank in range(nletters):
-        a, b, c, d = gen_mats[rank]
-        visit(a, b, c, d, rank, 1)
-    return BenchResult(count, time.perf_counter() - t0)

@@ -6,6 +6,7 @@ and then asserts, so the full list of verdicts survives in the run log.
 
 import json
 import random
+import re
 import subprocess
 import sys
 import time
@@ -54,7 +55,6 @@ from kleinlab.groups import (
 from kleinlab.limitset import (
     DfsConfig,
     Rectangle,
-    benchmark_word_traversal,
     limit_points_by_fixed_points,
     limit_set_dfs,
 )
@@ -446,19 +446,18 @@ def test_criterion_9_enumeration_and_determinism(tmp_path):
             args, cwd=d, env=child_env(), capture_output=True, text=True, timeout=300
         )
         assert proc.returncode == 0, proc.stderr
+    wall = re.search(r"^wall time \S+ \((\S+) words/s\)$", proc.stdout, re.M)
+    rate = wall.group(1) if wall else "?"
     identical = all(
         (dirs[0] / f"run{sfx}").read_bytes() == (dirs[1] / f"run{sfx}").read_bytes()
         for sfx in (".circles.txt", ".cloud.txt", ".ppm", ".svg", ".stats.json")
     )
-
-    group = solve_parabolic_commutator().group
-    bench = benchmark_word_traversal(group, 12)
 
     ok = formula_ok and identical
     assert report(
         9,
         ok,
         f"reduced-word counts match 4*3^(n-1) for n<=10; two dfs runs are "
-        f"byte-identical across all 5 artifacts; bench {bench.words_per_second:.2e} "
-        f"words/s at depth 12 (non-gating, target 1e5)",
+        f"byte-identical across all 5 artifacts; the dfs visited {rate} words/s "
+        f"at eps 5e-3 (non-gating)",
     ), f"formula_ok={formula_ok} identical={identical}"

@@ -254,11 +254,11 @@ def test_cuts_report_on_square(tmp_path):
     assert sum(1 for l in lines if l.startswith("cut-pair")) == 2
 
 
-def test_bench_reports_word_count():
+def test_bench_is_an_unknown_command():
+    # The benchmark lives in perfbench/, not in the CLI.
     r = run_cli("bench", "--depth", "6")
-    assert r.returncode == 0
-    assert "visited 1456 reduced words to depth 6" in r.stdout
-    assert "throughput" in r.stdout
+    assert r.returncode == 2
+    assert "invalid choice" in r.stderr
 
 
 def test_config_file_applies_and_flags_override(tmp_path):

@@ -1,0 +1,57 @@
+"""The text formats share one line reader: `#` comments and blank lines are
+skipped, and errors name the line number of the first bad line."""
+
+import re
+
+import pytest
+
+from kleinlab.cli import load_config
+from kleinlab.decomposition import load_graph_of_groups, load_simple_graph, load_tree_system
+from kleinlab.gasket import load_packing
+
+# loader, one good line, one bad line, the error for a bad line 5, a check on
+# what the good line parses to
+LOADERS = {
+    "packing": (
+        load_packing, "C 0 0 1", "Q 1 2 3",
+        "line 5: expected 'C re im radius' or 'L re im offset'",
+        lambda packing: len(packing.circles) == 1,
+    ),
+    "config": (
+        load_config, "epsilon=0.5", "bogus",
+        "<config>:5: expected key=value, got 'bogus'",
+        lambda cfg: cfg == {"epsilon": 0.5},
+    ),
+    "graph-of-groups": (
+        load_graph_of_groups, "vertex R rigid", "vertex Q weird",
+        "line 5: unknown vertex type 'weird'",
+        lambda graph: list(graph.vertices) == ["R"],
+    ),
+    "edge-list": (
+        load_simple_graph, "a b", "a b c",
+        "line 5: expected 'u v'",
+        lambda graph: graph.vertices == ("a", "b") and graph.edge_count() == 1,
+    ),
+}
+
+
+@pytest.mark.parametrize("loader, good, bad, message, check", LOADERS.values(), ids=LOADERS)
+def test_loader_skips_comments_and_names_first_bad_line(loader, good, bad, message, check):
+    assert check(loader(f"# header\n\n{good}  # trailing comment\n   \n"))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        loader(f"# header\n\n{good}  # trailing comment\n   \n{bad}\n{bad} # again\n")
+
+
+def test_tree_system_rows_skip_comments_and_blank_lines():
+    system = load_tree_system(
+        "space A 2  # two points\n# rows follow\nrow 0 1\n\nrow 1 0\n"
+        "space B 1\n\nrow 0\ntree-edge A B\nglue A B 1 0  # identify\n"
+    )
+    assert system.spaces["A"].distance("0", "1") == 1
+    assert system.spaces["B"].points == ("0",)
+
+
+def test_tree_system_empty_space_takes_no_row():
+    with pytest.raises(ValueError, match="points must be nonempty and distinct"):
+        load_tree_system("space A 0\nrow 0\n")
+

@@ -5,20 +5,19 @@ import pytest
 from scipy.spatial import cKDTree
 
 from kleinlab.gasket import CirclePacking, OrientedCircle, is_apollonian_like
-from kleinlab.groups import Alphabet, MarkedGroup, solve_parabolic_commutator
+from kleinlab.groups import Alphabet, MarkedGroup, enumerate_reduced_words, solve_parabolic_commutator
 from kleinlab.limitset import (
     DfsConfig,
     EllipticOnlyError,
     EmptyWindowError,
     LimitSetCloud,
     Rectangle,
-    benchmark_word_traversal,
     hausdorff_distance,
     limit_points_by_fixed_points,
     limit_set_dfs,
     render,
 )
-from kleinlab.mobius import INFINITY, MoebiusMap, chordal_distance, sphere_coords
+from kleinlab.mobius import INFINITY, MapClass, MoebiusMap, chordal_distance, sphere_coords
 
 WINDOW = Rectangle(-1.0, -1.0, 2.0, 1.0)
 
@@ -81,6 +80,20 @@ def test_cloud_contains_generator_and_commutator_points(group):
 def test_cloud_sizes_are_reproducible(group):
     sizes = [len(limit_points_by_fixed_points(group, d)) for d in range(1, 7)]
     assert sizes == [2, 10, 38, 122, 422, 1302]
+
+
+def test_fixed_point_cloud_matches_word_by_word_oracle(group):
+    # Each reduced word evaluated on its own, in length-lexicographic order.
+    oracle = LimitSetCloud(1e-9)
+    for word in enumerate_reduced_words(group.alphabet, 6):
+        m = group.evaluate(word)
+        if m.classify() not in (MapClass.IDENTITY, MapClass.ELLIPTIC):
+            oracle.try_add(m.attracting_fixed_point(), word)
+    cloud = limit_points_by_fixed_points(group, 6)
+    assert len(cloud) == 1302
+    assert [(p.point, p.word) for p in cloud.points] == [
+        (p.point, p.word) for p in oracle.points
+    ]
 
 
 def test_deeper_cloud_extends_shallower_one(group):
@@ -261,9 +274,3 @@ def test_render_roundtrip_preserves_gasket_structure(group):
     assert verdict.connected
     assert verdict.quadruples_checked >= 50
 
-
-def test_benchmark_counts_reduced_words(group):
-    result = benchmark_word_traversal(group, 6)
-    assert result.words_visited == 4 * (3**6 - 1) // 2
-    assert result.seconds >= 0.0
-    assert result.words_per_second > 0.0
