@@ -618,19 +618,21 @@ def load_tree_system(text: str) -> TreeSystem:
     tree_edges: list[tuple[str, str]] = []
     gluings: dict[tuple[str, str], list[tuple[str, str]]] = {}
     lines = _format_lines(text)
-    for _, line in lines:
+    for line_no, line in lines:
         parts = line.split()
         if parts[0] == "space" and len(parts) == 3:
             sid, n = parts[1], int(parts[2])
             matrix = []
             # range(n) comes first, so a space of n <= 0 points takes no line.
-            for _, (_, row_line) in zip(range(n), lines):
+            for _, (row_no, row_line) in zip(range(n), lines):
                 row_parts = row_line.split()
                 if row_parts[0] != "row" or len(row_parts) != n + 1:
-                    raise ValueError(f"space {sid}: expected 'row' with {n} entries")
+                    raise ValueError(
+                        f"line {row_no}: space {sid}: expected 'row' with {n} entries"
+                    )
                 matrix.append([Fraction(x) for x in row_parts[1:]])
             if len(matrix) != n:
-                raise ValueError(f"space {sid}: missing rows")
+                raise ValueError(f"line {line_no}: space {sid}: missing rows")
             spaces[sid] = FiniteMetricSpace([str(k) for k in range(n)], matrix)
         elif parts[0] == "tree-edge" and len(parts) == 3:
             tree_edges.append((parts[1], parts[2]))
@@ -638,5 +640,5 @@ def load_tree_system(text: str) -> TreeSystem:
             key = (parts[1], parts[2])
             gluings.setdefault(key, []).append((parts[3], parts[4]))
         else:
-            raise ValueError(f"cannot parse line: {line!r}")
+            raise ValueError(f"line {line_no}: cannot parse {line!r}")
     return TreeSystem(spaces, tree_edges, gluings)

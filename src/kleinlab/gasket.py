@@ -13,6 +13,7 @@ quadruple flip into arithmetic on triples.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .decomposition import _connected
@@ -23,7 +24,6 @@ from .mobius import (
     SpherePoint,
     moebius_mapping,
     moebius_to_zero_one_inf,
-    sphere_coords,
     transform_hermitian,
 )
 
@@ -299,52 +299,115 @@ class TangencyGraph:
         return self.n == 0 or _connected(self.adjacency)
 
 
-# Circles with chordal diameter above this are paired exhaustively; the rest
-# go through a spatial grid sized so tangent small pairs land in adjacent cells.
-_BIG_DIAMETER = 0.05
+# Rounding allowance for the cap prune and the grid cells.  What it covers
+# (the cap centres, the bound, the float inversive product against the
+# exact one) is each within a few dozen ulps; tol enters the bound exactly
+# and needs no share of it.
+_SLACK = 4096.0 * sys.float_info.epsilon
+# Caps finer than this level share its grid, so the three cell coordinates
+# of every level pack into one int64 key.
+_MAX_LEVEL = 20
 
 
-def _near_pairs(circles: list[OrientedCircle]):
-    n = len(circles)
-    diam = [c.chordal_diameter() for c in circles]
-    big = [i for i in range(n) if diam[i] > _BIG_DIAMETER]
-    small = [i for i in range(n) if diam[i] <= _BIG_DIAMETER]
-    for a in range(len(big)):
-        i = big[a]
-        for b in range(a + 1, len(big)):
-            yield (min(i, big[b]), max(i, big[b]))
-        for j in small:
-            yield (min(i, j), max(i, j))
-    if small:
-        cell = 2.0 * _BIG_DIAMETER
-        grid: dict[tuple[int, int, int], list[int]] = {}
-        keys: dict[int, tuple[int, int, int]] = {}
-        for j in small:
-            x, y, z = sphere_coords(circles[j].center)
-            key = (math.floor(x / cell), math.floor(y / cell), math.floor(z / cell))
-            keys[j] = key
-            grid.setdefault(key, []).append(j)
-        for j in small:
-            kx, ky, kz = keys[j]
-            for dx in (-1, 0, 1):
-                for dy in (-1, 0, 1):
-                    for dz in (-1, 0, 1):
-                        for i in grid.get((kx + dx, ky + dy, kz + dz), ()):
-                            if i < j:
-                                yield (i, j)
+def _cap_candidates(circles: list[OrientedCircle], tol: float):
+    """Every pair (i, j), i < j, whose inversive product p may reach -2 - tol:
+    int arrays in lexicographic order, and p of each pair.
+
+    The disk of (A, B, C) is the spherical cap {u : s + w.u <= 0} with
+    w = (2 Re B, 2 Im B, A - C) and s = A + C, centred at -w/|w| (the Lorentz
+    picture of Graham-Lagarias-Mallows-Wilks-Yan).  Any two triples have
+    p = (w_i.w_j - s_i s_j) / 2, so p >= -2 - tol exactly when the angle phi
+    between the centres has
+
+        cos(phi) >= c_i c_j - (4 + 2 tol) r_i r_j,   c = s/|w|, r = 1/|w|.
+
+    At unit discriminant c = cos(theta) and 2r = sin(theta) for the angular
+    radius theta, and this reads cos(phi) >= cos(theta_i + theta_j) -
+    (tol/2) sin(theta_i) sin(theta_j).  Written in c and r it needs no unit
+    discriminant, which the stored triple of a small circle has only up to
+    the rounding of |B|^2 and AC.
+
+    The chord 2 - 2 cos(phi) is then at most q_i + q_j, with
+    q = 2(1 - c) + (4 + 2 tol) r^2, about 2 theta^2.  Caps with q < 4^-L form
+    level L.  For each level, the caps of that level and finer ones are
+    hashed into a grid of cell side sqrt(2 * 4^-L), and the level's own caps
+    look up their 27 neighbour cells, so the work grows with the circles
+    times the levels, not with the pairs.
+    """
+    import numpy as np
+
+    empty = np.zeros(0, dtype=np.int64)
+    if len(circles) < 2:
+        return empty, empty, np.zeros(0)
+    A = np.array([c.A for c in circles])
+    Bre = np.array([c.B.real for c in circles])
+    Bim = np.array([c.B.imag for c in circles])
+    C = np.array([c.C for c in circles])
+    norm = np.sqrt(4.0 * (Bre * Bre + Bim * Bim) + (A - C) * (A - C))
+    centre = (-2.0 * Bre / norm, -2.0 * Bim / norm, (C - A) / norm)
+    c = (A + C) / norm
+    r = 1.0 / norm
+    q = 2.0 * (1.0 - c) + (4.0 + 2.0 * tol) * r * r
+    # frexp is exact: q < 2^e, so level (-e) // 2 has q < 4^-level.
+    level = np.clip((-np.frexp(q)[1]) // 2, 0, _MAX_LEVEL)
+
+    found_i, found_j = [], []
+    for lev in sorted(set(level.tolist())):
+        # Two caps of this level or finer that pass the prune are less than
+        # sqrt(2 * 4^-lev) apart, up to rounding.  Level 0 holds every large
+        # cap; a cell wider than the sphere makes all of them neighbours.
+        h = math.sqrt(2.0 * 4.0 ** -lev + 4.0 * _SLACK) if lev else 4.0
+        side = 2 * int(1.0 / h) + 7
+        finer = np.flatnonzero(level >= lev)
+        cx, cy, cz = (np.floor(x[finer] / h).astype(np.int64) + side // 2 for x in centre)
+        keys = (cx * side + cy) * side + cz
+        order = np.argsort(keys)
+        sorted_keys = keys[order]
+        # The level's own caps, taken in key order: searchsorted runs faster
+        # on ascending needles.
+        is_own = order[level[finer[order]] == lev]
+        own, own_keys = finer[is_own], keys[is_own]
+        lo, hi = [], []
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                # The three cells along z are consecutive keys.
+                first = own_keys + ((dx * side + dy) * side - 1)
+                lo.append(np.searchsorted(sorted_keys, first, "left"))
+                hi.append(np.searchsorted(sorted_keys, first + 2, "right"))
+        lo = np.concatenate(lo)
+        counts = np.concatenate(hi) - lo
+        b = np.repeat(np.tile(own, 9), counts)
+        starts = np.repeat(np.cumsum(counts) - counts - lo, counts)
+        a = finer[order[np.arange(len(b)) - starts]]
+        # A pair within one level is seen from both ends and kept once.
+        keep = (level[a] > lev) | (a > b)
+        a, b = a[keep], b[keep]
+        cos_phi = sum(x[a] * x[b] for x in centre)
+        near = cos_phi >= c[a] * c[b] - (4.0 + 2.0 * tol) * r[a] * r[b] - _SLACK
+        found_i.append(np.minimum(a[near], b[near]))
+        found_j.append(np.maximum(a[near], b[near]))
+    i = np.concatenate(found_i)
+    j = np.concatenate(found_j)
+    order = np.argsort(i * len(circles) + j)
+    i, j = i[order], j[order]
+    # OrientedCircle.inversive_product's operation order, so the
+    # tangent/overlap split is bit-identical to it.
+    p = 2.0 * (Bre[i] * Bre[j] + Bim[i] * Bim[j]) - A[i] * C[j] - A[j] * C[i]
+    return i, j, p
 
 
 def _scan_products(circles: list[OrientedCircle], tol: float):
-    """(tangency graph, overlapping pairs) from one pass over all pairs
-    that could touch; each edge carries its tangency point."""
-    edges: list[TangencyEdge] = []
-    overlap: list[tuple[int, int]] = []
-    for i, j in _near_pairs(circles):
-        p = circles[i].inversive_product(circles[j])
-        if abs(p + 2.0) <= tol:
-            edges.append(TangencyEdge(i, j, tangency_point(circles[i], circles[j])))
-        elif p > -2.0:
-            overlap.append((i, j))
+    """(tangency graph, overlapping pairs) from one pass over the pairs the
+    cap index cannot rule out; each edge carries its tangency point, and the
+    overlapping pairs come sorted."""
+    i, j, p = _cap_candidates(circles, tol)
+    tangent = abs(p + 2.0) <= tol
+    crossing = ~tangent & (p > -2.0)
+    edges = [
+        TangencyEdge(a, b, tangency_point(circles[a], circles[b]))
+        for a, b in zip(i[tangent].tolist(), j[tangent].tolist())
+    ]
+    overlap = list(zip(i[crossing].tolist(), j[crossing].tolist()))
     return TangencyGraph(len(circles), edges), overlap
 
 

@@ -55,3 +55,15 @@ def test_tree_system_empty_space_takes_no_row():
     with pytest.raises(ValueError, match="points must be nonempty and distinct"):
         load_tree_system("space A 0\nrow 0\n")
 
+
+
+def test_tree_system_errors_name_the_line():
+    header = "# tree system\nspace A 2\nrow 0 1\n\nrow 1 0\n"
+    with pytest.raises(ValueError, match=re.escape("line 6: cannot parse 'frob x'")):
+        load_tree_system(header + "frob x\n")
+    with pytest.raises(
+        ValueError, match=re.escape("line 8: space B: expected 'row' with 2 entries")
+    ):
+        load_tree_system(header + "space B 2\n# first row\nrow 0 1 2\nrow 1 0\n")
+    with pytest.raises(ValueError, match=re.escape("line 6: space B: missing rows")):
+        load_tree_system(header + "space B 2\nrow 0 1\n")

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from importlib import resources
 
@@ -23,6 +24,8 @@ from kleinlab.gasket import (
     standard_gasket,
     tangency_point,
     tangent_quadruple_flip,
+    _cap_candidates,
+    _scan_products,
     _TripleSet,
 )
 from kleinlab.groups import load_marking
@@ -370,3 +373,132 @@ def test_normalized_verdict_raises_normalization_errors_first():
         is_apollonian_like(CirclePacking(standard_base_triple()[:2]), normalize=True)
     with pytest.raises(ValueError, match="need at least 4 circles"):
         is_apollonian_like(CirclePacking(standard_base_triple()), normalize=True)
+
+
+def all_pairs_scan(circles, tol):
+    """The tangency scan by brute force: every pair's inversive product."""
+    edges, overlap = [], []
+    for i, j in itertools.combinations(range(len(circles)), 2):
+        p = circles[i].inversive_product(circles[j])
+        if abs(p + 2.0) <= tol:
+            edges.append((i, j, tangency_point(circles[i], circles[j])))
+        elif p > -2.0:
+            overlap.append((i, j))
+    return edges, overlap
+
+
+def assert_scan_matches_all_pairs(circles, tol):
+    graph, overlap = _scan_products(circles, tol)
+    edges, expected_overlap = all_pairs_scan(circles, tol)
+    assert [(e.i, e.j, e.point) for e in graph.edges] == edges
+    assert overlap == expected_overlap
+    # The index's products are bit for bit those of inversive_product.
+    i, j, p = _cap_candidates(circles, tol)
+    assert p.tolist() == [circles[a].inversive_product(circles[b]) for a, b in zip(i, j)]
+    return graph, overlap
+
+
+def gapped_pair(x, radius, gap):
+    """Two circles at height 1/2 whose inversive product is -2 - gap."""
+    distance = math.sqrt(4.0 * radius * radius + gap * radius * radius)
+    return [
+        OrientedCircle.from_center_radius(complex(x, 0.5), radius),
+        OrientedCircle.from_center_radius(complex(x + distance, 0.5), radius),
+    ]
+
+
+def test_scan_matches_all_pairs_on_dfs_packing():
+    graph, overlap = assert_scan_matches_all_pairs(hw_gasket_packing(1e-2).circles, 1e-6)
+    assert len(graph.edges) == 4101
+    assert overlap == []
+
+
+def test_scan_matches_all_pairs_on_distorted_packings():
+    rng = random.Random(61)
+    packing = hw_gasket_packing(2e-2)
+    for _ in range(4):
+        graph, _ = assert_scan_matches_all_pairs(
+            apply_to_packing(random_map(rng), packing).circles, 1e-6
+        )
+        assert len(graph.edges) == 1593
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-2])
+def test_scan_matches_all_pairs_on_lines_and_gaps(tol):
+    # Two lines bounding the strip 0 <= Im z <= 1 with two unit-diameter
+    # circles between them, an enclosing circle (whose outside overlaps both
+    # lines' half-planes), and two circle pairs inside the strip gapped to
+    # inversive products -2 - tol/2 (tangent within tol) and -2 - 2 tol (not).
+    circles = [
+        OrientedCircle.from_line(1j, 0.0),
+        OrientedCircle.from_line(-1j, -1.0),
+        OrientedCircle.from_center_radius(0.5j, 0.5),
+        OrientedCircle.from_center_radius(1.0 + 0.5j, 0.5),
+        OrientedCircle.from_center_radius(0j, 20.0).reversed(),
+    ]
+    circles += gapped_pair(4.0, 0.25, tol / 2) + gapped_pair(8.0, 0.25, 2 * tol)
+    assert circles[5].inversive_product(circles[6]) == pytest.approx(-2 - tol / 2, abs=1e-12)
+    assert circles[7].inversive_product(circles[8]) == pytest.approx(-2 - 2 * tol, abs=1e-12)
+    graph, overlap = assert_scan_matches_all_pairs(circles, tol)
+    # the parallel lines touch at infinity
+    strip = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    assert [(e.i, e.j) for e in graph.edges] == strip + [(5, 6)]
+    assert overlap == [(0, 4), (1, 4)]
+
+
+def test_scan_matches_all_pairs_below_the_finest_level():
+    # Circles of radius 1e-9 to 1e-6, finer than the finest grid level,
+    # share its cells.
+    rng = random.Random(71)
+    circles = [OrientedCircle.from_center_radius(0.3 + 0.2j, 0.1)]
+    for _ in range(60):
+        radius = 10 ** rng.uniform(-9, -6)
+        centre = complex(0.3 + rng.uniform(-3e-6, 3e-6), 0.3 + rng.uniform(-3e-6, 3e-6))
+        circles.append(OrientedCircle.from_center_radius(centre, radius))
+    circles += gapped_pair(0.3, 1e-8, 0.0)
+    graph, overlap = assert_scan_matches_all_pairs(circles, 1e-6)
+    assert graph.has_edge(61, 62)
+    assert overlap
+
+
+def test_overlap_pairs_are_sorted():
+    # Three overlapping pairs, listed so that no pair's circles are adjacent.
+    xs = (0.0, 9.0, 20.0, 1.0, 21.0, 10.0)
+    packing = CirclePacking([OrientedCircle.from_center_radius(x, 1.0) for x in xs])
+    expected = ((0, 3), (1, 5), (2, 4))
+    assert is_apollonian_like(packing).overlap_pairs == expected
+    with pytest.raises(OverlappingCirclesError) as err:
+        detect_tangencies(packing)
+    assert err.value.pairs == expected
+    with pytest.raises(OverlappingCirclesError) as err:
+        is_apollonian_like(packing, normalize=True)
+    assert err.value.pairs == expected
+
+
+def test_cap_index_candidates_track_tangencies():
+    # The index is output-sensitive: its candidates are at most twice the
+    # pairs that touch or overlap (at eps 1e-3: 81,795 tangent pairs).
+    circles = hw_gasket_packing(1e-3).circles
+    candidates = len(_cap_candidates(circles, 1e-6)[0])
+    graph, overlap = _scan_products(circles, 1e-6)
+    print(
+        f"\ncap index at eps 1e-3: {candidates} candidate pairs for "
+        f"{len(graph.edges)} tangent and {len(overlap)} overlapping pairs"
+    )
+    assert len(graph.edges) == 81795
+    assert candidates <= 2 * (len(graph.edges) + len(overlap))
+
+
+def test_scan_does_not_depend_on_row_order():
+    circles = hw_gasket_packing(1e-2).circles
+    perm = list(range(len(circles)))
+    random.Random(67).shuffle(perm)
+    shuffled = [circles[k] for k in perm]
+    assert perm[:4] != [0, 1, 2, 3]
+    assert len(_cap_candidates(shuffled, 1e-6)[0]) == len(_cap_candidates(circles, 1e-6)[0])
+    edges = {(e.i, e.j) for e in _scan_products(circles, 1e-6)[0].edges}
+    moved = {
+        (min(perm[e.i], perm[e.j]), max(perm[e.i], perm[e.j]))
+        for e in _scan_products(shuffled, 1e-6)[0].edges
+    }
+    assert moved == edges
