@@ -385,6 +385,8 @@ def _cmd_verify_gasket(cfg: RunConfig, argv: list[str]) -> int:
         "worst_quadruple": list(verdict.worst_quadruple) if verdict.worst_quadruple else None,
         "triangles_checked": verdict.triangles_checked,
         "quadruples_checked": verdict.quadruples_checked,
+        "candidate_pairs": verdict.candidate_pairs,
+        "tangent_pairs": verdict.tangent_pairs,
         "failures": list(verdict.failures),
     }
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -12,6 +12,7 @@ quadruple flip into arithmetic on triples.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -397,9 +398,9 @@ def _cap_candidates(circles: list[OrientedCircle], tol: float):
 
 
 def _scan_products(circles: list[OrientedCircle], tol: float):
-    """(tangency graph, overlapping pairs) from one pass over the pairs the
-    cap index cannot rule out; each edge carries its tangency point, and the
-    overlapping pairs come sorted."""
+    """(tangency graph, overlapping pairs, candidate pair count) from one
+    pass over the pairs the cap index cannot rule out; each edge carries its
+    tangency point, and the overlapping pairs come sorted."""
     i, j, p = _cap_candidates(circles, tol)
     tangent = abs(p + 2.0) <= tol
     crossing = ~tangent & (p > -2.0)
@@ -408,7 +409,7 @@ def _scan_products(circles: list[OrientedCircle], tol: float):
         for a, b in zip(i[tangent].tolist(), j[tangent].tolist())
     ]
     overlap = list(zip(i[crossing].tolist(), j[crossing].tolist()))
-    return TangencyGraph(len(circles), edges), overlap
+    return TangencyGraph(len(circles), edges), overlap, len(p)
 
 
 def detect_tangencies(packing: CirclePacking, tol: float = 1e-6) -> TangencyGraph:
@@ -418,7 +419,7 @@ def detect_tangencies(packing: CirclePacking, tol: float = 1e-6) -> TangencyGrap
     OverlappingCirclesError if any pair of disks overlaps deeper than tol;
     duplicated circles count as overlapping.
     """
-    graph, overlap = _scan_products(packing.circles, tol)
+    graph, overlap, _ = _scan_products(packing.circles, tol)
     if overlap:
         raise OverlappingCirclesError(overlap)
     return graph
@@ -464,24 +465,25 @@ class _TripleSet:
     def try_add(self, A: float, Bre: float, Bim: float, C: float) -> bool:
         """Record the triple; False when it (or one within rounding) was seen."""
         g = self.grid
-        comps = (A / g, Bre / g, Bim / g, C / g)
-        key = tuple(round(q) for q in comps)
+        comps = q0, q1, q2, q3 = (A / g, Bre / g, Bim / g, C / g)
+        key = k0, k1, k2, k3 = (round(q0), round(q1), round(q2), round(q3))
+        if key in self._seen:
+            return False
         # Probe neighbor keys so equal triples straddling a rounding
-        # boundary still collide.
-        options = []
-        for q, k in zip(comps, key):
-            opts = [k]
-            if q - k > 0.49:
-                opts.append(k + 1)
-            elif q - k < -0.49:
-                opts.append(k - 1)
-            options.append(opts)
-        for k0 in options[0]:
-            for k1 in options[1]:
-                for k2 in options[2]:
-                    for k3 in options[3]:
-                        if (k0, k1, k2, k3) in self._seen:
-                            return False
+        # boundary still collide.  Only a component within 0.01 of a
+        # boundary has a neighbor key, so most triples take one lookup.
+        if (
+            abs(q0 - k0) > 0.49
+            or abs(q1 - k1) > 0.49
+            or abs(q2 - k2) > 0.49
+            or abs(q3 - k3) > 0.49
+        ):
+            options = [
+                (k, k + 1) if q - k > 0.49 else (k, k - 1) if q - k < -0.49 else (k,)
+                for q, k in zip(comps, key)
+            ]
+            if any(probe in self._seen for probe in itertools.product(*options)):
+                return False
         self._seen.add(key)
         return True
 
@@ -589,6 +591,10 @@ class GasketVerdict:
     triangles_checked: int
     quadruples_checked: int
     failures: tuple[str, ...]
+    # The tangency scan's work: pairs the cap index could not rule out, and
+    # the tangent pairs among them.
+    candidate_pairs: int
+    tangent_pairs: int
 
 
 def is_apollonian_like(
@@ -609,7 +615,7 @@ def is_apollonian_like(
     of the input serves both the map and the verdict.
     """
     circles = packing.circles
-    graph, overlap = _scan_products(circles, tangency_tol)
+    graph, overlap, candidates = _scan_products(circles, tangency_tol)
     curv = [c.A for c in circles]
     if normalize:
         if overlap:
@@ -654,6 +660,8 @@ def is_apollonian_like(
         triangles_checked=triangles,
         quadruples_checked=quadruples,
         failures=tuple(failures),
+        candidate_pairs=candidates,
+        tangent_pairs=len(graph.edges),
     )
 
 

@@ -8,6 +8,7 @@ sphere), since the limit sets of interest contain the point at infinity.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -97,8 +98,16 @@ class _SphereGrid:
             raise ValueError("dedup tolerance must be positive")
         self.tol = tol
         self._cells: dict[tuple[int, int, int], list[tuple[float, float, float]]] = {}
+        # Points a bulk add accepted for being farther than tol from every
+        # other point; they enter the cells at the next try_add.
+        self.deferred: list[SpherePoint] = []
 
     def try_add(self, p: SpherePoint) -> bool:
+        if self.deferred:
+            # Each is farther than tol from every point, so each is kept.
+            deferred, self.deferred = self.deferred, []
+            for q in deferred:
+                self.try_add(q)
         x, y, z = sphere_coords(p)
         t = self.tol
         kx, ky, kz = math.floor(x / t), math.floor(y / t), math.floor(z / t)
@@ -111,6 +120,12 @@ class _SphereGrid:
                             return False
         self._cells.setdefault((kx, ky, kz), []).append((x, y, z))
         return True
+
+
+# Below this tolerance the float rounding of a lift is no longer negligible
+# against a shifted-grid cell, so LimitSetCloud.extend sends every point
+# through the exact path.
+_MIN_BULK_TOL = 1e-12
 
 
 class LimitSetCloud:
@@ -127,6 +142,30 @@ class LimitSetCloud:
             return True
         return False
 
+    def extend(self, points: list[SpherePoint], words: list[str]) -> None:
+        """try_add every (point, word) in order, with the same result.
+
+        The lifts are hashed into 8 grids of cell 4 tol, each shifted by 0
+        or half a cell along each axis.  Two lifts within tol differ by less
+        than tol along every axis, and so share a cell in at least one of
+        the grids.  A point alone in its cell of every grid, among the
+        points already kept and the new ones, is farther than tol from all
+        of them: the greedy keeps it whatever comes first, and it rejects
+        nothing.  Only the crowded points take the exact try_add, in order.
+        A hash collision only makes a point crowded.
+        """
+        grid = self._grid
+        if grid.tol < _MIN_BULK_TOL:
+            crowded = [True] * len(points)
+        else:
+            kept = [cp.point for cp in self.points]
+            crowded = _crowded(kept + list(points), grid.tol)[len(kept):].tolist()
+        keep = [not crowd or grid.try_add(p) for p, crowd in zip(points, crowded)]
+        grid.deferred.extend(p for p, crowd in zip(points, crowded) if not crowd)
+        self.points.extend(
+            CloudPoint(p, len(word), word) for p, word, k in zip(points, words, keep) if k
+        )
+
     def __len__(self) -> int:
         return len(self.points)
 
@@ -135,6 +174,28 @@ class LimitSetCloud:
 
     def finite_points(self) -> list[complex]:
         return [complex(p.point) for p in self.points if p.point is not INFINITY]
+
+
+def _crowded(points: list[SpherePoint], tol: float):
+    """Boolean array: which points share a cell of side 4 tol with another
+    point in one of the 8 half-cell-shifted grids over the lifts."""
+    import numpy as np
+
+    z = np.array([0j if p is INFINITY else p for p in points], dtype=complex)
+    r2 = z.real * z.real + z.imag * z.imag
+    lift = np.stack([2.0 * z.real, 2.0 * z.imag, r2 - 1.0]) / (1.0 + r2)
+    lift[:, [p is INFINITY for p in points]] = [[0.0], [0.0], [1.0]]
+    scaled = lift / (4.0 * tol)
+    crowded = np.zeros(len(points), dtype=bool)
+    for shift in itertools.product((0.0, 0.5), repeat=3):
+        x, y, w = np.floor(scaled + np.array(shift)[:, None]).astype(np.int64)
+        # One int64 key per cell; it wraps, and a collision only crowds.
+        key = (x * 1_000_000_007 + y) * 998_244_353 + w
+        order = np.argsort(key)
+        shared = np.flatnonzero(key[order[1:]] == key[order[:-1]])
+        crowded[order[shared]] = True
+        crowded[order[shared + 1]] = True
+    return crowded
 
 
 def limit_points_by_fixed_points(
@@ -231,6 +292,45 @@ def _circle_meets_window(c: OrientedCircle, w: Rectangle) -> bool:
     return dmin <= r <= dmax
 
 
+def _circle(A: float, Bre: float, Bim: float, C: float) -> OrientedCircle:
+    """The circle of a triple already at unit discriminant, taken as is."""
+    circle = object.__new__(OrientedCircle)
+    circle.A = A
+    circle.B = complex(Bre, Bim)
+    circle.C = C
+    return circle
+
+
+def _meets_window(rows, w: Rectangle):
+    """_circle_meets_window of each row (A, Re B, Im B, C) of an (n, 4)
+    array, as a boolean array.
+
+    numpy's hypot may differ from math.hypot in the last place.  So lines,
+    and rows whose radius lies within a relative 1e-12 of dmin or dmax,
+    take the scalar test; every other row clears both bounds by far more
+    than that rounding.
+    """
+    import numpy as np
+
+    A, Bre, Bim = rows[:, 0], rows[:, 1], rows[:, 2]
+    with np.errstate(all="ignore"):  # lines divide by A = 0; they are redone
+        mx, my = -Bre / A, -Bim / A
+        r = 1.0 / np.abs(A)
+        dmin = np.hypot(mx - np.clip(mx, w.x0, w.x1), my - np.clip(my, w.y0, w.y1))
+        dmax = np.maximum.reduce(
+            [np.hypot(z.real - mx, z.imag - my) for z in w.corners()]
+        )
+        meets = (dmin <= r) & (r <= dmax)
+        unsure = (
+            (np.abs(A) < 1e-9)
+            | (np.abs(r - dmin) <= 1e-12 * r)
+            | (np.abs(r - dmax) <= 1e-12 * r)
+        )
+    for k in np.flatnonzero(unsure).tolist():
+        meets[k] = _circle_meets_window(_circle(*rows[k].tolist()), w)
+    return meets
+
+
 def limit_set_dfs(group: MarkedGroup, config: DfsConfig) -> DfsResult:
     """Depth-first enumeration of the seed-circline orbit over reduced words.
 
@@ -244,12 +344,19 @@ def limit_set_dfs(group: MarkedGroup, config: DfsConfig) -> DfsResult:
     circline encountered is emitted once, so oversized members of the orbit
     appear in the output alongside the sub-epsilon horizon.  Emitted circle
     centers form the returned cloud.
+
+    The traversal only records each new normalized triple.  The window test
+    and the cloud dedup then run in bulk over all of them, in preorder.
     """
     t0 = time.perf_counter()
     stats = DfsStats()
     cloud = LimitSetCloud(config.dedup)
-    emitted: list[EmittedCircle] = []
-    grid = _TripleSet()
+    seen = _TripleSet()
+    # Each new normalized triple, four coefficients to a row, with its word
+    # and whether it was flagged depth-exhausted.
+    coeffs: list[float] = []
+    words: list[str] = []
+    flags: list[bool] = []
     window = config.window
     eps2 = config.epsilon * config.epsilon
     max_depth = config.max_depth
@@ -279,36 +386,6 @@ def limit_set_dfs(group: MarkedGroup, config: DfsConfig) -> DfsResult:
             )
         )
 
-    def emit(A: float, Bre: float, Bim: float, C: float, word: str, flagged: bool) -> bool:
-        """Record the circline; returns False when it was already visited."""
-        disc = (Bre * Bre + Bim * Bim) - A * C
-        if not disc > 0.0:
-            return False
-        t = 1.0 / math.sqrt(disc)
-        A, Bre, Bim, C = A * t, Bre * t, Bim * t, C * t
-        # Dedup on the sign-canonical triple: a triple and its negation are
-        # the same locus, and mixed-sign seeds would otherwise shadow each
-        # other's orbits.  The emitted circle keeps the sign it arrived with,
-        # preserving the seeds' disk orientations in the output.
-        s = 1.0
-        for q in (A, Bre, Bim, C):
-            if q > 0.0:
-                break
-            if q < 0.0:
-                s = -1.0
-                break
-        if not grid.try_add(s * A, s * Bre, s * Bim, s * C):
-            return False
-        circle = object.__new__(OrientedCircle)
-        circle.A = A
-        circle.B = complex(Bre, Bim)
-        circle.C = C
-        if window is None or _circle_meets_window(circle, window):
-            emitted.append(EmittedCircle(circle, word, flagged))
-            stats.circles_emitted += 1
-            cloud.try_add(circle.center, word)
-        return True
-
     # Explicit stack, preorder; children pushed in reverse rank order so the
     # traversal matches the natural recursive order letter by letter.
     stack: list[tuple[float, float, float, float, str, int, int]] = []
@@ -321,12 +398,30 @@ def limit_set_dfs(group: MarkedGroup, config: DfsConfig) -> DfsResult:
             stats.max_depth_reached = depth
         bb = Bre * Bre + Bim * Bim
         disc = bb - A * C
-        ac = A - C
-        small = 16.0 * disc < eps2 * (4.0 * bb + ac * ac)
-        flagged = not small and depth >= max_depth
-        if not emit(A, Bre, Bim, C, word, flagged):
+        if not disc > 0.0:
             stats.branches_pruned += 1
             continue
+        t = 1.0 / math.sqrt(disc)
+        nA, nBre, nBim, nC = A * t, Bre * t, Bim * t, C * t
+        # Dedup on the sign-canonical triple: a triple and its negation are
+        # the same locus, and mixed-sign seeds would otherwise shadow each
+        # other's orbits.  The emitted circle keeps the sign it arrived with,
+        # preserving the seeds' disk orientations in the output.
+        s = 1.0
+        for q in (nA, nBre, nBim, nC):
+            if q > 0.0:
+                break
+            if q < 0.0:
+                s = -1.0
+                break
+        if not seen.try_add(s * nA, s * nBre, s * nBim, s * nC):
+            stats.branches_pruned += 1
+            continue
+        ac = A - C
+        small = 16.0 * disc < eps2 * (4.0 * bb + ac * ac)
+        coeffs += (nA, nBre, nBim, nC)
+        words.append(word)
+        flags.append(not small and depth >= max_depth)
         if small:
             stats.branches_pruned += 1
             continue
@@ -345,6 +440,17 @@ def limit_set_dfs(group: MarkedGroup, config: DfsConfig) -> DfsResult:
             C2 = A * bbc + C * aa - 2.0 * (Br * ab).real
             stack.append((A2, B2.real, B2.imag, C2, letters[rank] + word, rank, depth + 1))
 
+    if window is None:
+        hits = range(len(words))
+    else:
+        import numpy as np
+
+        hits = np.flatnonzero(_meets_window(np.array(coeffs).reshape(-1, 4), window)).tolist()
+    emitted = [
+        EmittedCircle(_circle(*coeffs[4 * k : 4 * k + 4]), words[k], flags[k]) for k in hits
+    ]
+    stats.circles_emitted = len(emitted)
+    cloud.extend([e.circle.center for e in emitted], [e.word for e in emitted])
     stats.wall_time = time.perf_counter() - t0
     return DfsResult(cloud, emitted, stats)
 

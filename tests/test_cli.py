@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -108,6 +109,25 @@ def test_dfs_writes_five_deterministic_artifacts(tmp_path):
         assert b1 == b2, f"artifact {suffix} differs between identical runs"
 
 
+# sha256 of the hw-gasket artifacts at eps 1e-2, from the per-circle DFS
+# (window test and cloud dedup inside the traversal) that the bulk passes
+# replaced.  The PPM is left out: its samples go through libm cos and sin.
+GOLDEN_DFS_1E2 = {
+    ".circles.txt": "2da15fceb6dccda6b7d210d389cae3a529a06bb3567c611a8ac3a04349f0cdd7",
+    ".cloud.txt": "8c8064b7a1205ddee1ace63054b2e1ebc0bbd1afda179dfdc4e83113fae78fc7",
+    ".svg": "04e83b8649fe7064816c885ef65e6581addbfe2b8b48fa57d1b32a5cf4b2b2d8",
+    ".stats.json": "f071698317624b8479a3b24f3d7b8bfbd0dcdda04550d28f6f0019f412ee1ef3",
+}
+
+
+def test_dfs_artifacts_match_golden_digests(tmp_path):
+    r = run_cli("dfs", "--preset", "hw-gasket", "--epsilon", "1e-2", "--out", "run", cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    for suffix, digest in GOLDEN_DFS_1E2.items():
+        data = (tmp_path / f"run{suffix}").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, f"run{suffix} changed"
+
+
 def test_dfs_stats_content(tmp_path):
     r = run_cli(*dfs_args(), cwd=tmp_path)
     assert r.returncode == 0
@@ -142,6 +162,7 @@ def test_verify_gasket_passes_bounded_truncation(tmp_path):
     assert doc["connected"] is True
     assert doc["worst_residual"] <= 1e-7
     assert doc["circles"] == len(bounded_gasket(2).circles)
+    assert (doc["candidate_pairs"], doc["tangent_pairs"]) == (54, 54)
 
 
 def test_verify_gasket_fails_on_perturbed_packing(tmp_path):

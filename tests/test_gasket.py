@@ -113,6 +113,42 @@ def test_triple_set_dedups_across_rounding_boundary():
             assert seen.try_add(*far[i])
 
 
+def full_probe_try_add(seen, grid, A, Bre, Bim, C):
+    """_TripleSet.try_add without the one-lookup fast path: every neighbor
+    key of a component within 0.01 of a rounding boundary is probed."""
+    comps = (A / grid, Bre / grid, Bim / grid, C / grid)
+    key = tuple(round(q) for q in comps)
+    options = []
+    for q, k in zip(comps, key):
+        opts = [k]
+        if q - k > 0.49:
+            opts.append(k + 1)
+        elif q - k < -0.49:
+            opts.append(k - 1)
+        options.append(opts)
+    if any(probe in seen for probe in itertools.product(*options)):
+        return False
+    seen.add(key)
+    return True
+
+
+def test_triple_set_fast_path_matches_full_probe():
+    grid = 1e-8
+    rng = random.Random(73)
+    # Components on a coarse lattice of grid steps, nudged to within 0.02 of
+    # a rounding boundary or onto a key, so that near-duplicates, boundary
+    # straddlers and exact repeats are all common.
+    def component():
+        return (rng.randrange(-3, 4) + rng.choice((0.0, 0.5)) + rng.uniform(-0.02, 0.02)) * grid
+
+    triples = [tuple(component() for _ in range(4)) for _ in range(20000)]
+    fast, reference = _TripleSet(grid), set()
+    decisions = [fast.try_add(*t) for t in triples]
+    assert decisions == [full_probe_try_add(reference, grid, *t) for t in triples]
+    assert fast._seen == reference
+    assert 0 < sum(decisions) < len(decisions)
+
+
 def test_tangency_point_of_touching_circles():
     c1 = OrientedCircle.from_center_radius(0, 1.0)
     c2 = OrientedCircle.from_center_radius(2.0, 1.0)
@@ -273,6 +309,25 @@ def test_is_apollonian_like_flags_perturbed_radius():
     assert verdict.failures
 
 
+def test_verdict_is_local_under_deletion():
+    # The verdict checks each quadruple it finds, not that the packing is
+    # complete: removing any one circle leaves a packing that passes.
+    circles = bounded_gasket(3).circles
+    assert len(circles) == 56
+    for k in range(len(circles)):
+        assert is_apollonian_like(CirclePacking(circles[:k] + circles[k + 1 :])).passed, k
+
+
+def test_verdict_fails_when_any_radius_moves_by_1e4():
+    circles = bounded_gasket(3).circles
+    rng = random.Random(79)
+    for k, c in enumerate(circles):
+        moved = OrientedCircle.from_center_radius(c.center, c.radius + rng.choice((-1e-4, 1e-4)))
+        packing = list(circles)
+        packing[k] = moved.reversed() if c.curvature < 0 else moved
+        assert not is_apollonian_like(CirclePacking(packing)).passed, k
+
+
 def test_is_apollonian_like_needs_four_circles():
     with pytest.raises(ValueError):
         is_apollonian_like(CirclePacking(standard_base_triple()))
@@ -388,7 +443,7 @@ def all_pairs_scan(circles, tol):
 
 
 def assert_scan_matches_all_pairs(circles, tol):
-    graph, overlap = _scan_products(circles, tol)
+    graph, overlap, _ = _scan_products(circles, tol)
     edges, expected_overlap = all_pairs_scan(circles, tol)
     assert [(e.i, e.j, e.point) for e in graph.edges] == edges
     assert overlap == expected_overlap
@@ -480,13 +535,19 @@ def test_cap_index_candidates_track_tangencies():
     # pairs that touch or overlap (at eps 1e-3: 81,795 tangent pairs).
     circles = hw_gasket_packing(1e-3).circles
     candidates = len(_cap_candidates(circles, 1e-6)[0])
-    graph, overlap = _scan_products(circles, 1e-6)
+    graph, overlap, _ = _scan_products(circles, 1e-6)
     print(
         f"\ncap index at eps 1e-3: {candidates} candidate pairs for "
         f"{len(graph.edges)} tangent and {len(overlap)} overlapping pairs"
     )
     assert len(graph.edges) == 81795
     assert candidates <= 2 * (len(graph.edges) + len(overlap))
+
+
+def test_verdict_counts_scan_work():
+    verdict = is_apollonian_like(hw_gasket_packing(1e-2))
+    assert verdict.passed
+    assert (verdict.candidate_pairs, verdict.tangent_pairs) == (4101, 4101)
 
 
 def test_scan_does_not_depend_on_row_order():

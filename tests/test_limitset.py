@@ -1,11 +1,20 @@
+import math
+import random
 import re
+from importlib import resources
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from kleinlab.gasket import CirclePacking, OrientedCircle, is_apollonian_like
-from kleinlab.groups import Alphabet, MarkedGroup, enumerate_reduced_words, solve_parabolic_commutator
+from kleinlab.gasket import CirclePacking, OrientedCircle, is_apollonian_like, load_packing
+from kleinlab.groups import (
+    Alphabet,
+    MarkedGroup,
+    enumerate_reduced_words,
+    load_marking,
+    solve_parabolic_commutator,
+)
 from kleinlab.limitset import (
     DfsConfig,
     EllipticOnlyError,
@@ -16,6 +25,9 @@ from kleinlab.limitset import (
     limit_points_by_fixed_points,
     limit_set_dfs,
     render,
+    _circle,
+    _circle_meets_window,
+    _meets_window,
 )
 from kleinlab.mobius import INFINITY, MapClass, MoebiusMap, chordal_distance, sphere_coords
 
@@ -274,3 +286,144 @@ def test_render_roundtrip_preserves_gasket_structure(group):
     assert verdict.connected
     assert verdict.quadruples_checked >= 50
 
+
+def hw_dfs(epsilon, window):
+    """limit_set_dfs with the hw-gasket preset's marking and seeds."""
+    preset = resources.files("kleinlab").joinpath("presets")
+    group = load_marking(preset.joinpath("hw-marking.txt").read_text())
+    seeds = load_packing(preset.joinpath("hw-seeds.txt").read_text()).circles
+    config = DfsConfig(epsilon=epsilon, max_depth=64, seeds=tuple(seeds), window=window)
+    return limit_set_dfs(group, config)
+
+
+def assert_window_pass_matches_scalar(circles, window):
+    rows = np.array([(c.A, c.B.real, c.B.imag, c.C) for c in circles]).reshape(-1, 4)
+    expected = [_circle_meets_window(c, window) for c in circles]
+    assert _meets_window(rows, window).tolist() == expected
+    return expected
+
+
+@pytest.mark.parametrize(
+    "window",
+    [Rectangle(-1.0, -1.0, 2.0, 2.0), WINDOW, Rectangle(-0.2, 0.3, 0.05, 0.35)],
+)
+def test_window_pass_matches_scalar_test_on_dfs_circles(window):
+    circles = [e.circle for e in hw_dfs(1e-2, None).circles]
+    assert len(circles) > 1369
+    expected = assert_window_pass_matches_scalar(circles, window)
+    assert any(expected) and not all(expected)
+
+
+def test_window_pass_matches_scalar_test_on_edge_cases():
+    w = WINDOW  # x in [-1, 2], y in [-1, 1]
+    mid = complex(0.5, 0.0)
+    circles = []
+    # Tangent to each edge from inside and from outside.
+    for point, inward in ((-1.0, 1), (2.0, -1), (0.5 - 1j, 1j), (0.5 + 1j, -1j)):
+        for side in (1, -1):
+            circles.append(OrientedCircle.from_center_radius(point + side * 0.25 * inward, 0.25))
+    for corner in w.corners():
+        # Through each corner, centred outside and inside the window.
+        for offset in (0.3 + 0.4j, -0.3 - 0.4j, 0.3 - 0.4j, -0.3 + 0.4j):
+            circles.append(OrientedCircle.from_center_radius(corner + offset, 0.5))
+    # Through all four corners, containing the window, inside it.
+    circles.append(OrientedCircle.from_center_radius(mid, abs(w.corners()[0] - mid)))
+    circles.append(OrientedCircle.from_center_radius(mid, 5.0))
+    circles.append(OrientedCircle.from_center_radius(mid, 0.2))
+    # Lines through the window, along an edge, through a corner, beside it.
+    circles.append(OrientedCircle.from_line(1j, 0.0))
+    circles.append(OrientedCircle.from_line(1j, 1.0))
+    circles.append(OrientedCircle.from_line((1 + 1j) / math.sqrt(2), 3.0 / math.sqrt(2)))
+    circles.append(OrientedCircle.from_line(1j, 3.0))
+    circles += [c.reversed() for c in circles]
+    # Centred beyond the corner (2, 1), with r equal to dmin as np.hypot
+    # rounds it; math.hypot rounds dmin one ulp the other way.
+    last_place = [
+        (2.7495351542782602, -6.326073352470525, -3.3117325976706784),
+        (2.2303736817005593, -5.239906672690806, -2.857199631025584),
+        (1.1595221068715122, -3.181421727857764, -1.6657878702303257),
+        (1.2154975757657593, -3.344549800838393, -1.62221357339776),
+    ]
+    circles += [_circle(A, Bre, Bim, (Bre * Bre + Bim * Bim - 1.0) / A) for A, Bre, Bim in last_place]
+    expected = assert_window_pass_matches_scalar(circles, w)
+    # Only the circle around the window and the line beside it miss it,
+    # and two of the last-place rows.
+    assert expected.count(False) == 6
+
+
+def assert_extend_matches_try_add(points, tol):
+    """LimitSetCloud.extend against a per-point try_add loop: in one call,
+    and split across two calls followed by try_add."""
+    words = ["ab"[k % 2] * (k % 7) for k in range(len(points))]
+    loop = LimitSetCloud(tol)
+    for p, w in zip(points, words):
+        loop.try_add(p, w)
+    bulk = LimitSetCloud(tol)
+    bulk.extend(points, words)
+    assert bulk.points == loop.points
+    a, b = len(points) // 3, 2 * len(points) // 3
+    staged = LimitSetCloud(tol)
+    staged.extend(points[:a], words[:a])
+    staged.extend(points[a:b], words[a:b])
+    for p, w in zip(points[b:], words[b:]):
+        staged.try_add(p, w)
+    assert staged.points == loop.points
+    return loop
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-13])
+def test_cloud_extend_matches_try_add_on_dfs_centres(tol):
+    centres = [e.circle.center for e in hw_dfs(1e-2, None).circles]
+    assert centres.count(INFINITY) == 2
+    assert len(assert_extend_matches_try_add(centres, tol)) == len(centres) - 1
+
+
+def plane_point(u):
+    """Inverse of sphere_coords for a unit vector off the north pole."""
+    return complex(u[0], u[1]) / (1.0 - u[2])
+
+
+def test_cloud_extend_matches_try_add_on_planted_pairs():
+    tol = 1e-6
+    rng = random.Random(83)
+    points = []
+    for _ in range(1000):
+        p = complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+        u = np.array(sphere_coords(p))
+        t = np.cross(u, [rng.gauss(0, 1) for _ in range(3)])
+        t /= np.linalg.norm(t)
+        # At chord tol(1 - 1e-6) a duplicate, at tol(1 + 1e-6) a new point.
+        near, far = (
+            plane_point(u * math.cos(a) + side * t * math.sin(a))
+            for side, a in ((1, 2 * math.asin(tol * (1 - 1e-6) / 2)),
+                            (-1, 2 * math.asin(tol * (1 + 1e-6) / 2)))
+        )
+        assert chordal_distance(p, near) < tol < chordal_distance(p, far)
+        points += [p, near, far]
+    rng.shuffle(points)
+    kept = assert_extend_matches_try_add(points, tol)
+    assert 2000 <= len(kept) < 3000
+
+
+def test_cloud_extend_matches_try_add_across_cell_boundaries():
+    # Pairs straddling a cell boundary of each shifted grid (cell 4 tol,
+    # shift 0 or half a cell) along each axis, at 0.6 tol (duplicates)
+    # and 1.5 tol (distinct).
+    tol = 1e-6
+    rng = random.Random(89)
+    points = []
+    for axis in range(3):
+        for shift in (0.0, 0.5):
+            b = (round(0.3 / (4 * tol)) - shift) * 4 * tol
+            for chord in (0.6 * tol, 1.5 * tol):
+                phi = rng.uniform(0.0, 2.0 * math.pi)
+                u = np.insert(math.sqrt(1 - b * b) * np.array([math.cos(phi), math.sin(phi)]), axis, b)
+                t = np.eye(3)[axis] - b * u
+                t /= np.linalg.norm(t)
+                a = math.asin(chord / 2)
+                pair = [u * math.cos(a) + side * t * math.sin(a) for side in (-1, 1)]
+                assert pair[0][axis] < b < pair[1][axis]
+                points += [plane_point(v) for v in pair]
+    points += [INFINITY, 1 + 1j, INFINITY]
+    kept = assert_extend_matches_try_add(points, tol)
+    assert len(kept) == len(points) - 6 - 1
