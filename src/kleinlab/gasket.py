@@ -96,11 +96,11 @@ class OrientedCircle:
         # This triple has discriminant exactly 1; rederiving it numerically
         # would cancel |center|^2 k^2 against itself and shift high
         # curvatures, so bypass the normalizing constructor.
-        out = object.__new__(cls)
-        out.A = k
-        out.B = -center * k
-        out.C = (center.real * center.real + center.imag * center.imag - radius * radius) * k
-        return out
+        return cls._from_unit_triple(
+            k,
+            -center * k,
+            (center.real * center.real + center.imag * center.imag - radius * radius) * k,
+        )
 
     @classmethod
     def from_line(cls, normal: complex, offset: float) -> "OrientedCircle":
@@ -109,11 +109,7 @@ class OrientedCircle:
         n = abs(normal)
         if n == 0.0:
             raise ValueError("line normal must be nonzero")
-        out = object.__new__(cls)
-        out.A = 0.0
-        out.B = normal / n
-        out.C = -2.0 * offset / n
-        return out
+        return cls._from_unit_triple(0.0, normal / n, -2.0 * offset / n)
 
     @classmethod
     def from_three_points(cls, p: SpherePoint, q: SpherePoint, r: SpherePoint) -> "OrientedCircle":
@@ -121,13 +117,18 @@ class OrientedCircle:
         axis carried from (0, 1, infinity) onto (p, q, r)."""
         return cls.from_line(1j, 0.0).transform(moebius_to_zero_one_inf(p, q, r).inverse())
 
+    @classmethod
+    def _from_unit_triple(cls, A: float, B: complex, C: float) -> "OrientedCircle":
+        """The circle of a triple already at unit discriminant, taken as is."""
+        out = object.__new__(cls)
+        out.A = A
+        out.B = B
+        out.C = C
+        return out
+
     def reversed(self) -> "OrientedCircle":
         """Same locus, complementary disk."""
-        out = object.__new__(OrientedCircle)
-        out.A = -self.A
-        out.B = -self.B
-        out.C = -self.C
-        return out
+        return OrientedCircle._from_unit_triple(-self.A, -self.B, -self.C)
 
     @property
     def curvature(self) -> float:
@@ -154,11 +155,6 @@ class OrientedCircle:
         n = abs(self.B)
         return (self.B / n, -self.C / (2.0 * n))
 
-    def chordal_diameter(self) -> float:
-        return 4.0 / math.sqrt(
-            4.0 * (self.B.real ** 2 + self.B.imag ** 2) + (self.A - self.C) ** 2
-        )
-
     def evaluate(self, z: complex) -> float:
         z = complex(z)
         return self.A * abs(z) ** 2 + 2.0 * (self.B.conjugate() * z).real + self.C
@@ -184,12 +180,7 @@ class OrientedCircle:
         # Recomputing it here would subtract two large near-equal products
         # (|B|^2 and A*C), and renormalizing by that noisy value perturbs
         # high curvatures enough to spoil exact Descartes relations.
-        A, B, C = transform_hermitian(m, self.A, self.B, self.C)
-        out = object.__new__(OrientedCircle)
-        out.A = A
-        out.B = B
-        out.C = C
-        return out
+        return OrientedCircle._from_unit_triple(*transform_hermitian(m, self.A, self.B, self.C))
 
     def inversive_product(self, other: "OrientedCircle") -> float:
         """-2 for tangent disjoint disks, < -2 separated, in (-2, 2) crossing,
@@ -271,21 +262,22 @@ class TangencyEdge:
 
 
 class TangencyGraph:
+    """The edges in (i, j) order, and adjacency[i] = {j: tangency point}."""
+
     def __init__(self, n: int, edges):
         self.n = n
         self.edges: list[TangencyEdge] = sorted(edges, key=lambda e: (e.i, e.j))
-        adj: dict[int, set[int]] = {i: set() for i in range(n)}
+        adj: dict[int, dict[int, SpherePoint]] = {i: {} for i in range(n)}
         for e in self.edges:
-            adj[e.i].add(e.j)
-            adj[e.j].add(e.i)
+            adj[e.i][e.j] = e.point
+            adj[e.j][e.i] = e.point
         self.adjacency = adj
-        self._points = {(e.i, e.j): e.point for e in self.edges}
 
     def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self._points
+        return j in self.adjacency.get(i, ())
 
     def edge_point(self, i: int, j: int) -> SpherePoint:
-        return self._points[(min(i, j), max(i, j))]
+        return self.adjacency[i][j]
 
     def triangles(self):
         """Every mutually tangent (i, j, k) with i < j < k, in
@@ -293,7 +285,7 @@ class TangencyGraph:
         adj = self.adjacency
         for i in range(self.n):
             for j in sorted(x for x in adj[i] if x > i):
-                for k in sorted(x for x in adj[i] & adj[j] if x > j):
+                for k in sorted(x for x in adj[i].keys() & adj[j].keys() if x > j):
                     yield i, j, k
 
     def is_connected(self) -> bool:
@@ -633,7 +625,7 @@ def is_apollonian_like(
     quadruples = 0
     for i, j, k in graph.triangles():
         triangles += 1
-        for l in sorted(x for x in adj[i] & adj[j] & adj[k] if x > k):
+        for l in sorted(x for x in adj[i].keys() & adj[j].keys() & adj[k].keys() if x > k):
             quadruples += 1
             r = descartes_residual(curv[i], curv[j], curv[k], curv[l])
             if abs(r) > worst:

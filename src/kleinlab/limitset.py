@@ -81,87 +81,65 @@ class Rectangle:
         )
 
 
-@dataclass(frozen=True)
-class CloudPoint:
+class CloudPoint(NamedTuple):
     point: SpherePoint
     word_length: int
     word: str
 
 
-class _SphereGrid:
-    """Chordal-metric dedup via the stereographic lift: chordal distance is
-    Euclidean distance between lifts, so a cell size equal to the tolerance
-    with 27-cell probing is exact."""
-
-    def __init__(self, tol: float):
-        if not tol > 0.0:
-            raise ValueError("dedup tolerance must be positive")
-        self.tol = tol
-        self._cells: dict[tuple[int, int, int], list[tuple[float, float, float]]] = {}
-        # Points a bulk add accepted for being farther than tol from every
-        # other point; they enter the cells at the next try_add.
-        self.deferred: list[SpherePoint] = []
-
-    def try_add(self, p: SpherePoint) -> bool:
-        if self.deferred:
-            # Each is farther than tol from every point, so each is kept.
-            deferred, self.deferred = self.deferred, []
-            for q in deferred:
-                self.try_add(q)
-        x, y, z = sphere_coords(p)
-        t = self.tol
-        kx, ky, kz = math.floor(x / t), math.floor(y / t), math.floor(z / t)
-        t2 = t * t
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    for (px, py, pz) in self._cells.get((kx + dx, ky + dy, kz + dz), ()):
-                        if (px - x) ** 2 + (py - y) ** 2 + (pz - z) ** 2 < t2:
-                            return False
-        self._cells.setdefault((kx, ky, kz), []).append((x, y, z))
-        return True
-
-
-# Below this tolerance the float rounding of a lift is no longer negligible
-# against a shifted-grid cell, so LimitSetCloud.extend sends every point
-# through the exact path.
-_MIN_BULK_TOL = 1e-12
-
-
 class LimitSetCloud:
-    """Deduplicated limit-set sample points in deterministic discovery order."""
+    """Deduplicated limit-set sample points in deterministic discovery order.
+
+    A point is kept when its lift to the sphere lies at squared distance
+    tol^2 or more from the lift of every point kept before it (the lift
+    turns chordal distance into Euclidean distance).
+    """
 
     def __init__(self, dedup_tolerance: float):
+        if not dedup_tolerance > 0.0:
+            raise ValueError("dedup tolerance must be positive")
         self.dedup_tolerance = dedup_tolerance
         self.points: list[CloudPoint] = []
-        self._grid = _SphereGrid(dedup_tolerance)
 
     def try_add(self, point: SpherePoint, word: str) -> bool:
-        if self._grid.try_add(point):
-            self.points.append(CloudPoint(point, len(word), word))
-            return True
-        return False
+        """extend by one point; True when it is kept.  Each call costs
+        O(len(self)), so pass a batch to extend instead."""
+        before = len(self.points)
+        self.extend([point], [word])
+        return len(self.points) > before
 
     def extend(self, points: list[SpherePoint], words: list[str]) -> None:
-        """try_add every (point, word) in order, with the same result.
+        """Offer every (point, word) in order; keep the points the greedy
+        rule above keeps.
 
-        The lifts are hashed into 8 grids of cell 4 tol, each shifted by 0
-        or half a cell along each axis.  Two lifts within tol differ by less
-        than tol along every axis, and so share a cell in at least one of
-        the grids.  A point alone in its cell of every grid, among the
-        points already kept and the new ones, is farther than tol from all
-        of them: the greedy keeps it whatever comes first, and it rejects
-        nothing.  Only the crowded points take the exact try_add, in order.
-        A hash collision only makes a point crowded.
+        The lifts are hashed into the 8 grids of _grid_keys.  Two lifts
+        within tol share a cell in at least one of the grids, so a point
+        alone in its cell of every grid, among the points already kept and
+        the new ones, is farther than tol from all of them: the greedy keeps
+        it whatever comes first, and it rejects nothing.  Every kept point
+        within tol of a crowded point is crowded too, so the crowded points
+        alone run the exact greedy, looking each other up through their own
+        8 cells.  A hash collision only adds work.
         """
-        grid = self._grid
-        if grid.tol < _MIN_BULK_TOL:
-            crowded = [True] * len(points)
-        else:
-            kept = [cp.point for cp in self.points]
-            crowded = _crowded(kept + list(points), grid.tol)[len(kept):].tolist()
-        keep = [not crowd or grid.try_add(p) for p, crowd in zip(points, crowded)]
-        grid.deferred.extend(p for p, crowd in zip(points, crowded) if not crowd)
+        tol = self.dedup_tolerance
+        n = len(self.points)
+        candidates = [cp.point for cp in self.points] + list(points)
+        crowded = _crowded(candidates, tol).nonzero()[0].tolist()
+        rows = _grid_keys([candidates[i] for i in crowded], tol)
+        cells: dict[int, list[tuple[float, float, float]]] = {}
+        keep = [True] * len(points)
+        t2 = tol * tol
+        for i, keys in zip(crowded, zip(*(row.tolist() for row in rows))):
+            x, y, z = lift = sphere_coords(candidates[i])
+            if i >= n and any(
+                (px - x) ** 2 + (py - y) ** 2 + (pz - z) ** 2 < t2
+                for key in keys
+                for (px, py, pz) in cells.get(key, ())
+            ):
+                keep[i - n] = False
+                continue
+            for key in keys:
+                cells.setdefault(key, []).append(lift)
         self.points.extend(
             CloudPoint(p, len(word), word) for p, word, k in zip(points, words, keep) if k
         )
@@ -176,21 +154,31 @@ class LimitSetCloud:
         return [complex(p.point) for p in self.points if p.point is not INFINITY]
 
 
-def _crowded(points: list[SpherePoint], tol: float):
-    """Boolean array: which points share a cell of side 4 tol with another
-    point in one of the 8 half-cell-shifted grids over the lifts."""
+def _grid_keys(points: list[SpherePoint], tol: float):
+    """Yield, for each of 8 grids over the lifts to the sphere, the int64
+    cell key of every point.  The cells have side 4 max(tol, 1e-12), so the
+    lifts' rounding stays small against them, and each grid is shifted by 0
+    or half a cell along each axis."""
     import numpy as np
 
     z = np.array([0j if p is INFINITY else p for p in points], dtype=complex)
     r2 = z.real * z.real + z.imag * z.imag
     lift = np.stack([2.0 * z.real, 2.0 * z.imag, r2 - 1.0]) / (1.0 + r2)
     lift[:, [p is INFINITY for p in points]] = [[0.0], [0.0], [1.0]]
-    scaled = lift / (4.0 * tol)
-    crowded = np.zeros(len(points), dtype=bool)
+    scaled = lift / (4.0 * max(tol, 1e-12))
     for shift in itertools.product((0.0, 0.5), repeat=3):
         x, y, w = np.floor(scaled + np.array(shift)[:, None]).astype(np.int64)
-        # One int64 key per cell; it wraps, and a collision only crowds.
-        key = (x * 1_000_000_007 + y) * 998_244_353 + w
+        # One int64 key per cell; it wraps, and a collision only adds work.
+        yield (x * 1_000_000_007 + y) * 998_244_353 + w
+
+
+def _crowded(points: list[SpherePoint], tol: float):
+    """Boolean array: which points share a cell with another point in one
+    of the grids of _grid_keys."""
+    import numpy as np
+
+    crowded = np.zeros(len(points), dtype=bool)
+    for key in _grid_keys(points, tol):
         order = np.argsort(key)
         shared = np.flatnonzero(key[order[1:]] == key[order[:-1]])
         crowded[order[shared]] = True
@@ -214,6 +202,8 @@ def limit_points_by_fixed_points(
     cloud = LimitSetCloud(dedup)
     letters = group.alphabet.letters
     maps = [group.letter_map(x) for x in letters]
+    points: list[SpherePoint] = []
+    words: list[str] = []
 
     level = [("", MoebiusMap.identity())]
     for _ in range(max_word_len):
@@ -226,7 +216,9 @@ def limit_points_by_fixed_points(
         for word, m in level:
             kind = m.classify()
             if kind is not MapClass.IDENTITY and kind is not MapClass.ELLIPTIC:
-                cloud.try_add(m.attracting_fixed_point(), word)
+                points.append(m.attracting_fixed_point())
+                words.append(word)
+    cloud.extend(points, words)
     if not cloud.points:
         raise EllipticOnlyError(
             f"no parabolic or loxodromic word up to length {max_word_len}"
@@ -261,8 +253,7 @@ class DfsStats:
     wall_time: float = 0.0
 
 
-@dataclass(frozen=True)
-class EmittedCircle:
+class EmittedCircle(NamedTuple):
     circle: OrientedCircle
     word: str
     depth_exhausted: bool
@@ -294,11 +285,7 @@ def _circle_meets_window(c: OrientedCircle, w: Rectangle) -> bool:
 
 def _circle(A: float, Bre: float, Bim: float, C: float) -> OrientedCircle:
     """The circle of a triple already at unit discriminant, taken as is."""
-    circle = object.__new__(OrientedCircle)
-    circle.A = A
-    circle.B = complex(Bre, Bim)
-    circle.C = C
-    return circle
+    return OrientedCircle._from_unit_triple(A, complex(Bre, Bim), C)
 
 
 def _meets_window(rows, w: Rectangle):

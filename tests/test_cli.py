@@ -128,6 +128,21 @@ def test_dfs_artifacts_match_golden_digests(tmp_path):
         assert hashlib.sha256(data).hexdigest() == digest, f"run{suffix} changed"
 
 
+# sha256 of the body rows of `points --depth 8`, from the per-point cloud
+# dedup that LimitSetCloud.extend replaced.  The `#` header is left out:
+# it records the --out path.
+GOLDEN_POINTS_DEPTH8 = "0974a0a5297fb8972910614470a4ee7c16d1f130dc1c4610993a1542f05959e6"
+
+
+def test_points_rows_match_golden_digest(tmp_path):
+    r = run_cli("points", "--depth", "8", "--out", "pts", cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    lines = (tmp_path / "pts").read_bytes().splitlines(keepends=True)
+    rows = [line for line in lines if not line.startswith(b"#")]
+    assert len(rows) == 12570
+    assert hashlib.sha256(b"".join(rows)).hexdigest() == GOLDEN_POINTS_DEPTH8
+
+
 def test_dfs_stats_content(tmp_path):
     r = run_cli(*dfs_args(), cwd=tmp_path)
     assert r.returncode == 0

@@ -50,9 +50,32 @@ def strip_seeds():
 
 def cloud_of(points):
     cloud = LimitSetCloud(1e-9)
-    for i, p in enumerate(points):
-        cloud.try_add(p, "x" * i)
+    cloud.extend(points, ["x" * i for i in range(len(points))])
     return cloud
+
+
+def greedy_oracle(points, tol):
+    """Indices of the points an all-pairs in-order greedy keeps: each one
+    whose sphere lift is at squared distance tol**2 or more from the lift
+    of every point kept before it."""
+    lifts = np.array([sphere_coords(p) for p in points]).reshape(-1, 3)
+    kept = []
+    for k, (x, y, z) in enumerate(lifts):
+        px, py, pz = lifts[kept].T
+        if not np.any((px - x) ** 2 + (py - y) ** 2 + (pz - z) ** 2 < tol * tol):
+            kept.append(k)
+    return kept
+
+
+def fixed_point_candidates(group, depth):
+    """(fixed point, word) of each reduced word, evaluated on its own, in
+    length-lexicographic order."""
+    out = []
+    for word in enumerate_reduced_words(group.alphabet, depth):
+        m = group.evaluate(word)
+        if m.classify() not in (MapClass.IDENTITY, MapClass.ELLIPTIC):
+            out.append((m.attracting_fixed_point(), word))
+    return out
 
 
 def test_rectangle_parse_and_validation():
@@ -95,16 +118,11 @@ def test_cloud_sizes_are_reproducible(group):
 
 
 def test_fixed_point_cloud_matches_word_by_word_oracle(group):
-    # Each reduced word evaluated on its own, in length-lexicographic order.
-    oracle = LimitSetCloud(1e-9)
-    for word in enumerate_reduced_words(group.alphabet, 6):
-        m = group.evaluate(word)
-        if m.classify() not in (MapClass.IDENTITY, MapClass.ELLIPTIC):
-            oracle.try_add(m.attracting_fixed_point(), word)
+    candidates = fixed_point_candidates(group, 6)
     cloud = limit_points_by_fixed_points(group, 6)
     assert len(cloud) == 1302
     assert [(p.point, p.word) for p in cloud.points] == [
-        (p.point, p.word) for p in oracle.points
+        candidates[k] for k in greedy_oracle([p for p, _ in candidates], 1e-9)
     ]
 
 
@@ -351,31 +369,37 @@ def test_window_pass_matches_scalar_test_on_edge_cases():
     assert expected.count(False) == 6
 
 
-def assert_extend_matches_try_add(points, tol):
-    """LimitSetCloud.extend against a per-point try_add loop: in one call,
-    and split across two calls followed by try_add."""
+def assert_extend_matches_oracle(points, tol):
+    """LimitSetCloud.extend against greedy_oracle: in one call, and split
+    across two calls followed by try_add for the last few points."""
     words = ["ab"[k % 2] * (k % 7) for k in range(len(points))]
-    loop = LimitSetCloud(tol)
-    for p, w in zip(points, words):
-        loop.try_add(p, w)
+    kept = greedy_oracle(points, tol)
+    expected = [(points[k], len(words[k]), words[k]) for k in kept]
     bulk = LimitSetCloud(tol)
     bulk.extend(points, words)
-    assert bulk.points == loop.points
-    a, b = len(points) // 3, 2 * len(points) // 3
+    assert bulk.points == expected
+    a, b = len(points) // 3, len(points) - 10
     staged = LimitSetCloud(tol)
     staged.extend(points[:a], words[:a])
     staged.extend(points[a:b], words[a:b])
-    for p, w in zip(points[b:], words[b:]):
-        staged.try_add(p, w)
-    assert staged.points == loop.points
-    return loop
+    added = [staged.try_add(p, w) for p, w in zip(points[b:], words[b:])]
+    assert staged.points == expected
+    assert added == [k in kept for k in range(b, len(points))]
+    return kept
 
 
-@pytest.mark.parametrize("tol", [1e-9, 1e-13])
+@pytest.mark.parametrize("tol", [1e-9, 1e-6, 1e-3, 1e-13])
 def test_cloud_extend_matches_try_add_on_dfs_centres(tol):
     centres = [e.circle.center for e in hw_dfs(1e-2, None).circles]
     assert centres.count(INFINITY) == 2
-    assert len(assert_extend_matches_try_add(centres, tol)) == len(centres) - 1
+    assert len(assert_extend_matches_oracle(centres, tol)) == len(centres) - 1
+
+
+@pytest.mark.parametrize("tol, kept", [(1e-9, 4146), (1e-6, 4146), (1e-3, 3522), (1e-13, 4146)])
+def test_cloud_extend_matches_oracle_on_fixed_point_candidates(group, tol, kept):
+    points = [p for p, _ in fixed_point_candidates(group, 7)]
+    assert len(points) == 4372
+    assert len(assert_extend_matches_oracle(points, tol)) == kept
 
 
 def plane_point(u):
@@ -383,8 +407,10 @@ def plane_point(u):
     return complex(u[0], u[1]) / (1.0 - u[2])
 
 
-def test_cloud_extend_matches_try_add_on_planted_pairs():
-    tol = 1e-6
+def assert_planted_pairs_match_oracle(tol, margin):
+    """Seeded points, each with a planted duplicate at chord tol(1 - margin)
+    and a planted new point at tol(1 + margin), through
+    assert_extend_matches_oracle."""
     rng = random.Random(83)
     points = []
     for _ in range(1000):
@@ -392,17 +418,26 @@ def test_cloud_extend_matches_try_add_on_planted_pairs():
         u = np.array(sphere_coords(p))
         t = np.cross(u, [rng.gauss(0, 1) for _ in range(3)])
         t /= np.linalg.norm(t)
-        # At chord tol(1 - 1e-6) a duplicate, at tol(1 + 1e-6) a new point.
         near, far = (
             plane_point(u * math.cos(a) + side * t * math.sin(a))
-            for side, a in ((1, 2 * math.asin(tol * (1 - 1e-6) / 2)),
-                            (-1, 2 * math.asin(tol * (1 + 1e-6) / 2)))
+            for side, a in ((1, 2 * math.asin(tol * (1 - margin) / 2)),
+                            (-1, 2 * math.asin(tol * (1 + margin) / 2)))
         )
         assert chordal_distance(p, near) < tol < chordal_distance(p, far)
         points += [p, near, far]
     rng.shuffle(points)
-    kept = assert_extend_matches_try_add(points, tol)
+    kept = assert_extend_matches_oracle(points, tol)
     assert 2000 <= len(kept) < 3000
+
+
+def test_cloud_extend_matches_try_add_on_planted_pairs():
+    assert_planted_pairs_match_oracle(1e-6, 1e-6)
+
+
+def test_cloud_extend_matches_oracle_on_planted_pairs_at_cell_floor():
+    # Below 1e-12 the cells keep their floor side 4e-12; a margin of 1e-6
+    # of 1e-13 would be lost in the lifts' rounding.
+    assert_planted_pairs_match_oracle(1e-13, 0.1)
 
 
 def test_cloud_extend_matches_try_add_across_cell_boundaries():
@@ -425,5 +460,5 @@ def test_cloud_extend_matches_try_add_across_cell_boundaries():
                 assert pair[0][axis] < b < pair[1][axis]
                 points += [plane_point(v) for v in pair]
     points += [INFINITY, 1 + 1j, INFINITY]
-    kept = assert_extend_matches_try_add(points, tol)
+    kept = assert_extend_matches_oracle(points, tol)
     assert len(kept) == len(points) - 6 - 1

@@ -224,15 +224,6 @@ def test_transform_hermitian_matches_circline_transform():
         assert OrientedCircle(A, B, C).same_locus(c.transform(m))
 
 
-def test_chordal_diameter():
-    assert OrientedCircle.from_line(1j, 0.0).chordal_diameter() == pytest.approx(2.0)
-    # a tiny circle far from the origin is even smaller chordally
-    small = OrientedCircle.from_center_radius(10 + 10j, 1e-3)
-    assert small.chordal_diameter() < 2e-3
-    unit = OrientedCircle.from_center_radius(0, 1.0)
-    assert unit.chordal_diameter() == pytest.approx(2.0)
-
-
 def test_moebius_to_zero_one_inf():
     m = moebius_to_zero_one_inf(2j, 5.0, INFINITY)
     assert m.apply(2j) == pytest.approx(0)
