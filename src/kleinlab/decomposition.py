@@ -13,7 +13,9 @@ import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
+from math import lcm
+from operator import add
 from typing import Iterable
 
 from .groups import _format_lines
@@ -232,7 +234,12 @@ def _as_fraction(x) -> Fraction:
 
 class FiniteMetricSpace:
     """Finite point set with an exact rational metric, validated on
-    construction: symmetry, zero diagonal, positivity, triangle inequality."""
+    construction: symmetry, zero diagonal, positivity, triangle inequality.
+
+    Besides the Fractions, the space keeps its metric scaled to integers:
+    `_scaled[i][j] == _m[i][j] * _den`, with `_den` the lcm of the entries'
+    denominators.  The checks and the integer kernels below run on that
+    form, which Python ints keep exact at any size."""
 
     def __init__(self, points: Iterable[str], matrix):
         self.points: tuple[str, ...] = tuple(str(p) for p in points)
@@ -240,23 +247,31 @@ class FiniteMetricSpace:
         if len(set(self.points)) != n or n == 0:
             raise ValueError("points must be nonempty and distinct")
         m = [[_as_fraction(matrix[i][j]) for j in range(n)] for i in range(n)]
+        den = lcm(*(x.denominator for row in m for x in row))
+        d = [[x.numerator * (den // x.denominator) for x in row] for row in m]
         for i in range(n):
-            if m[i][i] != 0:
+            if d[i][i] != 0:
                 raise ValueError(f"nonzero diagonal at {self.points[i]}")
             for j in range(n):
-                if m[i][j] != m[j][i]:
+                if d[i][j] != d[j][i]:
                     raise ValueError("matrix not symmetric")
-                if i != j and m[i][j] <= 0:
+                if i != j and d[i][j] <= 0:
                     raise ValueError("off-diagonal distances must be positive")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if m[i][j] > m[i][k] + m[k][j]:
-                        raise ValueError(
-                            f"triangle inequality fails at "
-                            f"({self.points[i]}, {self.points[j]}, {self.points[k]})"
-                        )
+        # d is symmetric, so d[i][k] + d[k][j] runs along rows i and j; and
+        # (i, j, k) fails exactly when (j, i, k) does, so the lexicographically
+        # first failure has i < j.
+        for i in range(n - 1):
+            row_i = d[i]
+            for j in range(i + 1, n):
+                if row_i[j] > min(map(add, row_i, d[j])):
+                    k = next(k for k in range(n) if row_i[j] > row_i[k] + d[k][j])
+                    raise ValueError(
+                        f"triangle inequality fails at "
+                        f"({self.points[i]}, {self.points[j]}, {self.points[k]})"
+                    )
         self._m = m
+        self._den = den
+        self._scaled = d
         self._index = {p: i for i, p in enumerate(self.points)}
 
     def __len__(self) -> int:
@@ -357,25 +372,27 @@ def tree_system_limit(system: TreeSystem) -> FiniteMetricSpace:
     class_index = {rep: i for i, rep in enumerate(classes)}
     n = len(classes)
 
-    adjacency: list[dict[int, Fraction]] = [dict() for _ in range(n)]
+    # Every space's scaled metric, rescaled to one common denominator.
+    den = lcm(*(space._den for space in system.spaces.values()))
+    adjacency: list[dict[int, int]] = [dict() for _ in range(n)]
     for t in sorted(system.spaces):
         space = system.spaces[t]
-        for p, q in combinations(space.points, 2):
-            i = class_index[find((t, p))]
-            j = class_index[find((t, q))]
+        scale = den // space._den
+        cls = [class_index[find((t, p))] for p in space.points]
+        for (a, i), (b, j) in combinations(enumerate(cls), 2):
             if i == j:
                 continue
-            w = space.distance(p, q)
+            w = space._scaled[a][b] * scale
             if j not in adjacency[i] or w < adjacency[i][j]:
                 adjacency[i][j] = w
                 adjacency[j][i] = w
 
-    # Exact Dijkstra from every class; Fractions order totally so heapq works.
+    # Exact Dijkstra from every class, on the integers over den.
     dist = [[Fraction(0)] * n for _ in range(n)]
     for s in range(n):
-        best: dict[int, Fraction] = {s: Fraction(0)}
+        best: dict[int, int] = {s: 0}
         done: set[int] = set()
-        heap: list[tuple[Fraction, int]] = [(Fraction(0), s)]
+        heap: list[tuple[int, int]] = [(0, s)]
         while heap:
             d, x = heapq.heappop(heap)
             if x in done:
@@ -396,7 +413,7 @@ def tree_system_limit(system: TreeSystem) -> FiniteMetricSpace:
                     raise MetricDegenerateError(
                         f"distinct classes {classes[s]} and {classes[x]} at distance 0"
                     )
-                dist[s][x] = best[x]
+                dist[s][x] = Fraction(best[x], den)
 
     names = [f"{t}:{p}" for t, p in classes]
     return FiniteMetricSpace(names, dist)
@@ -412,18 +429,17 @@ def four_point_delta(space: FiniteMetricSpace) -> Fraction:
     """Worst four-point hyperbolicity defect:
     max over (x, y, z, w) of min((x,z)_w, (y,z)_w) - (x,y)_w, floored at 0.
     Trees give 0."""
-    worst = Fraction(0)
-    pts = space.points
-    for w in pts:
-        for x in pts:
-            for y in pts:
-                for z in pts:
-                    defect = min(
-                        gromov_product(space, w, x, z), gromov_product(space, w, y, z)
-                    ) - gromov_product(space, w, x, y)
-                    if defect > worst:
-                        worst = defect
-    return worst
+    d = space._scaled
+    worst = 0
+    for row_w in d:
+        # g[x][y] = 2 * den * (x, y)_w
+        g = [[dwx + dwy - dxy for dwy, dxy in zip(row_w, d[x])] for x, dwx in enumerate(row_w)]
+        for gx in g:
+            for gy, gxy in zip(g, gx):
+                defect = max(map(min, gx, gy)) - gxy
+                if defect > worst:
+                    worst = defect
+    return Fraction(worst, 2 * space._den)
 
 
 # -- finite-graph cut analysis ---------------------------------------------------
@@ -516,24 +532,96 @@ class CutPair:
     flagged: bool
 
 
+def _lowpoint_forest(adj: list[list[int]], x: int):
+    """One iterative Hopcroft-Tarjan pass over the graph without vertex x.
+
+    Returns the vertices in discovery order, and per vertex its discovery
+    index, low point, subtree size and DFS parent (-1 for the roots, one
+    per component of G - x, and for x itself).  A subtree occupies the
+    discovery interval [disc[v], disc[v] + size[v]).  Low points also follow
+    the tree edge back to the parent, which the articulation test
+    low[c] >= disc[parent] tolerates."""
+    n = len(adj)
+    disc = [-1] * n
+    low = [0] * n
+    size = [1] * n
+    parent = [-1] * n
+    order: list[int] = []
+    for r in range(n):
+        if r == x or disc[r] >= 0:
+            continue
+        disc[r] = low[r] = len(order)
+        order.append(r)
+        stack = [(r, iter(adj[r]))]
+        while stack:
+            v, it = stack[-1]
+            for u in it:
+                if u == x:
+                    continue
+                if disc[u] < 0:
+                    parent[u] = v
+                    disc[u] = low[u] = len(order)
+                    order.append(u)
+                    stack.append((u, iter(adj[u])))
+                    break
+                if disc[u] < low[v]:
+                    low[v] = disc[u]
+            else:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    if low[v] < low[p]:
+                        low[p] = low[v]
+                    size[p] += size[v]
+    return order, disc, low, size, parent
+
+
 def cut_pairs(g: SimpleGraph) -> list[CutPair]:
     """All vertex pairs whose removal disconnects the graph.
 
     A pair is flagged when every component of the complement is adjacent to
     both removed vertices; such pairs are the combinatorial stand-in for
     cut pairs with matching valency on both sides.
+
+    One lowpoint pass over G - x serves every partner y > x, so the cost is
+    O(V (V + E)).  The components of G - {x, y} are y's separated child
+    subtrees, the rest of y's component unless y is its root, and the other
+    components of G - x, which never touch y.
     """
     if not g.is_connected():
         raise ValueError("graph must be connected")
     if len(g.vertices) < 4:
         raise ValueError("need at least 4 vertices")
+    names = sorted(g.vertices)
+    index = {v: i for i, v in enumerate(names)}
+    adj = [[index[u] for u in g.adjacency[v]] for v in names]
+    n = len(names)
     out: list[CutPair] = []
-    for x, y in combinations(sorted(g.vertices), 2):
-        comps = g._components({x, y})
-        if len(comps) <= 1:
-            continue
-        flagged = all((c & g.adjacency[x]) and (c & g.adjacency[y]) for c in comps)
-        out.append(CutPair((x, y), len(comps), flagged))
+    for x in range(n):
+        order, disc, low, size, parent = _lowpoint_forest(adj, x)
+        others = sum(1 for v in order if parent[v] < 0) - 1
+        near_x = bytearray(n)
+        for u in adj[x]:
+            near_x[u] = 1
+        # seen[k]: neighbours of x among the first k discovered vertices
+        seen = list(accumulate((near_x[v] for v in order), initial=0))
+        for y in range(x + 1, n):
+            dy = disc[y]
+            split = [c for c in adj[y] if parent[c] == y and low[c] >= dy]
+            rooted = parent[y] < 0
+            components = len(split) + (not rooted) + others
+            if components <= 1:
+                continue
+            # Other components of G - x never touch y.  Split subtrees and the
+            # parent side touch y; x's neighbours other than y that are in no
+            # split subtree lie on the parent side.
+            flagged = False
+            if not others:
+                touching = [seen[disc[c] + size[c]] - seen[disc[c]] for c in split]
+                flagged = all(touching) and (
+                    rooted or len(adj[x]) - near_x[y] - sum(touching) > 0
+                )
+            out.append(CutPair((names[x], names[y]), components, flagged))
     return out
 
 
@@ -547,6 +635,8 @@ def load_graph_of_groups(text: str) -> GraphOfGroups:
     vertices: list[GoGVertex] = []
     edges: list[GoGEdge] = []
     types = {t.value: t for t in VertexType}
+    # slot= binds by the types of the vertices declared above the edge line
+    vtypes: dict[str, VertexType] = {}
     for line_no, line in _format_lines(text):
         parts = line.split()
         if parts[0] == "vertex" and len(parts) >= 3:
@@ -561,6 +651,7 @@ def load_graph_of_groups(text: str) -> GraphOfGroups:
                 else:
                     raise ValueError(f"line {line_no}: unknown option {extra!r}")
             vertices.append(GoGVertex(vid, types[vtype], slots=slots))
+            vtypes[vid] = types[vtype]
         elif parts[0] == "edge" and len(parts) >= 3:
             u, v = parts[1], parts[2]
             two_ended = True
@@ -577,7 +668,6 @@ def load_graph_of_groups(text: str) -> GraphOfGroups:
                     slot2 = int(val)
                 else:
                     raise ValueError(f"line {line_no}: unknown option {extra!r}")
-            vtypes = {x.id: x.type for x in vertices}
             slot_u = slot_v = None
             hf = VertexType.HANGING_FUCHSIAN
             if slot is not None:

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +12,7 @@ from kleinlab.gasket import (
     OrientedCircle,
     apply_to_packing,
     bounded_gasket,
+    detect_tangencies,
     dump_packing,
 )
 from kleinlab.mobius import MoebiusMap
@@ -288,6 +291,61 @@ def test_cuts_report_on_square(tmp_path):
     assert "cut-pair a c components=2 flagged=true" in lines
     assert "cut-pair b d components=2 flagged=true" in lines
     assert sum(1 for l in lines if l.startswith("cut-pair")) == 2
+
+
+def seeded_tree_system_text(seed, spaces=10):
+    """A tree of `spaces` L1-plane metric spaces of 3-7 points, coordinates
+    with denominators up to 13, glued along 1-3 point pairs per edge."""
+    rng = random.Random(seed)
+    lines, sizes = [], []
+    for t in range(spaces):
+        n, pts = rng.randint(3, 7), set()
+        while len(pts) < n:
+            pts.add(tuple(Fraction(rng.randint(0, 40), rng.randint(1, 13)) for _ in range(2)))
+        pts = sorted(pts)
+        sizes.append(len(pts))
+        lines.append(f"space K{t} {len(pts)}")
+        for a in pts:
+            lines.append("row " + " ".join(str(abs(a[0] - b[0]) + abs(a[1] - b[1])) for b in pts))
+    for t in range(1, spaces):
+        parent = rng.randrange(t)
+        lines.append(f"tree-edge K{parent} K{t}")
+        k = rng.randint(1, min(3, sizes[parent], sizes[t]))
+        for p, q in zip(rng.sample(range(sizes[parent]), k), rng.sample(range(sizes[t]), k)):
+            lines.append(f"glue K{parent} K{t} {p} {q}")
+    return "\n".join(lines) + "\n"
+
+
+def body_digest(path):
+    """sha256 of an output file without its `#` header, which records argv."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    return hashlib.sha256(b"".join(l for l in lines if not l.startswith(b"#"))).hexdigest()
+
+
+# sha256 of the tree-limit body rows and of the cuts report on the subdivided
+# bounded_gasket(3) graph, from the Fraction triangle check and the per-pair
+# component search that the integer kernels replaced.
+GOLDEN_TREE_LIMIT_SEED_9 = "3430e7c2382918851733ec8a8c3f4af1605b30ad178be89e851dccdc4ab7d9e5"
+GOLDEN_CUTS_GASKET3 = "92b33b398b80f3dcf6a5fc450260a4618a340c0cd982f83848a571519d9926ed"
+
+
+def test_tree_limit_rows_match_golden_digest(tmp_path):
+    (tmp_path / "ts.txt").write_text(seeded_tree_system_text(9))
+    r = run_cli("tree-limit", "ts.txt", "--out", "limit", cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert body_digest(tmp_path / "limit") == GOLDEN_TREE_LIMIT_SEED_9
+
+
+def test_cuts_report_on_gasket_matches_golden_digest(tmp_path):
+    graph = detect_tangencies(bounded_gasket(3))
+    edges = []
+    for e in graph.edges:
+        t = f"t{e.i}_{e.j}"
+        edges += [f"c{e.i} {t}\n", f"{t} c{e.j}\n"]
+    (tmp_path / "g.txt").write_text("".join(edges))
+    r = run_cli("cuts", "g.txt", "--out", "cuts", cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert body_digest(tmp_path / "cuts") == GOLDEN_CUTS_GASKET3
 
 
 def test_bench_is_an_unknown_command():

@@ -163,6 +163,25 @@ def test_load_graph_of_groups_text():
     assert validate_bowditch(g).passed
 
 
+def test_slot_binds_by_vertices_declared_above_the_edge():
+    # H is declared after the edge line, so slot= sees no hanging-Fuchsian
+    # endpoint and binds at the first endpoint, T.
+    g = load_graph_of_groups(
+        """
+        vertex R rigid
+        vertex T two-ended
+        edge R T twoended=true
+        edge T H slot=1
+        vertex H hanging-fuchsian slots=1
+        edge R H slot=1
+        """
+    )
+    assert [(e.slot_u, e.slot_v) for e in g.edges] == [(None, None), (1, None), (None, 1)]
+    report = validate_bowditch(g)
+    assert report.clauses_failed == ("iii",)
+    assert report.violations[0].message == "vertex H: edge T-H occupies no slot"
+
+
 def test_load_graph_of_groups_errors():
     with pytest.raises(ValueError) as err:
         load_graph_of_groups("vertex R granite\n")
@@ -211,6 +230,103 @@ def test_metric_space_validation():
         FiniteMetricSpace(["a", "a"], [[0, 1], [1, 0]])
     with pytest.raises(UnknownPointError):
         segment(1).distance("0", "z")
+
+
+def reference_metric_error(points, matrix):
+    """The checks of FiniteMetricSpace on Fractions with the plain triple
+    loop: the message the space must raise, or None if it must accept."""
+    n = len(points)
+    m = [[Fraction(matrix[i][j]) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        if m[i][i] != 0:
+            return f"nonzero diagonal at {points[i]}"
+        for j in range(n):
+            if m[i][j] != m[j][i]:
+                return "matrix not symmetric"
+            if i != j and m[i][j] <= 0:
+                return "off-diagonal distances must be positive"
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if m[i][j] > m[i][k] + m[k][j]:
+                    return f"triangle inequality fails at ({points[i]}, {points[j]}, {points[k]})"
+    return None
+
+
+def assert_metric_checks_match_reference(points, matrix):
+    expected = reference_metric_error(points, matrix)
+    if expected is None:
+        space = FiniteMetricSpace(points, matrix)
+        assert space.matrix() == [[Fraction(x) for x in row] for row in matrix]
+    else:
+        with pytest.raises(ValueError) as err:
+            FiniteMetricSpace(points, matrix)
+        assert str(err.value) == expected
+    return expected
+
+
+def random_float_metric(rng, size):
+    """metric_closure of random weights with denominators up to 13 and some
+    exact float weights; entries whose value a float holds exactly are
+    handed over as floats."""
+    weights = {}
+    for i, j in combinations(range(size), 2):
+        if rng.random() < 0.2:
+            weights[(i, j)] = Fraction(rng.uniform(0.25, 12.0))
+        else:
+            weights[(i, j)] = Fraction(rng.randint(1, 40), rng.randint(1, 13))
+    d = metric_closure(size, weights)
+    return [[float(x) if float(x) == x else x for x in row] for row in d]
+
+
+def test_metric_space_checks_match_fraction_reference():
+    rng = random.Random(20261018)
+    floats = triangles = 0
+    for _ in range(120):
+        size = rng.randint(2, 8)
+        points = [f"p{k}" for k in rng.sample(range(100), size)]
+        d = random_float_metric(rng, size)
+        floats += sum(isinstance(x, float) for row in d for x in row if x)
+        assert assert_metric_checks_match_reference(points, d) is None
+
+        # Raise one entry past a detour through a third point: the first
+        # failure then lies on that pair, and the message names it.
+        if size >= 3:
+            i, j = sorted(rng.sample(range(size), 2))
+            k = rng.choice([c for c in range(size) if c not in (i, j)])
+            bad = [row[:] for row in d]
+            bad[i][j] = bad[j][i] = Fraction(d[i][k]) + Fraction(d[k][j]) + Fraction(1, 26)
+            got = assert_metric_checks_match_reference(points, bad)
+            assert got.startswith(f"triangle inequality fails at ({points[i]}, {points[j]}, ")
+            triangles += 1
+
+        i, j = rng.sample(range(size), 2)
+        bad = [row[:] for row in d]
+        bad[i][j] = Fraction(d[i][j]) + Fraction(1, 7)
+        assert assert_metric_checks_match_reference(points, bad) == "matrix not symmetric"
+        bad = [row[:] for row in d]
+        bad[i][j] = bad[j][i] = 0
+        assert assert_metric_checks_match_reference(points, bad) == (
+            "off-diagonal distances must be positive"
+        )
+        bad[i][i] = Fraction(1, 13)
+        # Several faults at once: the one the reference meets first is named.
+        for a, b in (rng.sample(range(size), 2) for _ in range(2)):
+            bad[a][b] = rng.choice([0, Fraction(d[a][b]) * 2])
+        assert assert_metric_checks_match_reference(points, bad) is not None
+    assert floats > 100
+    assert triangles > 50
+
+
+def test_metric_space_keeps_binary_float_denominators_exact():
+    # 0.1 is 3602879701896397 / 2**55 as a float; 1/3 is no float at all.
+    far = Fraction(0.1) + Fraction(1, 3)
+    d = [[0, 0.1, far], [0.1, 0, Fraction(1, 3)], [far, Fraction(1, 3), 0]]
+    assert assert_metric_checks_match_reference(["a", "b", "c"], d) is None
+    d[0][2] = d[2][0] = far + Fraction(1, 2**55)
+    assert assert_metric_checks_match_reference(["a", "b", "c"], d) == (
+        "triangle inequality fails at (a, c, b)"
+    )
 
 
 # -- tree systems and their limits --------------------------------------------
@@ -394,6 +510,32 @@ def test_random_tree_systems_match_independent_oracle():
         assert len(limit) == sum(len(s) for s in spaces.values()) - glued_pairs
 
 
+def test_tree_system_with_coprime_and_float_denominators_matches_oracle():
+    rng = random.Random(71113)
+    spaces = {}
+    for name, den in (("A", 7), ("B", 11), ("C", 13)):
+        weights = {
+            (i, j): Fraction(rng.randint(1, 3 * den), den) for i, j in combinations(range(5), 2)
+        }
+        spaces[name] = FiniteMetricSpace([str(i) for i in range(5)], metric_closure(5, weights))
+    spaces["F"] = FiniteMetricSpace(["0", "1", "2", "3"], random_float_metric(rng, 4))
+    system = TreeSystem(
+        spaces,
+        [("A", "B"), ("B", "C"), ("A", "F")],
+        {
+            ("A", "B"): [("0", "4"), ("3", "1")],
+            ("B", "C"): [("2", "2")],
+            ("A", "F"): [("1", "0"), ("4", "3")],
+        },
+    )
+    limit = tree_system_limit(system)
+    expect_names, expect_matrix = oracle_limit(system)
+    assert limit.points == tuple(expect_names)
+    assert limit.matrix() == expect_matrix
+    denominators = {x.denominator for row in limit.matrix() for x in row}
+    assert any(d % 7 == 0 for d in denominators) and any(d % 13 == 0 for d in denominators)
+
+
 # -- hyperbolicity defect ------------------------------------------------------
 
 
@@ -427,6 +569,39 @@ def test_four_point_delta_tree_versus_cycle():
     assert four_point_delta(path) == 0
     assert four_point_delta(c4_metric()) == Fraction(1)
     assert isinstance(four_point_delta(c4_metric()), Fraction)
+
+
+def reference_four_point_delta(space):
+    """The defect from three gromov_product calls per quadruple."""
+    worst = Fraction(0)
+    pts = space.points
+    for w in pts:
+        for x in pts:
+            for y in pts:
+                for z in pts:
+                    defect = min(
+                        gromov_product(space, w, x, z), gromov_product(space, w, y, z)
+                    ) - gromov_product(space, w, x, y)
+                    worst = max(worst, defect)
+    return worst
+
+
+def test_four_point_delta_matches_gromov_product_reference():
+    path = FiniteMetricSpace(["a", "b", "c"], [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    rng = random.Random(4)
+    spaces = [path, c4_metric(), tripod()]
+    spaces += [random_space(rng, rng.randint(2, 7)) for _ in range(12)]
+    spaces += [
+        FiniteMetricSpace([str(i) for i in range(n)], random_float_metric(rng, n))
+        for n in (4, 5, 6)
+    ]
+    deltas = set()
+    for space in spaces:
+        got = four_point_delta(space)
+        assert isinstance(got, Fraction)
+        assert got == reference_four_point_delta(space)
+        deltas.add(got)
+    assert len(deltas) > 3
 
 
 # -- graphs, valencies, cut pairs ----------------------------------------------
@@ -548,6 +723,96 @@ def test_cut_pairs_on_theta():
     assert len(got) == 7
     assert got[("u", "v")].components == 3
     assert all(p.flagged for p in got.values())
+
+
+def brute_cut_pairs(g):
+    """One component search per vertex pair."""
+    out = []
+    for x, y in combinations(sorted(g.vertices), 2):
+        comps = g._components({x, y})
+        if len(comps) <= 1:
+            continue
+        flagged = all((c & g.adjacency[x]) and (c & g.adjacency[y]) for c in comps)
+        out.append(CutPair((x, y), len(comps), flagged))
+    return out
+
+
+def subdivided_gasket_edges(generations):
+    graph = detect_tangencies(bounded_gasket(generations))
+    edges = []
+    for e in graph.edges:
+        t = f"t{e.i}_{e.j}"
+        edges += [(f"c{e.i}", t), (t, f"c{e.j}")]
+    return edges
+
+
+def random_tree_edges(rng, n):
+    return [(rng.randrange(k), k) for k in range(1, n)]
+
+
+def cycle_with_chords_edges(rng, n):
+    edges = [(k, (k + 1) % n) for k in range(n)]
+    for _ in range(rng.randint(0, 3)):
+        a, b = rng.sample(range(n), 2)
+        edges.append((a, b))
+    return edges
+
+
+def theta_edges(rng):
+    edges = []
+    hubs = (0, 1)
+    fresh = 2
+    for _ in range(rng.randint(3, 4)):
+        prev = hubs[0]
+        for _ in range(rng.randint(0 if not edges else 1, 3)):
+            edges.append((prev, fresh))
+            prev, fresh = fresh, fresh + 1
+        edges.append((prev, hubs[1]))
+    return edges
+
+
+def connected_edges(rng, n):
+    edges = random_tree_edges(rng, n)
+    for _ in range(rng.randint(0, n)):
+        edges.append(tuple(rng.sample(range(n), 2)))
+    return edges
+
+
+def relabelled(rng, edges):
+    """The graph on the edges, its vertices renamed at random so that
+    sorted order does not follow the construction."""
+    ends = sorted({v for e in edges for v in e}, key=str)
+    names = rng.sample(range(10 * len(ends)), len(ends))
+    label = {v: f"v{k}" for v, k in zip(ends, names)}
+    return SimpleGraph.from_edges([(label[a], label[b]) for a, b in edges])
+
+
+def test_cut_pairs_match_all_pairs_search():
+    rng = random.Random(20261018)
+    builders = [
+        lambda: random_tree_edges(rng, rng.randint(4, 14)),
+        lambda: [(k, k + 1) for k in range(rng.randint(3, 11))],
+        lambda: [(0, k) for k in range(1, rng.randint(4, 10))],
+        lambda: cycle_with_chords_edges(rng, rng.randint(4, 12)),
+        lambda: theta_edges(rng),
+        lambda: list(combinations(range(4), 2)),
+        lambda: connected_edges(rng, rng.randint(4, 14)),
+    ]
+    graphs = [relabelled(rng, builders[k % len(builders)]()) for k in range(350)]
+    graphs += [relabelled(rng, subdivided_gasket_edges(2)), relabelled(rng, subdivided_gasket_edges(3))]
+    found = flagged = lonely = 0
+    for g in graphs:
+        expected = brute_cut_pairs(g)
+        assert cut_pairs(g) == expected
+        found += len(expected)
+        flagged += sum(p.flagged for p in expected)
+        for x in g.vertices:
+            pieces = g._components({x})
+            if len(pieces) > 1:
+                lonely += sum(1 for c in pieces if len(c) == 1 and min(c) > x)
+    assert found > 3000 and flagged > 300
+    # x a cut vertex and y alone in its component of G - x
+    assert lonely > 300
 
 
 def test_cut_pairs_input_validation():
