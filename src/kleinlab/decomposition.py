@@ -236,10 +236,10 @@ class FiniteMetricSpace:
     """Finite point set with an exact rational metric, validated on
     construction: symmetry, zero diagonal, positivity, triangle inequality.
 
-    Besides the Fractions, the space keeps its metric scaled to integers:
-    `_scaled[i][j] == _m[i][j] * _den`, with `_den` the lcm of the entries'
-    denominators.  The checks and the integer kernels below run on that
-    form, which Python ints keep exact at any size."""
+    The space stores its metric scaled to integers: d(i, j) is
+    `Fraction(_scaled[i][j], _den)`, with `_den` the lcm of the entries'
+    denominators.  The checks and `tree_system_limit` run on that form,
+    which Python ints keep exact at any size."""
 
     def __init__(self, points: Iterable[str], matrix):
         self.points: tuple[str, ...] = tuple(str(p) for p in points)
@@ -269,7 +269,6 @@ class FiniteMetricSpace:
                         f"triangle inequality fails at "
                         f"({self.points[i]}, {self.points[j]}, {self.points[k]})"
                     )
-        self._m = m
         self._den = den
         self._scaled = d
         self._index = {p: i for i, p in enumerate(self.points)}
@@ -284,10 +283,11 @@ class FiniteMetricSpace:
             raise UnknownPointError(f"point {p!r} not in space") from None
 
     def distance(self, p: str, q: str) -> Fraction:
-        return self._m[self.index(p)][self.index(q)]
+        return Fraction(self._scaled[self.index(p)][self.index(q)], self._den)
 
     def matrix(self) -> list[list[Fraction]]:
-        return [row[:] for row in self._m]
+        den = self._den
+        return [[Fraction(x, den) for x in row] for row in self._scaled]
 
 
 class TreeSystem:
@@ -429,17 +429,18 @@ def four_point_delta(space: FiniteMetricSpace) -> Fraction:
     """Worst four-point hyperbolicity defect:
     max over (x, y, z, w) of min((x,z)_w, (y,z)_w) - (x,y)_w, floored at 0.
     Trees give 0."""
-    d = space._scaled
-    worst = 0
-    for row_w in d:
-        # g[x][y] = 2 * den * (x, y)_w
-        g = [[dwx + dwy - dxy for dwy, dxy in zip(row_w, d[x])] for x, dwx in enumerate(row_w)]
-        for gx in g:
-            for gy, gxy in zip(g, gx):
-                defect = max(map(min, gx, gy)) - gxy
-                if defect > worst:
-                    worst = defect
-    return Fraction(worst, 2 * space._den)
+    worst = Fraction(0)
+    pts = space.points
+    for w in pts:
+        for x in pts:
+            for y in pts:
+                for z in pts:
+                    defect = min(
+                        gromov_product(space, w, x, z), gromov_product(space, w, y, z)
+                    ) - gromov_product(space, w, x, y)
+                    if defect > worst:
+                        worst = defect
+    return worst
 
 
 # -- finite-graph cut analysis ---------------------------------------------------

@@ -12,12 +12,12 @@ from kleinlab.gasket import (
     OrientedCircle,
     apply_to_packing,
     bounded_gasket,
-    detect_tangencies,
     dump_packing,
 )
 from kleinlab.mobius import MoebiusMap
 
 from childenv import child_env
+from gasketgraph import subdivided_gasket_edges
 
 ARTIFACT_SUFFIXES = (".circles.txt", ".cloud.txt", ".ppm", ".svg", ".stats.json")
 
@@ -337,12 +337,8 @@ def test_tree_limit_rows_match_golden_digest(tmp_path):
 
 
 def test_cuts_report_on_gasket_matches_golden_digest(tmp_path):
-    graph = detect_tangencies(bounded_gasket(3))
-    edges = []
-    for e in graph.edges:
-        t = f"t{e.i}_{e.j}"
-        edges += [f"c{e.i} {t}\n", f"{t} c{e.j}\n"]
-    (tmp_path / "g.txt").write_text("".join(edges))
+    edges = subdivided_gasket_edges(3)
+    (tmp_path / "g.txt").write_text("".join(f"{a} {b}\n" for a, b in edges))
     r = run_cli("cuts", "g.txt", "--out", "cuts", cwd=tmp_path)
     assert r.returncode == 0, r.stderr
     assert body_digest(tmp_path / "cuts") == GOLDEN_CUTS_GASKET3

@@ -29,6 +29,8 @@ from kleinlab.decomposition import (
 )
 from kleinlab.gasket import bounded_gasket, detect_tangencies
 
+from gasketgraph import subdivided_gasket_edges
+
 
 # -- splitting-shape validation ---------------------------------------------
 
@@ -571,39 +573,6 @@ def test_four_point_delta_tree_versus_cycle():
     assert isinstance(four_point_delta(c4_metric()), Fraction)
 
 
-def reference_four_point_delta(space):
-    """The defect from three gromov_product calls per quadruple."""
-    worst = Fraction(0)
-    pts = space.points
-    for w in pts:
-        for x in pts:
-            for y in pts:
-                for z in pts:
-                    defect = min(
-                        gromov_product(space, w, x, z), gromov_product(space, w, y, z)
-                    ) - gromov_product(space, w, x, y)
-                    worst = max(worst, defect)
-    return worst
-
-
-def test_four_point_delta_matches_gromov_product_reference():
-    path = FiniteMetricSpace(["a", "b", "c"], [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
-    rng = random.Random(4)
-    spaces = [path, c4_metric(), tripod()]
-    spaces += [random_space(rng, rng.randint(2, 7)) for _ in range(12)]
-    spaces += [
-        FiniteMetricSpace([str(i) for i in range(n)], random_float_metric(rng, n))
-        for n in (4, 5, 6)
-    ]
-    deltas = set()
-    for space in spaces:
-        got = four_point_delta(space)
-        assert isinstance(got, Fraction)
-        assert got == reference_four_point_delta(space)
-        deltas.add(got)
-    assert len(deltas) > 3
-
-
 # -- graphs, valencies, cut pairs ----------------------------------------------
 
 
@@ -735,15 +704,6 @@ def brute_cut_pairs(g):
         flagged = all((c & g.adjacency[x]) and (c & g.adjacency[y]) for c in comps)
         out.append(CutPair((x, y), len(comps), flagged))
     return out
-
-
-def subdivided_gasket_edges(generations):
-    graph = detect_tangencies(bounded_gasket(generations))
-    edges = []
-    for e in graph.edges:
-        t = f"t{e.i}_{e.j}"
-        edges += [(f"c{e.i}", t), (t, f"c{e.j}")]
-    return edges
 
 
 def random_tree_edges(rng, n):
