@@ -25,7 +25,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 
 from . import __version__
@@ -72,70 +72,51 @@ class _Parser(argparse.ArgumentParser):
 
 # -- configuration --------------------------------------------------------------
 
-_KNOBS = (
-    "epsilon",
-    "depth",
-    "tol",
-    "residual",
-    "window",
-    "resolution",
-    "out",
-    "seeds",
-    "marking",
-    "input",
-    "normalize",
-)
-
-_DEFAULTS: dict[str, object] = {
-    "epsilon": 1e-3,
-    "depth": None,  # per-command default applied later
-    "tol": 1e-6,
-    "residual": 1e-5,
-    "window": None,
-    "resolution": 800,
-    "out": None,
-    "seeds": None,
-    "marking": None,
-    "input": None,
-    "normalize": False,
-}
-
-_DEPTH_DEFAULTS = {"points": 8, "dfs": 64}
-
-
 @dataclass(frozen=True)
 class RunConfig:
+    """The effective settings of one run.  Every field after `command` is a
+    knob: its name is the config key and the flag, its default the built-in
+    default, and the field order is the order artifact headers echo it in.
+    `preset` comes last and is a flag only."""
+
     command: str
-    epsilon: float
-    depth: int
-    tol: float
-    residual: float
-    window: Rectangle | None
-    resolution: int
-    out: str | None
-    seeds: str | None
-    marking: str | None
-    input: str | None
-    normalize: bool
-    preset: str | None
+    epsilon: float = 1e-3
+    depth: int | None = None  # per-command default from _DEPTH_DEFAULTS
+    tol: float = 1e-6
+    residual: float = 1e-5
+    window: Rectangle | None = None
+    resolution: int = 800
+    out: str | None = None
+    seeds: str | None = None
+    marking: str | None = None
+    input: str | None = None
+    normalize: bool = False
+    preset: str | None = None
 
     def echo_pairs(self) -> list[tuple[str, str]]:
         """Deterministic key=value listing of every set knob."""
         pairs: list[tuple[str, str]] = []
-        for key in ("epsilon", "depth", "tol", "residual"):
-            pairs.append((key, repr(getattr(self, key))))
-        if self.window is not None:
-            w = self.window
-            pairs.append(("window", f"{w.x0!r},{w.y0!r},{w.x1!r},{w.y1!r}"))
-        pairs.append(("resolution", str(self.resolution)))
-        for key in ("out", "seeds", "marking", "input"):
-            val = getattr(self, key)
-            if val is not None:
-                pairs.append((key, str(val)))
-        pairs.append(("normalize", "true" if self.normalize else "false"))
-        if self.preset:
-            pairs.append(("preset", self.preset))
+        for f in fields(self)[1:]:
+            val = getattr(self, f.name)
+            if val is None or (f.name == "preset" and not val):
+                continue
+            if isinstance(val, bool):
+                text = "true" if val else "false"
+            elif isinstance(val, Rectangle):
+                text = f"{val.x0!r},{val.y0!r},{val.x1!r},{val.y1!r}"
+            else:
+                text = str(val)
+            pairs.append((f.name, text))
         return pairs
+
+
+# Config-file keys: every knob but `preset`.
+_KNOBS = tuple(f.name for f in fields(RunConfig)[1:-1])
+_DEPTH_DEFAULTS = {"points": 8, "dfs": 64}
+# Help placeholders; a flag without one shows its name in capitals.
+_METAVARS = {
+    "window": "x0,y0,x1,y1", "out": "PATH", "seeds": "PATH", "marking": "PATH", "preset": "NAME",
+}
 
 
 def _parse_value(key: str, raw: str):
@@ -198,19 +179,18 @@ def _resolve_input(ref: str, suffix: str = ".txt") -> str:
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    merged: dict[str, object] = dict(_DEFAULTS)
+    merged: dict[str, object] = {}
     if args.preset:
         merged.update(load_config(_preset_text(args.preset + ".cfg"), source=args.preset))
     if args.config:
         with open(args.config, "r") as fh:
             merged.update(load_config(fh.read(), source=args.config))
     for key in _KNOBS:
-        val = getattr(args, key.replace("-", "_"), None)
+        val = getattr(args, key)
         if val is None or val is False:
             continue
         merged[key] = _parse_value(key, val) if isinstance(val, str) else val
-    if merged["depth"] is None:
-        merged["depth"] = _DEPTH_DEFAULTS.get(args.command, 8)
+    merged.setdefault("depth", _DEPTH_DEFAULTS.get(args.command, 8))
     return RunConfig(command=args.command, preset=args.preset, **merged)  # type: ignore[arg-type]
 
 
@@ -474,18 +454,11 @@ def _make_parser() -> _Parser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("input", nargs="?", default=None, help="input file where applicable")
-        p.add_argument("--epsilon", default=None)
-        p.add_argument("--depth", default=None)
-        p.add_argument("--window", default=None, metavar="x0,y0,x1,y1")
-        p.add_argument("--resolution", default=None)
-        p.add_argument("--tol", default=None)
-        p.add_argument("--residual", default=None)
-        p.add_argument("--preset", default=None, metavar="NAME")
-        p.add_argument("--out", default=None, metavar="PATH")
-        p.add_argument("--config", default=None, metavar="PATH")
-        p.add_argument("--seeds", default=None, metavar="PATH")
-        p.add_argument("--marking", default=None, metavar="PATH")
-        p.add_argument("--normalize", action="store_true", default=False)
+        for f in fields(RunConfig)[1:]:
+            if f.name not in ("input", "normalize"):
+                p.add_argument("--" + f.name, metavar=_METAVARS.get(f.name))
+        p.add_argument("--config", metavar="PATH")
+        p.add_argument("--normalize", action="store_true")
     return parser
 
 

@@ -238,14 +238,10 @@ def tangent_quadruple_flip(
 
 
 class CirclePacking:
-    """A finite list of oriented circles, optionally with the words that
-    produced them."""
+    """A finite list of oriented circles."""
 
-    def __init__(self, circles, words=None):
+    def __init__(self, circles):
         self.circles: list[OrientedCircle] = list(circles)
-        self.words: list[str] | None = list(words) if words is not None else None
-        if self.words is not None and len(self.words) != len(self.circles):
-            raise ValueError("words list must match circles list")
 
     def __len__(self) -> int:
         return len(self.circles)
@@ -445,18 +441,24 @@ class _TripleSet:
     """Dedup set of normalized triples keyed on their rounded components.
 
     Takes the four real components rather than a circle so the DFS hot loop
-    can test a triple before building any object for it.
+    can test a triple before building any object for it.  A triple and its
+    negation are the same locus, so each is keyed by its sign-canonical form
+    (first nonzero component positive); otherwise mixed-sign seeds would
+    shadow each other's orbits.
     """
 
-    __slots__ = ("grid", "_seen")
+    __slots__ = ("_seen",)
+    GRID = 1e-8
 
-    def __init__(self, grid: float = 1e-8):
-        self.grid = grid
+    def __init__(self):
         self._seen: set[tuple[int, int, int, int]] = set()
 
     def try_add(self, A: float, Bre: float, Bim: float, C: float) -> bool:
-        """Record the triple; False when it (or one within rounding) was seen."""
-        g = self.grid
+        """Record the triple; False when it, its negation, or one within
+        rounding of either was seen."""
+        if (A, Bre, Bim, C) < (0.0, 0.0, 0.0, 0.0):
+            A, Bre, Bim, C = -A, -Bre, -Bim, -C
+        g = self.GRID
         comps = q0, q1, q2, q3 = (A / g, Bre / g, Bim / g, C / g)
         key = k0, k1, k2, k3 = (round(q0), round(q1), round(q2), round(q3))
         if key in self._seen:
@@ -509,24 +511,23 @@ def _expand_quadruples(seed_quadruples, generations: int) -> list[OrientedCircle
     return circles
 
 
-def standard_gasket(generations: int, span: int = 1) -> CirclePacking:
+def standard_gasket(generations: int) -> CirclePacking:
     """Finite truncation of the standard gasket between the lines Im z = 0
-    and Im z = 1, covering the columns -span..span+1 of unit circles and
-    inscribing `generations` rounds of tangent circles."""
+    and Im z = 1, covering the columns -1..2 of unit circles and inscribing
+    `generations` rounds of tangent circles."""
     low = OrientedCircle.from_line(1j, 0.0)
     high = OrientedCircle.from_line(-1j, -1.0)
-    quadruples = []
     # Center column first, so the packing's first three circles are the
     # anchor triple with tangency points (infinity, 0, i).
-    for k in sorted(range(-span, span + 1), key=lambda k: (abs(k), k)):
-        quadruples.append(
-            (
-                low,
-                high,
-                OrientedCircle.from_center_radius(k + 0.5j, 0.5),
-                OrientedCircle.from_center_radius(k + 1.0 + 0.5j, 0.5),
-            )
+    quadruples = [
+        (
+            low,
+            high,
+            OrientedCircle.from_center_radius(k + 0.5j, 0.5),
+            OrientedCircle.from_center_radius(k + 1.0 + 0.5j, 0.5),
         )
+        for k in (0, -1, 1)
+    ]
     return CirclePacking(_expand_quadruples(quadruples, generations))
 
 
@@ -543,7 +544,7 @@ def bounded_gasket(generations: int) -> CirclePacking:
 
 
 def apply_to_packing(m: MoebiusMap, packing: CirclePacking) -> CirclePacking:
-    return CirclePacking([c.transform(m) for c in packing.circles], packing.words)
+    return CirclePacking([c.transform(m) for c in packing.circles])
 
 
 def normalize_to_standard_gasket(

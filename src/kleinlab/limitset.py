@@ -43,6 +43,11 @@ __all__ = [
 ]
 
 
+# Chordal distance below which two cloud points of `points` or `dfs` count
+# as one.
+_CLOUD_TOLERANCE = 1e-9
+
+
 class EllipticOnlyError(ValueError):
     """No word up to the bound was parabolic or loxodromic."""
 
@@ -186,9 +191,7 @@ def _crowded(points: list[SpherePoint], tol: float):
     return crowded
 
 
-def limit_points_by_fixed_points(
-    group: MarkedGroup, max_word_len: int, dedup: float = 1e-9
-) -> LimitSetCloud:
+def limit_points_by_fixed_points(group: MarkedGroup, max_word_len: int) -> LimitSetCloud:
     """Attracting (or parabolic) fixed points of every nontrivial reduced
     word up to max_word_len, visited in length-lexicographic order.
 
@@ -199,7 +202,7 @@ def limit_points_by_fixed_points(
     """
     if max_word_len < 1:
         raise ValueError("max_word_len must be >= 1")
-    cloud = LimitSetCloud(dedup)
+    cloud = LimitSetCloud(_CLOUD_TOLERANCE)
     letters = group.alphabet.letters
     maps = [group.letter_map(x) for x in letters]
     points: list[SpherePoint] = []
@@ -232,7 +235,6 @@ class DfsConfig:
     max_depth: int
     seeds: tuple[OrientedCircle, ...]
     window: Rectangle | None = None
-    dedup: float = 1e-9
 
     def __post_init__(self):
         if not self.epsilon > 0.0:
@@ -337,7 +339,7 @@ def limit_set_dfs(group: MarkedGroup, config: DfsConfig) -> DfsResult:
     """
     t0 = time.perf_counter()
     stats = DfsStats()
-    cloud = LimitSetCloud(config.dedup)
+    cloud = LimitSetCloud(_CLOUD_TOLERANCE)
     seen = _TripleSet()
     # Each new normalized triple, four coefficients to a row, with its word
     # and whether it was flagged depth-exhausted.
@@ -390,18 +392,9 @@ def limit_set_dfs(group: MarkedGroup, config: DfsConfig) -> DfsResult:
             continue
         t = 1.0 / math.sqrt(disc)
         nA, nBre, nBim, nC = A * t, Bre * t, Bim * t, C * t
-        # Dedup on the sign-canonical triple: a triple and its negation are
-        # the same locus, and mixed-sign seeds would otherwise shadow each
-        # other's orbits.  The emitted circle keeps the sign it arrived with,
-        # preserving the seeds' disk orientations in the output.
-        s = 1.0
-        for q in (nA, nBre, nBim, nC):
-            if q > 0.0:
-                break
-            if q < 0.0:
-                s = -1.0
-                break
-        if not seen.try_add(s * nA, s * nBre, s * nBim, s * nC):
+        # The emitted circle keeps the sign it arrived with, preserving the
+        # seeds' disk orientations in the output; the dedup ignores it.
+        if not seen.try_add(nA, nBre, nBim, nC):
             stats.branches_pruned += 1
             continue
         ac = A - C

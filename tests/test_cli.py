@@ -1,12 +1,14 @@
 import hashlib
 import json
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+from kleinlab import cli
 from kleinlab.gasket import (
     CirclePacking,
     OrientedCircle,
@@ -397,3 +399,95 @@ def test_config_errors_exit_2(tmp_path):
 
     r = run_cli("points", "--depth", "0")
     assert r.returncode == 2
+
+
+# -- the knob table ----------------------------------------------------------------
+# The expected strings are the CLI's output from before its knobs were
+# derived from RunConfig's fields.
+
+KNOB_FLAGS = (
+    "--epsilon", "--depth", "--tol", "--residual", "--window", "--resolution",
+    "--out", "--seeds", "--marking", "--normalize", "--preset",
+)
+CONFIG_KEYS = (
+    "epsilon", "depth", "tol", "residual", "window", "resolution",
+    "out", "seeds", "marking", "input", "normalize",
+)
+GOLDEN_EVERY_KNOB_CONFIG = (
+    "config: epsilon=0.05 depth=12 tol=3e-06 residual=4e-05 "
+    "window=-1.0,-0.5,2.0,1.5 resolution=64 out=knobs seeds=preset:hw-seeds "
+    "marking=preset:hw-marking input=unused-input.txt normalize=true preset=hw-gasket"
+)
+GOLDEN_EVERY_KNOB_JSON = {
+    "depth": "12",
+    "epsilon": "0.05",
+    "input": "unused-input.txt",
+    "marking": "preset:hw-marking",
+    "normalize": "true",
+    "out": "knobs",
+    "preset": "hw-gasket",
+    "residual": "4e-05",
+    "resolution": "64",
+    "seeds": "preset:hw-seeds",
+    "tol": "3e-06",
+    "window": "-1.0,-0.5,2.0,1.5",
+}
+
+
+def test_every_knob_header_matches_golden(tmp_path, monkeypatch, capsys):
+    # Each knob is set by the preset, the config file or a flag, and some by
+    # more than one, so the echo also pins the precedence.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "knobs.cfg").write_text(
+        "tol=1e-7\nresidual=2e-5\nseeds=preset:hw-seeds\nnormalize=true\n"
+    )
+    argv = [
+        "dfs", "unused-input.txt", "--preset", "hw-gasket", "--config", "knobs.cfg",
+        "--epsilon", "0.05", "--depth", "12", "--window=-1,-0.5,2,1.5",
+        "--resolution", "64", "--out", "knobs", "--marking", "preset:hw-marking",
+        "--tol", "3e-6", "--residual", "4e-5",
+    ]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    header = (tmp_path / "knobs.circles.txt").read_text().splitlines()[:3]
+    assert header == [
+        "# kleinlab " + cli.__version__,
+        "# command: kleinlab " + " ".join(argv),
+        "# " + GOLDEN_EVERY_KNOB_CONFIG,
+    ]
+    doc = json.loads((tmp_path / "knobs.stats.json").read_text())
+    assert doc["config"] == GOLDEN_EVERY_KNOB_JSON
+
+
+def test_empty_out_is_echoed_and_empty_preset_is_not(capsys):
+    assert cli.main(["points", "--depth", "1", "--out", ""]) == 0
+    assert capsys.readouterr().out.splitlines()[2] == (
+        "# config: epsilon=0.001 depth=1 tol=1e-06 residual=1e-05 resolution=800 "
+        "out= normalize=false"
+    )
+    assert cli.main(["points", "--depth", "1", "--preset", ""]) == 0
+    assert capsys.readouterr().out.splitlines()[2] == (
+        "# config: epsilon=0.001 depth=1 tol=1e-06 residual=1e-05 resolution=800 "
+        "normalize=false"
+    )
+
+
+def test_config_keys_are_the_knobs_but_preset():
+    text = (
+        "epsilon=0.5\ndepth=3\ntol=1e-7\nresidual=1e-4\nwindow=0,0,1,1\nresolution=32\n"
+        "out=o\nseeds=s\nmarking=m\ninput=i\nnormalize=true\n"
+    )
+    assert tuple(cli.load_config(text)) == CONFIG_KEYS
+    for key in ("command", "preset"):
+        with pytest.raises(cli.UnknownKeyError, match=f"<config>:1: unknown key '{key}'"):
+            cli.load_config(f"{key}=dfs\n")
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_help_lists_each_flag_once(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, "--help"])
+    assert exit_info.value.code == 0
+    # Option lines of the help body start with the flag; usage lines with '['.
+    listed = re.findall(r"^\s+(--[a-z]+)", capsys.readouterr().out, re.MULTILINE)
+    assert sorted(listed) == sorted(KNOB_FLAGS + ("--config",))

@@ -94,7 +94,7 @@ def test_transform_keeps_unit_discriminant():
 
 
 def test_triple_set_dedups_across_rounding_boundary():
-    grid = 1e-8
+    grid = _TripleSet.GRID
     # A sits 0.496 and 0.504 grid steps past 2: the two triples round to
     # different keys yet are 8e-11 apart, so the neighbour probe must match.
     low = (2.496 * grid, 0.3, -0.7, 0.25)
@@ -102,10 +102,13 @@ def test_triple_set_dedups_across_rounding_boundary():
     assert high[0] - low[0] < 1e-10
     assert round(low[0] / grid) != round(high[0] / grid)
     for first, second in ((low, high), (high, low)):
-        seen = _TripleSet(grid)
+        seen = _TripleSet()
         assert seen.try_add(*first)
         assert not seen.try_add(*second)
         assert not seen.try_add(*first)
+        # A triple's negation is the same locus.
+        assert not seen.try_add(*(-q for q in first))
+        assert not seen.try_add(*(-q for q in second))
         # Three grid steps away in any one component is a different triple.
         far = [list(first) for _ in range(4)]
         for i in range(4):
@@ -114,8 +117,15 @@ def test_triple_set_dedups_across_rounding_boundary():
 
 
 def full_probe_try_add(seen, grid, A, Bre, Bim, C):
-    """_TripleSet.try_add without the one-lookup fast path: every neighbor
-    key of a component within 0.01 of a rounding boundary is probed."""
+    """_TripleSet.try_add without the one-lookup fast path: the triple is
+    made sign-canonical (first nonzero component positive), then every
+    neighbor key of a component within 0.01 of a rounding boundary is
+    probed."""
+    for q in (A, Bre, Bim, C):
+        if q != 0.0:
+            if q < 0.0:
+                A, Bre, Bim, C = -A, -Bre, -Bim, -C
+            break
     comps = (A / grid, Bre / grid, Bim / grid, C / grid)
     key = tuple(round(q) for q in comps)
     options = []
@@ -133,7 +143,7 @@ def full_probe_try_add(seen, grid, A, Bre, Bim, C):
 
 
 def test_triple_set_fast_path_matches_full_probe():
-    grid = 1e-8
+    grid = _TripleSet.GRID
     rng = random.Random(73)
     # Components on a coarse lattice of grid steps, nudged to within 0.02 of
     # a rounding boundary or onto a key, so that near-duplicates, boundary
@@ -142,7 +152,7 @@ def test_triple_set_fast_path_matches_full_probe():
         return (rng.randrange(-3, 4) + rng.choice((0.0, 0.5)) + rng.uniform(-0.02, 0.02)) * grid
 
     triples = [tuple(component() for _ in range(4)) for _ in range(20000)]
-    fast, reference = _TripleSet(grid), set()
+    fast, reference = _TripleSet(), set()
     decisions = [fast.try_add(*t) for t in triples]
     assert decisions == [full_probe_try_add(reference, grid, *t) for t in triples]
     assert fast._seen == reference
