@@ -21,6 +21,7 @@ Exit codes: 0 success/pass, 1 verdict failure, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -212,10 +213,14 @@ def _commented(header: str, body: str) -> str:
 def _write_atomic(path: str, data: str | bytes) -> None:
     payload = data.encode() if isinstance(data, str) else data
     directory = os.path.dirname(os.path.abspath(path))
+    # mkstemp creates the file 0600; give the artifact the mode open() would.
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".kleinlab-")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -248,7 +253,7 @@ def _cloud_text(points) -> str:
         else:
             z = complex(p.point)
             xy = f"{z.real:.17g} {z.imag:.17g}"
-        lines.append(f"{xy} {p.word_length} {p.word or '-'}")
+        lines.append(f"{xy} {len(p.word)} {p.word or '-'}")
     return "\n".join(lines) + "\n"
 
 
@@ -284,7 +289,7 @@ def _cmd_points(cfg: RunConfig, argv: list[str]) -> int:
 
 
 def _cmd_dfs(cfg: RunConfig, argv: list[str]) -> int:
-    if cfg.out is None:
+    if not cfg.out:
         raise _UsageError("dfs needs --out (artifact base path)")
     if cfg.window is None:
         raise _UsageError("dfs needs --window x0,y0,x1,y1")
@@ -447,6 +452,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so one serves every call
 def _make_parser() -> _Parser:
     parser = _Parser(prog="kleinlab", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"kleinlab {__version__}")

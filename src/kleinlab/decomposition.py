@@ -1,7 +1,6 @@
 """Validators and small models for boundary-decomposition machinery: typed
 graph-of-groups splittings, finite tree systems of finite metric spaces with
-their quotient limits, Gromov products, and local-cut-point combinatorics on
-finite graphs.
+their quotient limits, and local-cut-point combinatorics on finite graphs.
 
 Metric computations use exact rational arithmetic so quotient metrics can be
 compared to oracles with equality rather than tolerances.
@@ -10,9 +9,10 @@ compared to oracles with equality rather than tolerances.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from importlib import resources
 from itertools import accumulate, combinations
 from math import lcm
 from operator import add
@@ -35,8 +35,6 @@ __all__ = [
     "FiniteMetricSpace",
     "TreeSystem",
     "tree_system_limit",
-    "gromov_product",
-    "four_point_delta",
     "SimpleGraph",
     "local_cut_valency",
     "link_valency",
@@ -74,7 +72,6 @@ class GoGVertex:
     id: str
     type: VertexType
     slots: int = 0
-    label: str = ""
 
 
 @dataclass(frozen=True)
@@ -91,7 +88,6 @@ class GoGEdge:
     two_ended: bool = True
     slot_u: int | None = None
     slot_v: int | None = None
-    label: str = ""
 
 
 def _connected(adjacency: dict) -> bool:
@@ -205,17 +201,10 @@ def validate_bowditch(g: GraphOfGroups) -> ValidationReport:
 
 def abc_example() -> GraphOfGroups:
     """The star-shaped splitting with one rigid hub, three two-ended curve
-    vertices, and three single-slot hanging-Fuchsian leaves."""
-    vertices = [GoGVertex("R", VertexType.RIGID, label="solid core")]
-    edges = []
-    for name in "abc":
-        t = f"T{name}"
-        h = f"H{name}"
-        vertices.append(GoGVertex(t, VertexType.TWO_ENDED, label=f"curve {name}"))
-        vertices.append(GoGVertex(h, VertexType.HANGING_FUCHSIAN, slots=1, label=f"band {name}"))
-        edges.append(GoGEdge("R", t, two_ended=True))
-        edges.append(GoGEdge(t, h, two_ended=True, slot_v=1))
-    return GraphOfGroups(vertices, edges)
+    vertices, and three single-slot hanging-Fuchsian leaves: the bundled
+    presets/abc-example.gog."""
+    gog = resources.files("kleinlab").joinpath("presets", "abc-example.gog")
+    return load_graph_of_groups(gog.read_text())
 
 
 # -- finite metric spaces and tree systems -------------------------------------
@@ -419,30 +408,6 @@ def tree_system_limit(system: TreeSystem) -> FiniteMetricSpace:
     return FiniteMetricSpace(names, dist)
 
 
-def gromov_product(space: FiniteMetricSpace, x: str, y: str, z: str) -> Fraction:
-    """(y, z)_x = (d(x,y) + d(x,z) - d(y,z)) / 2; nonnegative by the
-    triangle inequality."""
-    return (space.distance(x, y) + space.distance(x, z) - space.distance(y, z)) / 2
-
-
-def four_point_delta(space: FiniteMetricSpace) -> Fraction:
-    """Worst four-point hyperbolicity defect:
-    max over (x, y, z, w) of min((x,z)_w, (y,z)_w) - (x,y)_w, floored at 0.
-    Trees give 0."""
-    worst = Fraction(0)
-    pts = space.points
-    for w in pts:
-        for x in pts:
-            for y in pts:
-                for z in pts:
-                    defect = min(
-                        gromov_product(space, w, x, z), gromov_product(space, w, y, z)
-                    ) - gromov_product(space, w, x, y)
-                    if defect > worst:
-                        worst = defect
-    return worst
-
-
 # -- finite-graph cut analysis ---------------------------------------------------
 
 class SimpleGraph:
@@ -498,7 +463,7 @@ class SimpleGraph:
         return out
 
     def is_connected(self) -> bool:
-        return len(self._components(set())) <= 1
+        return not self.vertices or _connected(self.adjacency)
 
 
 def _require_vertex(g: SimpleGraph, v: str) -> None:

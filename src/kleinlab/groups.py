@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .mobius import MapClass, MoebiusMap
+from .mobius import MoebiusMap
 
 __all__ = [
     "UnknownLetterError",

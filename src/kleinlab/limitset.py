@@ -1,6 +1,5 @@
 """Limit sets of marked Moebius groups: fixed-point clouds, depth-first
-circle enumeration with diameter pruning, convergence diagnostics, and
-rasterization.
+circle enumeration with diameter pruning, and rasterization.
 
 All dedup and pruning distances are chordal (measured through the unit
 sphere), since the limit sets of interest contain the point at infinity.
@@ -21,13 +20,11 @@ from .mobius import (
     MapClass,
     MoebiusMap,
     SpherePoint,
-    chordal_distance,
     sphere_coords,
 )
 
 __all__ = [
     "EllipticOnlyError",
-    "EmptyWindowError",
     "Rectangle",
     "CloudPoint",
     "LimitSetCloud",
@@ -37,7 +34,6 @@ __all__ = [
     "DfsResult",
     "limit_points_by_fixed_points",
     "limit_set_dfs",
-    "hausdorff_distance",
     "RenderResult",
     "render",
 ]
@@ -50,10 +46,6 @@ _CLOUD_TOLERANCE = 1e-9
 
 class EllipticOnlyError(ValueError):
     """No word up to the bound was parabolic or loxodromic."""
-
-
-class EmptyWindowError(ValueError):
-    """A cloud has no finite points inside the requested window."""
 
 
 @dataclass(frozen=True)
@@ -88,7 +80,6 @@ class Rectangle:
 
 class CloudPoint(NamedTuple):
     point: SpherePoint
-    word_length: int
     word: str
 
 
@@ -146,7 +137,7 @@ class LimitSetCloud:
             for key in keys:
                 cells.setdefault(key, []).append(lift)
         self.points.extend(
-            CloudPoint(p, len(word), word) for p, word, k in zip(points, words, keep) if k
+            CloudPoint(p, word) for p, word, k in zip(points, words, keep) if k
         )
 
     def __len__(self) -> int:
@@ -435,41 +426,13 @@ def limit_set_dfs(group: MarkedGroup, config: DfsConfig) -> DfsResult:
     return DfsResult(cloud, emitted, stats)
 
 
-def _finite(points) -> list[complex]:
-    """Finite points of a LimitSetCloud or of an iterable of sphere points."""
-    if isinstance(points, LimitSetCloud):
-        return points.finite_points()
-    return [complex(p) for p in points if p is not INFINITY]
-
-
-def _windowed_finite(points, window: Rectangle):
-    import numpy as np
-
-    arr = [(z.real, z.imag) for z in _finite(points) if window.contains(z)]
-    return np.asarray(arr, dtype=float).reshape(-1, 2)
-
-
-def hausdorff_distance(a, b, window: Rectangle) -> float:
-    """Symmetric Hausdorff distance between the finite points of two clouds
-    restricted to a window, in the plane metric of the window."""
-    from scipy.spatial import cKDTree
-
-    pa = _windowed_finite(a, window)
-    pb = _windowed_finite(b, window)
-    if len(pa) == 0 or len(pb) == 0:
-        raise EmptyWindowError("a cloud has no finite points in the window")
-    da = cKDTree(pb).query(pa)[0].max()
-    db = cKDTree(pa).query(pb)[0].max()
-    return float(max(da, db))
-
-
 class RenderResult(NamedTuple):
     ppm: bytes
     svg: str
 
 
 def render(
-    cloud: LimitSetCloud | Iterable[SpherePoint] | None,
+    cloud: LimitSetCloud | None,
     circles: Iterable[OrientedCircle],
     window: Rectangle,
     resolution: int,
@@ -563,7 +526,7 @@ def render(
 
     red = (200, 0, 0)
     if cloud is not None:
-        for z in _finite(cloud):
+        for z in cloud.finite_points():
             if window.contains(z):
                 x, y = to_px(z)
                 plot(x, y, red)

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import os
 import random
 import re
+import stat
 import subprocess
 import sys
 from fractions import Fraction
@@ -36,14 +38,52 @@ def run_cli(*args, cwd=None):
 
 
 def test_cli_import_leaves_numpy_and_scipy_unloaded():
-    # No subcommand needs numpy or scipy, so starting the CLI must not pay
-    # for importing them; only hausdorff_distance loads them, on first call.
+    # Starting the CLI must not pay for numpy: only the commands that need
+    # it import it, when they run.  No command needs scipy.
     code = "import sys, kleinlab.cli; print([m for m in ('numpy', 'scipy') if m in sys.modules])"
     r = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=300
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
+
+
+def test_no_command_needs_scipy(tmp_path):
+    # scipy is a test dependency only: every command runs in a child where
+    # importing it fails.
+    prelude = (
+        "import sys; sys.modules['scipy'] = None; "
+        "from kleinlab.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    (tmp_path / "ts.txt").write_text(
+        "space A 2\nrow 0 1\nrow 1 0\nspace B 2\nrow 0 2\nrow 2 0\n"
+        "tree-edge A B\nglue A B 1 0\n"
+    )
+    (tmp_path / "c4.txt").write_text("a b\nb c\nc d\nd a\n")
+    for args in (
+        ["solve"],
+        ["points", "--depth", "3"],
+        ["dfs", "--preset", "hw-gasket", "--epsilon", "1e-2"],
+        ["verify-gasket", "--normalize", "hw-gasket.circles.txt"],
+        ["validate-gog", "abc-example"],
+        ["tree-limit", "ts.txt"],
+        ["cuts", "c4.txt"],
+    ):
+        r = subprocess.run(
+            [sys.executable, "-c", prelude, *args],
+            capture_output=True, text=True, cwd=tmp_path, env=child_env(), timeout=300,
+        )
+        assert r.returncode == 0, (args, r.stderr)
+
+
+def test_main_builds_the_parser_once(capsys):
+    cli._make_parser.cache_clear()
+    outputs = []
+    for argv in (["solve"], ["validate-gog", "abc-example"]) * 2:
+        assert cli.main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[2:] == outputs[:2]
+    assert cli._make_parser.cache_info().misses == 1
 
 
 def test_version_flag():
@@ -170,6 +210,34 @@ def test_dfs_requires_out_and_window(tmp_path):
     r = run_cli("dfs", "--out", "run", cwd=tmp_path)
     assert r.returncode == 2
     assert "window" in r.stderr
+
+
+def test_dfs_rejects_empty_out(tmp_path, monkeypatch, capsys):
+    # An empty out would name five hidden files in the working directory.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "empty-out.cfg").write_text("out=\n")
+    for extra in (["--out", ""], ["--config", "empty-out.cfg"]):
+        assert cli.main(["dfs", "--preset", "hw-gasket", "--epsilon", "0.05", *extra]) == 2
+        assert "dfs needs --out" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["empty-out.cfg"]
+
+
+def test_artifacts_get_the_mode_open_gives(tmp_path, monkeypatch, capsys):
+    previous = os.umask(0o022)
+    try:
+        for umask in (0o022, 0o027):
+            os.umask(umask)
+            run_dir = tmp_path / f"{umask:o}"
+            run_dir.mkdir()
+            monkeypatch.chdir(run_dir)
+            (run_dir / "plain").write_text("")
+            expected = stat.S_IMODE((run_dir / "plain").stat().st_mode)
+            assert cli.main(list(dfs_args())) == 0
+            for suffix in ARTIFACT_SUFFIXES:
+                mode = stat.S_IMODE((run_dir / f"run{suffix}").stat().st_mode)
+                assert mode == expected, (oct(umask), suffix, oct(mode))
+    finally:
+        os.umask(previous)
 
 
 def test_verify_gasket_passes_bounded_truncation(tmp_path):

@@ -17,8 +17,6 @@ from kleinlab.decomposition import (
     VertexType,
     abc_example,
     cut_pairs,
-    four_point_delta,
-    gromov_product,
     link_valency,
     load_graph_of_groups,
     load_simple_graph,
@@ -371,7 +369,7 @@ def test_limit_of_three_wedged_segments_is_a_tripod():
     for leaf in ("A:0", "B:0", "C:0"):
         assert limit.distance(leaf, "A:1") == 1
     assert limit.distance("B:0", "C:0") == 2
-    assert four_point_delta(limit) == 0
+    assert limit.distance("A:0", "B:0") == limit.distance("A:0", "C:0") == 2
 
 
 def test_tree_system_validation():
@@ -536,41 +534,6 @@ def test_tree_system_with_coprime_and_float_denominators_matches_oracle():
     assert limit.matrix() == expect_matrix
     denominators = {x.denominator for row in limit.matrix() for x in row}
     assert any(d % 7 == 0 for d in denominators) and any(d % 13 == 0 for d in denominators)
-
-
-# -- hyperbolicity defect ------------------------------------------------------
-
-
-def test_gromov_product_identities():
-    limit = tripod()
-    assert gromov_product(limit, "A:0", "B:0", "B:0") == limit.distance("A:0", "B:0")
-    assert gromov_product(limit, "A:0", "A:0", "B:0") == 0
-    assert gromov_product(limit, "A:0", "B:0", "C:0") == 1
-    assert gromov_product(limit, "A:0", "C:0", "B:0") == gromov_product(
-        limit, "A:0", "B:0", "C:0"
-    )
-
-
-def test_gromov_products_are_nonnegative_on_random_space():
-    rng = random.Random(7)
-    space = random_space(rng, 6)
-    pts = space.points
-    for x in pts:
-        for y in pts:
-            for z in pts:
-                assert gromov_product(space, x, y, z) >= 0
-
-
-def c4_metric():
-    d = [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]]
-    return FiniteMetricSpace(["p0", "p1", "p2", "p3"], d)
-
-
-def test_four_point_delta_tree_versus_cycle():
-    path = FiniteMetricSpace(["a", "b", "c"], [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
-    assert four_point_delta(path) == 0
-    assert four_point_delta(c4_metric()) == Fraction(1)
-    assert isinstance(four_point_delta(c4_metric()), Fraction)
 
 
 # -- graphs, valencies, cut pairs ----------------------------------------------
