@@ -173,6 +173,27 @@ def test_dfs_artifacts_match_golden_digests(tmp_path):
         assert hashlib.sha256(data).hexdigest() == digest, f"run{suffix} changed"
 
 
+# sha256 of the `verify-gasket --normalize` JSON on the hw-gasket packing,
+# from the per-edge tangency graph (TangencyEdge objects, dict triangle walk
+# and quadruple loop).  `command` and `config` are left out: they carry paths.
+GOLDEN_VERIFY_NORMALIZE = {
+    "5e-3": "072172d2fec33653e836ff12801d7c23c68dcc1197576a3994131b0606f5456a",
+    "1e-3": "3dfffb25881a107ceac331f22dab868b9d4d7e97e2213aac428822b7614a121c",
+}
+
+
+@pytest.mark.parametrize("epsilon", sorted(GOLDEN_VERIFY_NORMALIZE))
+def test_verify_normalize_json_matches_golden_digest(epsilon, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["dfs", "--preset", "hw-gasket", "--epsilon", epsilon, "--out", "run"]) == 0
+    assert cli.main(["verify-gasket", "run.circles.txt", "--normalize", "--out", "verify"]) == 0
+    capsys.readouterr()
+    doc = json.loads((tmp_path / "verify").read_text())
+    assert doc.pop("command") and doc.pop("config")
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_VERIFY_NORMALIZE[epsilon]
+
+
 # sha256 of the body rows of `points --depth 8`, from the per-point cloud
 # dedup that LimitSetCloud.extend replaced.  The `#` header is left out:
 # it records the --out path.
