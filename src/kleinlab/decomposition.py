@@ -14,7 +14,7 @@ from enum import Enum
 from fractions import Fraction
 from importlib import resources
 from itertools import accumulate, combinations
-from math import lcm
+from math import gcd, lcm
 from operator import add
 from typing import Iterable
 
@@ -90,18 +90,18 @@ class GoGEdge:
     slot_v: int | None = None
 
 
-def _connected(adjacency: dict) -> bool:
-    """Whether a nonempty graph, given as vertex -> neighbours, is connected."""
-    start = next(iter(adjacency))
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in adjacency[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(adjacency)
+def _connected(vertices, neighbours) -> bool:
+    """Whether the graph on a nonempty sized collection of vertices, where
+    neighbours(x) lists the neighbours of x, is connected."""
+    frontier = {next(iter(vertices))}
+    seen = set(frontier)
+    while frontier:
+        reached: set = set()
+        for x in frontier:
+            reached.update(neighbours(x))
+        frontier = reached - seen
+        seen |= frontier
+    return len(seen) == len(vertices)
 
 
 class GraphOfGroups:
@@ -122,7 +122,7 @@ class GraphOfGroups:
         for e in self.edges:
             adj[e.u].append(e.v)
             adj[e.v].append(e.u)
-        if not _connected(adj):
+        if not _connected(adj, adj.__getitem__):
             raise ValueError("underlying graph must be connected")
 
     def incident(self, vertex_id: str) -> list[GoGEdge]:
@@ -231,13 +231,33 @@ class FiniteMetricSpace:
     which Python ints keep exact at any size."""
 
     def __init__(self, points: Iterable[str], matrix):
+        n = self._set_points(points)
+        m = [[_as_fraction(matrix[i][j]) for j in range(n)] for i in range(n)]
+        den = lcm(*(x.denominator for row in m for x in row))
+        self._set_metric([[x.numerator * (den // x.denominator) for x in row] for row in m], den)
+
+    @classmethod
+    def _from_scaled(cls, points: Iterable[str], scaled: list[list[int]], den: int):
+        """The space with d(i, j) = scaled[i][j] / den, built and checked
+        without Fractions; den is first reduced by the entries' gcd, so the
+        space equals the one __init__ gives for the same distances."""
+        space = cls.__new__(cls)
+        space._set_points(points)
+        g = gcd(den, *(x for row in scaled for x in row))
+        space._set_metric([[x // g for x in row] for row in scaled], den // g)
+        return space
+
+    def _set_points(self, points: Iterable[str]) -> int:
         self.points: tuple[str, ...] = tuple(str(p) for p in points)
         n = len(self.points)
         if len(set(self.points)) != n or n == 0:
             raise ValueError("points must be nonempty and distinct")
-        m = [[_as_fraction(matrix[i][j]) for j in range(n)] for i in range(n)]
-        den = lcm(*(x.denominator for row in m for x in row))
-        d = [[x.numerator * (den // x.denominator) for x in row] for row in m]
+        self._index = {p: i for i, p in enumerate(self.points)}
+        return n
+
+    def _set_metric(self, d: list[list[int]], den: int) -> None:
+        """Check the integer matrix d over den and store it."""
+        n = len(self.points)
         for i in range(n):
             if d[i][i] != 0:
                 raise ValueError(f"nonzero diagonal at {self.points[i]}")
@@ -260,7 +280,6 @@ class FiniteMetricSpace:
                     )
         self._den = den
         self._scaled = d
-        self._index = {p: i for i, p in enumerate(self.points)}
 
     def __len__(self) -> int:
         return len(self.points)
@@ -308,7 +327,7 @@ class TreeSystem:
                 raise ValueError("tree edges must be distinct and loop-free")
             adj[t1].add(t2)
             adj[t2].add(t1)
-        if len(self.tree_edges) != len(ids) - 1 or not _connected(adj):
+        if len(self.tree_edges) != len(ids) - 1 or not _connected(adj, adj.__getitem__):
             raise ValueError("edges must form a tree on the vertex spaces")
         for edge in self.tree_edges:
             pairs = self.gluings.get(edge)
@@ -377,7 +396,7 @@ def tree_system_limit(system: TreeSystem) -> FiniteMetricSpace:
                 adjacency[j][i] = w
 
     # Exact Dijkstra from every class, on the integers over den.
-    dist = [[Fraction(0)] * n for _ in range(n)]
+    dist = [[0] * n for _ in range(n)]
     for s in range(n):
         best: dict[int, int] = {s: 0}
         done: set[int] = set()
@@ -402,10 +421,10 @@ def tree_system_limit(system: TreeSystem) -> FiniteMetricSpace:
                     raise MetricDegenerateError(
                         f"distinct classes {classes[s]} and {classes[x]} at distance 0"
                     )
-                dist[s][x] = Fraction(best[x], den)
+                dist[s][x] = best[x]
 
     names = [f"{t}:{p}" for t, p in classes]
-    return FiniteMetricSpace(names, dist)
+    return FiniteMetricSpace._from_scaled(names, dist, den)
 
 
 # -- finite-graph cut analysis ---------------------------------------------------
@@ -463,7 +482,7 @@ class SimpleGraph:
         return out
 
     def is_connected(self) -> bool:
-        return not self.vertices or _connected(self.adjacency)
+        return not self.vertices or _connected(self.adjacency, self.adjacency.__getitem__)
 
 
 def _require_vertex(g: SimpleGraph, v: str) -> None:

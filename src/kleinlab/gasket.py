@@ -16,6 +16,8 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter
 
 from .decomposition import _connected
 from .groups import _format_lines
@@ -215,7 +217,8 @@ def tangency_point(c1: OrientedCircle, c2: OrientedCircle) -> SpherePoint:
 
 def descartes_residual(k1: float, k2: float, k3: float, k4: float) -> float:
     """(k1+k2+k3+k4)^2 - 2(k1^2+k2^2+k3^2+k4^2); zero for a mutually tangent
-    quadruple, symmetric in the arguments."""
+    quadruple, symmetric in the arguments.  Takes numpy arrays too, with the
+    same operations in the same order for each element."""
     s = k1 + k2 + k3 + k4
     return s * s - 2.0 * (k1 * k1 + k2 * k2 + k3 * k3 + k4 * k4)
 
@@ -257,35 +260,156 @@ class TangencyEdge:
     point: SpherePoint
 
 
-class TangencyGraph:
-    """The edges in (i, j) order, and adjacency[i] = {j: tangency point}."""
+def _csr_rows(indptr, indices, vertices):
+    """(t, w) for every neighbour w of every vertices[t] in a CSR adjacency,
+    t ascending and, within each t, in row order."""
+    import numpy as np
 
-    def __init__(self, n: int, edges):
-        self.n = n
-        self.edges: list[TangencyEdge] = sorted(edges, key=lambda e: (e.i, e.j))
-        adj: dict[int, dict[int, SpherePoint]] = {i: {} for i in range(n)}
+    start = indptr[vertices]
+    count = indptr[vertices + 1] - start
+    owner = np.repeat(np.arange(len(vertices)), count)
+    offset = np.arange(len(owner)) - np.repeat(np.cumsum(count) - count, count)
+    return owner, indices[start[owner] + offset]
+
+
+def _csr(src, dst, n: int):
+    """(indptr, indices) of the arcs src -> dst, each row in ascending order,
+    and the sorted arc keys src * n + dst."""
+    import numpy as np
+
+    keys = src * n + dst
+    order = np.argsort(keys)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+    return indptr, dst[order], keys[order]
+
+
+def _contains(sorted_keys, keys):
+    """Whether each of keys is in the nonempty sorted_keys."""
+    import numpy as np
+
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return sorted_keys[pos] == keys
+
+
+class TangencyGraph:
+    """The tangent pairs of a packing as sorted int arrays i < j, with a CSR
+    adjacency: row v of `indices`, from `indptr[v]` to `indptr[v + 1]`,
+    lists v's neighbours in ascending order.
+
+    Tangency points are computed only where they are read: `edge_point`,
+    and the lazy `edges` and `adjacency`.
+    """
+
+    def __init__(self, circles: list[OrientedCircle], columns, i, j):
+        import numpy as np
+
+        self.n = n = len(circles)
+        self.circles = circles
+        # A, Re B, Im B and C of every circle, as _columns gives them.
+        self.columns = columns
+        self.i, self.j = i, j
+        self.indptr, self.indices, _ = _csr(np.concatenate((i, j)), np.concatenate((j, i)), n)
+
+    def has_edge(self, i: int, j: int) -> bool:
+        if not (0 <= i < self.n and 0 <= j < self.n):
+            return False
+        row = self.indices[self.indptr[i]:self.indptr[i + 1]]
+        pos = int(row.searchsorted(j))
+        return pos < len(row) and int(row[pos]) == j
+
+    def edge_point(self, i: int, j: int) -> SpherePoint:
+        if not self.has_edge(i, j):
+            raise KeyError((i, j))
+        return tangency_point(self.circles[min(i, j)], self.circles[max(i, j)])
+
+    @cached_property
+    def edges(self) -> list[TangencyEdge]:
+        """Every edge with its tangency point, in (i, j) order."""
+        c = self.circles
+        return [
+            TangencyEdge(a, b, tangency_point(c[a], c[b]))
+            for a, b in zip(self.i.tolist(), self.j.tolist())
+        ]
+
+    @cached_property
+    def adjacency(self) -> dict[int, dict[int, SpherePoint]]:
+        """adjacency[i] = {j: tangency point} for every vertex i."""
+        adj: dict[int, dict[int, SpherePoint]] = {v: {} for v in range(self.n)}
         for e in self.edges:
             adj[e.i][e.j] = e.point
             adj[e.j][e.i] = e.point
-        self.adjacency = adj
+        return adj
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return j in self.adjacency.get(i, ())
+    @cached_property
+    def _oriented(self):
+        """Every edge pointed at its endpoint of higher (degree, index): the
+        out-neighbour CSR and the sorted arc keys u * n + v.
 
-    def edge_point(self, i: int, j: int) -> SpherePoint:
-        return self.adjacency[i][j]
+        A clique is then found once, from its lowest vertex: each step
+        follows an arc out of the clique's highest vertex so far, and arc
+        lookups close it.  The tangency graph of a packing is planar, so
+        this lists its triangles in O(E) (Chiba-Nishizeki, Arboricity and
+        subgraph listing algorithms, SIAM J. Comput. 1985).
+        """
+        import numpy as np
+
+        n = self.n
+        rank = np.empty(n, dtype=np.int64)
+        rank[np.lexsort((np.arange(n), np.diff(self.indptr)))] = np.arange(n)
+        up = rank[self.i] < rank[self.j]
+        return _csr(np.where(up, self.i, self.j), np.where(up, self.j, self.i), n)
+
+    def _extend(self, clique):
+        """Every clique one vertex larger, each vertex list in the order of
+        the arcs.  The given cliques are int arrays in arc order, listed by
+        their first vertex, so the first lookups run in key order."""
+        out_ptr, out, keys = self._oriented
+        t, w = _csr_rows(out_ptr, out, clique[-1])
+        for x in clique[:-1]:
+            closed = _contains(keys, x[t] * self.n + w)
+            t, w = t[closed], w[closed]
+        return [x[t] for x in clique] + [w]
+
+    def _by_index(self, clique):
+        """The cliques with each one's vertices in ascending order, listed in
+        index-lexicographic order."""
+        import numpy as np
+
+        clique = np.sort(np.stack(clique), axis=0)
+        return clique[:, np.lexsort((*clique[:1:-1], clique[0] * self.n + clique[1]))]
+
+    @cached_property
+    def _arc_triangles(self):
+        """Every triangle once, as three int arrays in arc order."""
+        import numpy as np
+
+        out_ptr, out, _ = self._oriented
+        return self._extend([np.repeat(np.arange(self.n), np.diff(out_ptr)), out])
+
+    @cached_property
+    def _triangles(self):
+        """Every mutually tangent (i, j, k), i < j < k, as a (3, T) int array
+        in index-lexicographic order."""
+        return self._by_index(self._arc_triangles)
+
+    def _quadruples(self):
+        """Every mutually tangent (i, j, k, l), i < j < k < l, as a (4, Q)
+        int array in index-lexicographic order: the (i, j, k, l) of each
+        triangle and each common neighbour l > k."""
+        return self._by_index(self._extend(self._arc_triangles))
 
     def triangles(self):
         """Every mutually tangent (i, j, k) with i < j < k, in
         index-lexicographic order."""
-        adj = self.adjacency
-        for i in range(self.n):
-            for j in sorted(x for x in adj[i] if x > i):
-                for k in sorted(x for x in adj[i].keys() & adj[j].keys() if x > j):
-                    yield i, j, k
+        return zip(*self._triangles.tolist())
 
     def is_connected(self) -> bool:
-        return self.n == 0 or _connected(self.adjacency)
+        flat, bounds = self.indices.tolist(), self.indptr.tolist()
+        # Each row is sliced when the search reaches it and dropped after,
+        # so the search holds no list per vertex.
+        return self.n == 0 or _connected(
+            range(self.n), lambda v: flat[bounds[v]:bounds[v + 1]]
+        )
 
 
 # Rounding allowance for the cap prune and the grid cells.  What it covers
@@ -298,9 +422,22 @@ _SLACK = 4096.0 * sys.float_info.epsilon
 _MAX_LEVEL = 20
 
 
-def _cap_candidates(circles: list[OrientedCircle], tol: float):
+def _columns(circles: list[OrientedCircle]):
+    """A, Re B, Im B and C of every circle, as a (4, N) float array."""
+    import numpy as np
+
+    n = len(circles)
+    A, B, C = (
+        np.fromiter(map(attrgetter(name), circles), kind, n)
+        for name, kind in (("A", float), ("B", complex), ("C", float))
+    )
+    return np.stack((A, B.real, B.imag, C))
+
+
+def _cap_candidates(circles, tol: float):
     """Every pair (i, j), i < j, whose inversive product p may reach -2 - tol:
-    int arrays in lexicographic order, and p of each pair.
+    int arrays in lexicographic order, and p of each pair.  circles is a
+    list of OrientedCircles or their _columns.
 
     The disk of (A, B, C) is the spherical cap {u : s + w.u <= 0} with
     w = (2 Re B, 2 Im B, A - C) and s = A + C, centred at -w/|w| (the Lorentz
@@ -325,13 +462,10 @@ def _cap_candidates(circles: list[OrientedCircle], tol: float):
     """
     import numpy as np
 
+    A, Bre, Bim, C = circles if isinstance(circles, np.ndarray) else _columns(circles)
     empty = np.zeros(0, dtype=np.int64)
-    if len(circles) < 2:
+    if len(A) < 2:
         return empty, empty, np.zeros(0)
-    A = np.array([c.A for c in circles])
-    Bre = np.array([c.B.real for c in circles])
-    Bim = np.array([c.B.imag for c in circles])
-    C = np.array([c.C for c in circles])
     norm = np.sqrt(4.0 * (Bre * Bre + Bim * Bim) + (A - C) * (A - C))
     centre = (-2.0 * Bre / norm, -2.0 * Bim / norm, (C - A) / norm)
     c = (A + C) / norm
@@ -377,7 +511,7 @@ def _cap_candidates(circles: list[OrientedCircle], tol: float):
         found_j.append(np.maximum(a[near], b[near]))
     i = np.concatenate(found_i)
     j = np.concatenate(found_j)
-    order = np.argsort(i * len(circles) + j)
+    order = np.argsort(i * len(A) + j)
     i, j = i[order], j[order]
     # OrientedCircle.inversive_product's operation order, so the
     # tangent/overlap split is bit-identical to it.
@@ -385,19 +519,27 @@ def _cap_candidates(circles: list[OrientedCircle], tol: float):
     return i, j, p
 
 
+# A "tangent" pair whose summed triple is this small against the pair's own
+# components is one locus listed twice, a circle and its complement.
+_ONE_LOCUS = 1e-9
+
+
 def _scan_products(circles: list[OrientedCircle], tol: float):
     """(tangency graph, overlapping pairs, candidate pair count) from one
-    pass over the pairs the cap index cannot rule out; each edge carries its
-    tangency point, and the overlapping pairs come sorted."""
-    i, j, p = _cap_candidates(circles, tol)
-    tangent = abs(p + 2.0) <= tol
-    crossing = ~tangent & (p > -2.0)
-    edges = [
-        TangencyEdge(a, b, tangency_point(circles[a], circles[b]))
-        for a, b in zip(i[tangent].tolist(), j[tangent].tolist())
-    ]
+    pass over the pairs the cap index cannot rule out; the overlapping pairs
+    come sorted, and a circle listed with its complement is one of them."""
+    import numpy as np
+
+    columns = _columns(circles)
+    i, j, p = _cap_candidates(columns, tol)
+    near = np.flatnonzero(abs(p + 2.0) <= tol)
+    a, b = columns[:, i[near]], columns[:, j[near]]
+    one_locus = abs(a + b).max(axis=0) <= _ONE_LOCUS * np.maximum(abs(a), abs(b)).max(axis=0)
+    crossing = p > -2.0
+    crossing[near] = one_locus
+    tangent = near[~one_locus]
     overlap = list(zip(i[crossing].tolist(), j[crossing].tolist()))
-    return TangencyGraph(len(circles), edges), overlap, len(p)
+    return TangencyGraph(circles, columns, i[tangent], j[tangent]), overlap, len(p)
 
 
 def detect_tangencies(packing: CirclePacking, tol: float = 1e-6) -> TangencyGraph:
@@ -568,10 +710,24 @@ def normalize_to_standard_gasket(
 
 def _anchor_map(graph: TangencyGraph) -> MoebiusMap:
     """The map from the first triangle's tangency points to (infinity, 0, i)."""
-    for i, j, k in graph.triangles():
-        src = (graph.edge_point(i, j), graph.edge_point(i, k), graph.edge_point(j, k))
-        return moebius_mapping(src, STANDARD_TANGENCY_POINTS)
-    raise NoTangentTripleError("packing has no mutually tangent triple")
+    if not graph._triangles.shape[1]:
+        raise NoTangentTripleError("packing has no mutually tangent triple")
+    i, j, k = graph._triangles[:, 0].tolist()
+    src = (graph.edge_point(i, j), graph.edge_point(i, k), graph.edge_point(j, k))
+    return moebius_mapping(src, STANDARD_TANGENCY_POINTS)
+
+
+def _moved_curvatures(columns, m: MoebiusMap):
+    """The curvature of every circle moved by m: transform_hermitian's A, in
+    its operation order written out in real arithmetic,
+    (A dd + C cc) - 2 Re((B c) conj(d))."""
+    A, Bre, Bim, C = columns
+    c, d = m.c, m.d
+    dd = (d * d.conjugate()).real
+    cc = (c * c.conjugate()).real
+    Bc_re = Bre * c.real - Bim * c.imag
+    Bc_im = Bre * c.imag + Bim * c.real
+    return A * dd + C * cc - 2.0 * (Bc_re * d.real + Bc_im * d.imag)
 
 
 @dataclass(frozen=True)
@@ -607,31 +763,32 @@ def is_apollonian_like(
     first.  Inversive products are Moebius-invariant, so one tangency scan
     of the input serves both the map and the verdict.
     """
+    import numpy as np
+
     circles = packing.circles
     graph, overlap, candidates = _scan_products(circles, tangency_tol)
-    curv = [c.A for c in circles]
+    curv = graph.columns[0]
     if normalize:
         if overlap:
             raise OverlappingCirclesError(overlap)
-        to_standard = _anchor_map(graph)
-        curv = [c.transform(to_standard).A for c in circles]
+        curv = _moved_curvatures(graph.columns, _anchor_map(graph))
     if len(circles) < 4:
         raise ValueError(f"need at least 4 circles, got {len(circles)}")
     connected = graph.is_connected()
-    adj = graph.adjacency
 
+    quad = graph._quadruples()
+    residual = abs(descartes_residual(*curv[quad]))
+    # The first largest |r| above 0, as a running `|r| > worst` keeps it;
+    # a NaN never takes the lead.
+    residual = np.where(residual > 0.0, residual, 0.0)
+    triangles = graph._triangles.shape[1]
+    quadruples = len(residual)
     worst = 0.0
     worst_quad = None
-    triangles = 0
-    quadruples = 0
-    for i, j, k in graph.triangles():
-        triangles += 1
-        for l in sorted(x for x in adj[i].keys() & adj[j].keys() & adj[k].keys() if x > k):
-            quadruples += 1
-            r = descartes_residual(curv[i], curv[j], curv[k], curv[l])
-            if abs(r) > worst:
-                worst = abs(r)
-                worst_quad = (i, j, k, l)
+    if quadruples and residual.max() > 0.0:
+        q = int(np.argmax(residual))
+        worst = float(residual[q])
+        worst_quad = tuple(quad[:, q].tolist())
 
     failures = []
     if not connected:
@@ -654,7 +811,7 @@ def is_apollonian_like(
         quadruples_checked=quadruples,
         failures=tuple(failures),
         candidate_pairs=candidates,
-        tangent_pairs=len(graph.edges),
+        tangent_pairs=len(graph.i),
     )
 
 

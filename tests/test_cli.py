@@ -336,6 +336,23 @@ def test_verify_gasket_reports_overlap_without_normalize(tmp_path):
     assert doc["overlap_pairs"] == [[0, 1]]
 
 
+def test_verify_gasket_reports_a_circle_listed_with_its_complement(tmp_path):
+    # The unit circle and its complement are one locus; the complement's
+    # disk also overlaps the two other circles.
+    packing_file = tmp_path / "complement.txt"
+    packing_file.write_text("C 0 0 1\nC 0 0 -1\nC 2 0 1\nC 5 0 1\n")
+    r = run_cli("verify-gasket", str(packing_file))
+    assert r.returncode == 1, r.stderr
+    doc = json.loads(r.stdout)
+    assert doc["passed"] is False
+    assert doc["overlap_pairs"] == [[0, 1], [1, 2], [1, 3]]
+    assert "3 crossing pair(s)" in doc["failures"]
+    r = run_cli("verify-gasket", str(packing_file), "--normalize")
+    assert r.returncode == 2
+    assert "overlapping circle pairs: ((0, 1), (1, 2), (1, 3))" in r.stderr
+    assert r.stdout == ""
+
+
 def test_validate_gog_bundled_example():
     r = run_cli("validate-gog", "abc-example")
     assert r.returncode == 0

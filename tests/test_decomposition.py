@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
@@ -254,14 +255,28 @@ def reference_metric_error(points, matrix):
 
 
 def assert_metric_checks_match_reference(points, matrix):
+    """Both constructors against the reference: FiniteMetricSpace on the
+    entries, and _from_scaled on integers over a common denominator with a
+    spare factor 6, which it must reduce away."""
     expected = reference_metric_error(points, matrix)
+    m = [[Fraction(x) for x in row] for row in matrix]
+    den = 6 * lcm(*(x.denominator for row in m for x in row))
+    scaled = [[int(x * den) for x in row] for row in m]
     if expected is None:
         space = FiniteMetricSpace(points, matrix)
-        assert space.matrix() == [[Fraction(x) for x in row] for row in matrix]
+        assert space.matrix() == m
+        from_scaled = FiniteMetricSpace._from_scaled(points, scaled, den)
+        assert (from_scaled.points, from_scaled._scaled, from_scaled._den) == (
+            space.points, space._scaled, space._den
+        )
     else:
-        with pytest.raises(ValueError) as err:
-            FiniteMetricSpace(points, matrix)
-        assert str(err.value) == expected
+        for build in (
+            lambda: FiniteMetricSpace(points, matrix),
+            lambda: FiniteMetricSpace._from_scaled(points, scaled, den),
+        ):
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == expected
     return expected
 
 

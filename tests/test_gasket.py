@@ -408,6 +408,56 @@ def test_triangles_match_brute_force():
     assert list(graph.triangles()) == brute
 
 
+def walk_oracle(graph, curvatures):
+    """The dict triangle walk and quadruple loop that the columnar verdict
+    replaced: (triangles, quadruples checked, worst |residual|, its
+    quadruple)."""
+    adj = {v: set() for v in range(graph.n)}
+    for e in graph.edges:
+        adj[e.i].add(e.j)
+        adj[e.j].add(e.i)
+    triangles = [
+        (i, j, k)
+        for i in range(graph.n)
+        for j in sorted(x for x in adj[i] if x > i)
+        for k in sorted(x for x in adj[i] & adj[j] if x > j)
+    ]
+    worst, worst_quad, quadruples = 0.0, None, 0
+    for i, j, k in triangles:
+        for l in sorted(x for x in adj[i] & adj[j] & adj[k] if x > k):
+            quadruples += 1
+            r = descartes_residual(curvatures[i], curvatures[j], curvatures[k], curvatures[l])
+            if abs(r) > worst:
+                worst, worst_quad = abs(r), (i, j, k, l)
+    return triangles, quadruples, worst, worst_quad
+
+
+def test_verdict_matches_the_walk_oracle():
+    rng = random.Random(83)
+    gasket = standard_gasket(2)
+    packings = [bounded_gasket(3), hw_gasket_packing(1e-2)]
+    packings += [apply_to_packing(random_map(rng), gasket) for _ in range(10)]
+    # Rounding makes most of these residuals non-zero, and four quadruples
+    # (two after normalization) share the largest, so the first-maximum rule
+    # decides which one is reported.
+    scaled = apply_to_packing(MoebiusMap(1e-3, 0, 0, 1), bounded_gasket(4))
+    packings.append(scaled)
+    for packing in packings:
+        graph = detect_tangencies(packing)
+        m = normalize_to_standard_gasket(packing)
+        for normalize, curvatures in (
+            (False, [c.A for c in packing.circles]),
+            (True, [c.transform(m).A for c in packing.circles]),
+        ):
+            triangles, quadruples, worst, worst_quad = walk_oracle(graph, curvatures)
+            verdict = is_apollonian_like(packing, normalize=normalize)
+            assert list(graph.triangles()) == triangles
+            assert verdict.triangles_checked == len(triangles)
+            assert verdict.quadruples_checked == quadruples > 0
+            assert (verdict.worst_residual, verdict.worst_quadruple) == (worst, worst_quad)
+            assert worst > 0.0 or packing is not scaled
+
+
 def test_normalized_verdict_matches_two_scan_composition():
     # One scan of the input, carried through normalization, must give the
     # verdict of normalizing first and rescanning the moved packing.
@@ -440,14 +490,26 @@ def test_normalized_verdict_raises_normalization_errors_first():
         is_apollonian_like(CirclePacking(standard_base_triple()), normalize=True)
 
 
+def components(c):
+    return (c.A, c.B.real, c.B.imag, c.C)
+
+
+def one_locus(c1, c2):
+    """Whether the summed triple vanishes against the pair's own size, to
+    1e-9: a circle and its complement."""
+    size = max(abs(x) for x in components(c1) + components(c2))
+    return max(abs(x + y) for x, y in zip(components(c1), components(c2))) <= 1e-9 * size
+
+
 def all_pairs_scan(circles, tol):
-    """The tangency scan by brute force: every pair's inversive product."""
+    """The tangency scan by brute force: every pair's inversive product.  A
+    tangent pair that is one locus overlaps."""
     edges, overlap = [], []
     for i, j in itertools.combinations(range(len(circles)), 2):
         p = circles[i].inversive_product(circles[j])
-        if abs(p + 2.0) <= tol:
+        if abs(p + 2.0) <= tol and not one_locus(circles[i], circles[j]):
             edges.append((i, j, tangency_point(circles[i], circles[j])))
-        elif p > -2.0:
+        elif p > -2.0 or abs(p + 2.0) <= tol:
             overlap.append((i, j))
     return edges, overlap
 
@@ -524,6 +586,31 @@ def test_scan_matches_all_pairs_below_the_finest_level():
     graph, overlap = assert_scan_matches_all_pairs(circles, 1e-6)
     assert graph.has_edge(61, 62)
     assert overlap
+
+
+def test_a_circle_listed_with_its_complement_overlaps():
+    # The pair's inversive product is exactly -2, yet its summed triple is
+    # zero: one locus, with no tangency point.
+    unit = OrientedCircle.from_center_radius(0j, 1.0)
+    circles = [
+        unit,
+        unit.reversed(),
+        OrientedCircle.from_center_radius(2.0, 1.0),
+        OrientedCircle.from_center_radius(5.0, 1.0),
+    ]
+    assert circles[0].inversive_product(circles[1]) == -2.0
+    graph, overlap = assert_scan_matches_all_pairs(circles, 1e-6)
+    assert [(e.i, e.j) for e in graph.edges] == [(0, 2)]
+    assert overlap == [(0, 1), (1, 2), (1, 3)]
+    verdict = is_apollonian_like(CirclePacking(circles))
+    assert not verdict.passed
+    assert "3 crossing pair(s)" in verdict.failures
+    with pytest.raises(OverlappingCirclesError):
+        is_apollonian_like(CirclePacking(circles), normalize=True)
+    # A complement built by other arithmetic is caught too.
+    moved = OrientedCircle.from_center_radius(0.1 + 0.2j, 0.3)
+    twin = OrientedCircle(-3.0 * moved.A, -3.0 * moved.B, -3.0 * moved.C)
+    assert assert_scan_matches_all_pairs([moved, twin], 1e-6)[1] == [(0, 1)]
 
 
 def test_overlap_pairs_are_sorted():
