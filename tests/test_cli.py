@@ -173,6 +173,24 @@ def test_dfs_artifacts_match_golden_digests(tmp_path):
         assert hashlib.sha256(data).hexdigest() == digest, f"run{suffix} changed"
 
 
+# The same four artifacts at eps 1e-3, from the per-circle formatting and
+# render (an EmittedCircle, OrientedCircle and CloudPoint per circle).
+GOLDEN_DFS_1E3 = {
+    ".circles.txt": "ff6126eea0d3520d67e3f6f4fec962f0f68027e7847df36fece2531594176d77",
+    ".cloud.txt": "ce7c32096fcbbbb4b8fd8d8dad112f505918efc488dff96e0c9fae4c95dbb0a4",
+    ".svg": "118db50c4a0ba8f3ed9978ce9db8a4d12cb090aadd0e24137cad257ec0871e5d",
+    ".stats.json": "fe3ebe9ab29b20a768803100b359f55811e69c77f949f2e9ec3791f6f603300b",
+}
+
+
+def test_dfs_artifacts_match_golden_digests_at_1e_3(tmp_path):
+    r = run_cli("dfs", "--preset", "hw-gasket", "--epsilon", "1e-3", "--out", "run", cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    for suffix, digest in GOLDEN_DFS_1E3.items():
+        data = (tmp_path / f"run{suffix}").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, f"run{suffix} changed"
+
+
 # sha256 of the `verify-gasket --normalize` JSON on the hw-gasket packing,
 # from the per-edge tangency graph (TangencyEdge objects, dict triangle walk
 # and quadruple loop).  `command` and `config` are left out: they carry paths.
