@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -40,7 +41,7 @@ from .decomposition import (
     tree_system_limit,
     validate_bowditch,
 )
-from .gasket import CirclePacking, dump_packing, is_apollonian_like, load_packing
+from .gasket import dump_packing, is_apollonian_like, load_packing
 from .groups import _format_lines, load_marking, solve_parabolic_commutator
 from .limitset import (
     DfsConfig,
@@ -49,7 +50,6 @@ from .limitset import (
     limit_set_dfs,
     render,
 )
-from .mobius import INFINITY
 
 __all__ = ["main", "RunConfig", "load_config", "ConfigError", "UnknownKeyError"]
 
@@ -243,18 +243,15 @@ def _fmt_complex(z: complex, digits: int = 9) -> str:
     return f"{z.real:.{digits}f}{sign}{abs(z.imag):.{digits}f}i"
 
 
-def _cloud_text(points) -> str:
+def _cloud_text(cloud, xy=None) -> str:
     """One 'x y word_length word' row per cloud point, 'inf inf' for
-    infinity and '-' for the empty word."""
-    lines = []
-    for p in points:
-        if p.point is INFINITY:
-            xy = "inf inf"
-        else:
-            z = complex(p.point)
-            xy = f"{z.real:.17g} {z.imag:.17g}"
-        lines.append(f"{xy} {len(p.word)} {p.word or '-'}")
-    return "\n".join(lines) + "\n"
+    infinity and '-' for the empty word.  xy, when given, holds each
+    point's 'x y' already formatted."""
+    if xy is None:
+        xy = map("%.17g %.17g".__mod__, zip(cloud.z.real.tolist(), cloud.z.imag.tolist()))
+    words = cloud.words
+    rows = map("%s %d %s".__mod__, zip(xy, map(len, words), [w or "-" for w in words]))
+    return "\n".join(rows) + "\n"
 
 
 def _load_marked_group(cfg: RunConfig):
@@ -283,8 +280,8 @@ def _cmd_solve(cfg: RunConfig, argv: list[str]) -> int:
 def _cmd_points(cfg: RunConfig, argv: list[str]) -> int:
     group = _load_marked_group(cfg)
     cloud = limit_points_by_fixed_points(group, cfg.depth)
-    _emit(cfg, _header_text(cfg, argv), _cloud_text(cloud.points))
-    print(f"{len(cloud.points)} limit points at depth {cfg.depth}")
+    _emit(cfg, _header_text(cfg, argv), _cloud_text(cloud))
+    print(f"{len(cloud)} limit points at depth {cfg.depth}")
     return 0
 
 
@@ -304,18 +301,23 @@ def _cmd_dfs(cfg: RunConfig, argv: list[str]) -> int:
     result = limit_set_dfs(group, dfs_config)
     header = _header_text(cfg, argv)
 
-    circles = [e.circle for e in result.circles]
-    rows = dump_packing(CirclePacking(circles)).splitlines()
-    circle_lines = [
-        row + f"  # w={e.word or '-'}" + ("  depth-exhausted" if e.depth_exhausted else "")
-        for row, e in zip(rows, result.circles)
-    ]
+    rows = dump_packing(result.packing).splitlines()
+    circle_lines = map(
+        "%s  # w=%s%s".__mod__,
+        zip(
+            rows,
+            [w or "-" for w in result.words],
+            ["  depth-exhausted" if f else "" for f in result.depth_exhausted],
+        ),
+    )
     _write_atomic(cfg.out + ".circles.txt", _commented(header, "\n".join(circle_lines) + "\n"))
-    _write_atomic(cfg.out + ".cloud.txt", _commented(header, _cloud_text(result.cloud.points)))
+    # The cloud holds the centres it kept, which dump_packing has formatted.
+    xy = itertools.compress(result.packing.centre_text, result.in_cloud)
+    _write_atomic(cfg.out + ".cloud.txt", _commented(header, _cloud_text(result.cloud, xy)))
 
     image = render(
         result.cloud,
-        circles,
+        result.packing,
         cfg.window,
         cfg.resolution,
         comment=header,
@@ -334,7 +336,7 @@ def _cmd_dfs(cfg: RunConfig, argv: list[str]) -> int:
             "circles_emitted": stats.circles_emitted,
             "depth_exhausted_branches": stats.depth_exhausted_branches,
             "max_depth_reached": stats.max_depth_reached,
-            "cloud_points": len(result.cloud.points),
+            "cloud_points": len(result.cloud),
         },
     }
     _write_atomic(cfg.out + ".stats.json", json.dumps(stats_doc, indent=2, sort_keys=True) + "\n")
@@ -362,7 +364,7 @@ def _cmd_verify_gasket(cfg: RunConfig, argv: list[str]) -> int:
         "version": __version__,
         "command": "kleinlab " + " ".join(argv),
         "config": dict(cfg.echo_pairs()),
-        "circles": len(packing.circles),
+        "circles": len(packing),
         "passed": verdict.passed,
         "connected": verdict.connected,
         "overlap_pairs": [list(p) for p in verdict.overlap_pairs[:20]],

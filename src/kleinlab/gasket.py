@@ -107,11 +107,7 @@ class OrientedCircle:
     @classmethod
     def from_line(cls, normal: complex, offset: float) -> "OrientedCircle":
         """Line Re(conj(normal) z) = offset, disk = the side where that is <= offset."""
-        normal = complex(normal)
-        n = abs(normal)
-        if n == 0.0:
-            raise ValueError("line normal must be nonzero")
-        return cls._from_unit_triple(0.0, normal / n, -2.0 * offset / n)
+        return cls._from_unit_triple(0.0, *_line_triple(complex(normal), offset))
 
     @classmethod
     def from_three_points(cls, p: SpherePoint, q: SpherePoint, r: SpherePoint) -> "OrientedCircle":
@@ -154,8 +150,7 @@ class OrientedCircle:
 
     def line_geometry(self) -> tuple[complex, float]:
         """(unit normal, offset) with the disk on the <= side."""
-        n = abs(self.B)
-        return (self.B / n, -self.C / (2.0 * n))
+        return _line_geometry(self.B, self.C)
 
     def evaluate(self, z: complex) -> float:
         z = complex(z)
@@ -200,6 +195,21 @@ class OrientedCircle:
         return f"OrientedCircle(center={self.center!r}, radius={self.radius!r}, curvature={self.A!r})"
 
 
+def _line_triple(normal: complex, offset: float) -> tuple[complex, float]:
+    """B and C of the line Re(conj(normal) z) = offset, its disk on the <=
+    side: the unit normal and -2 offset / |normal|, at A = 0."""
+    n = abs(normal)
+    if n == 0.0:
+        raise ValueError("line normal must be nonzero")
+    return normal / n, -2.0 * offset / n
+
+
+def _line_geometry(B: complex, C: float) -> tuple[complex, float]:
+    """(unit normal, offset) of the line with coefficients B and C."""
+    n = abs(B)
+    return (B / n, -C / (2.0 * n))
+
+
 def tangency_point(c1: OrientedCircle, c2: OrientedCircle) -> SpherePoint:
     """The common point of two tangent circles.
 
@@ -241,16 +251,68 @@ def tangent_quadruple_flip(
 
 
 class CirclePacking:
-    """A finite list of oriented circles."""
+    """A finite list of oriented circles, held as `columns`: A, Re B, Im B
+    and C of every circle in a (4, N) float array, as _columns lays them
+    out.  A packing made by from_columns builds its `circles` on first
+    read."""
 
     def __init__(self, circles):
-        self.circles: list[OrientedCircle] = list(circles)
+        self.circles = list(circles)
+        self.columns = _columns(self.circles)
+
+    @classmethod
+    def from_columns(cls, columns) -> "CirclePacking":
+        out = object.__new__(cls)
+        out.columns = columns
+        return out
+
+    @cached_property
+    def circles(self) -> list[OrientedCircle]:
+        return [
+            OrientedCircle._from_unit_triple(A, complex(Bre, Bim), C)
+            for A, Bre, Bim, C in zip(*self.columns.tolist())
+        ]
+
+    def circle(self, k: int) -> OrientedCircle:
+        """Circle k, without building the others."""
+        A, Bre, Bim, C = self.columns[:, k].tolist()
+        return OrientedCircle._from_unit_triple(A, complex(Bre, Bim), C)
+
+    @cached_property
+    def lines(self):
+        """Which circles are lines, as OrientedCircle.is_line tells."""
+        return abs(self.columns[0]) < 1e-9
+
+    @cached_property
+    def centres(self):
+        """Every OrientedCircle.center as a complex array, a line's as
+        inf + inf j.  The operations are CPython's for -B / A, a complex
+        over a float: numpy's complex division differs in the last place,
+        and plain -Re B / A turns a centre's 0 into -0."""
+        import numpy as np
+
+        A, Bre, Bim, _ = self.columns
+        ar, ai = -Bre, -Bim
+        z = np.empty(len(A), dtype=complex)
+        with np.errstate(divide="ignore", invalid="ignore"):  # lines are redone
+            ratio = 0.0 / A
+            z.real = (ar + ai * ratio) / A
+            z.imag = (ai - ar * ratio) / A
+        z[self.lines] = complex(math.inf, math.inf)
+        return z
+
+    @cached_property
+    def centre_text(self) -> list[str]:
+        """Every centre as 'x y' in %.17g, as dump_packing writes it, and
+        'inf inf' for a line: the cloud rows of `dfs` reuse the strings."""
+        z = self.centres
+        return list(map("%.17g %.17g".__mod__, zip(z.real.tolist(), z.imag.tolist())))
 
     def __len__(self) -> int:
-        return len(self.circles)
+        return self.columns.shape[1]
 
     def curvatures(self) -> list[float]:
-        return [c.A for c in self.circles]
+        return self.columns[0].tolist()
 
 
 @dataclass(frozen=True)
@@ -300,15 +362,18 @@ class TangencyGraph:
     and the lazy `edges` and `adjacency`.
     """
 
-    def __init__(self, circles: list[OrientedCircle], columns, i, j):
+    def __init__(self, packing: CirclePacking, i, j):
         import numpy as np
 
-        self.n = n = len(circles)
-        self.circles = circles
-        # A, Re B, Im B and C of every circle, as _columns gives them.
-        self.columns = columns
+        self.n = n = len(packing)
+        self.packing = packing
+        self.columns = packing.columns
         self.i, self.j = i, j
         self.indptr, self.indices, _ = _csr(np.concatenate((i, j)), np.concatenate((j, i)), n)
+
+    @property
+    def circles(self) -> list[OrientedCircle]:
+        return self.packing.circles
 
     def has_edge(self, i: int, j: int) -> bool:
         if not (0 <= i < self.n and 0 <= j < self.n):
@@ -320,7 +385,7 @@ class TangencyGraph:
     def edge_point(self, i: int, j: int) -> SpherePoint:
         if not self.has_edge(i, j):
             raise KeyError((i, j))
-        return tangency_point(self.circles[min(i, j)], self.circles[max(i, j)])
+        return tangency_point(self.packing.circle(min(i, j)), self.packing.circle(max(i, j)))
 
     @cached_property
     def edges(self) -> list[TangencyEdge]:
@@ -524,13 +589,13 @@ def _cap_candidates(circles, tol: float):
 _ONE_LOCUS = 1e-9
 
 
-def _scan_products(circles: list[OrientedCircle], tol: float):
+def _scan_products(packing: CirclePacking, tol: float):
     """(tangency graph, overlapping pairs, candidate pair count) from one
     pass over the pairs the cap index cannot rule out; the overlapping pairs
     come sorted, and a circle listed with its complement is one of them."""
     import numpy as np
 
-    columns = _columns(circles)
+    columns = packing.columns
     i, j, p = _cap_candidates(columns, tol)
     near = np.flatnonzero(abs(p + 2.0) <= tol)
     a, b = columns[:, i[near]], columns[:, j[near]]
@@ -539,7 +604,7 @@ def _scan_products(circles: list[OrientedCircle], tol: float):
     crossing[near] = one_locus
     tangent = near[~one_locus]
     overlap = list(zip(i[crossing].tolist(), j[crossing].tolist()))
-    return TangencyGraph(circles, columns, i[tangent], j[tangent]), overlap, len(p)
+    return TangencyGraph(packing, i[tangent], j[tangent]), overlap, len(p)
 
 
 def detect_tangencies(packing: CirclePacking, tol: float = 1e-6) -> TangencyGraph:
@@ -549,7 +614,7 @@ def detect_tangencies(packing: CirclePacking, tol: float = 1e-6) -> TangencyGrap
     OverlappingCirclesError if any pair of disks overlaps deeper than tol;
     duplicated circles count as overlapping.
     """
-    graph, overlap, _ = _scan_products(packing.circles, tol)
+    graph, overlap, _ = _scan_products(packing, tol)
     if overlap:
         raise OverlappingCirclesError(overlap)
     return graph
@@ -765,15 +830,14 @@ def is_apollonian_like(
     """
     import numpy as np
 
-    circles = packing.circles
-    graph, overlap, candidates = _scan_products(circles, tangency_tol)
+    graph, overlap, candidates = _scan_products(packing, tangency_tol)
     curv = graph.columns[0]
     if normalize:
         if overlap:
             raise OverlappingCirclesError(overlap)
         curv = _moved_curvatures(graph.columns, _anchor_map(graph))
-    if len(circles) < 4:
-        raise ValueError(f"need at least 4 circles, got {len(circles)}")
+    if len(packing) < 4:
+        raise ValueError(f"need at least 4 circles, got {len(packing)}")
     connected = graph.is_connected()
 
     quad = graph._quadruples()
@@ -823,31 +887,56 @@ def is_apollonian_like(
 # '#' comments and blank lines allowed.
 
 def load_packing(text: str) -> CirclePacking:
-    circles: list[OrientedCircle] = []
+    """The packing of a text in the format above, parsed straight into
+    columns.  Each triple takes the operations of from_center_radius (and
+    reversed, for a negative radius) or from_line, and each bad line raises
+    the error those would."""
+    import numpy as np
+
+    # (A, Re B, Im B, C) of each line; (x, y, radius, 0) of each circle,
+    # which one bulk pass then turns into its triple.
+    rows: list[tuple[float, float, float, float]] = []
+    circle_rows: list[int] = []
     for line_no, line in _format_lines(text):
         parts = line.split()
         if len(parts) != 4 or parts[0] not in ("C", "L"):
             raise ValueError(f"line {line_no}: expected 'C re im radius' or 'L re im offset'")
-        x, y, v = (float(p) for p in parts[1:])
+        x, y, v = map(float, parts[1:])
         if parts[0] == "C":
             if v == 0.0:
                 raise ValueError(f"line {line_no}: zero radius")
-            c = OrientedCircle.from_center_radius(complex(x, y), abs(v))
-            circles.append(c.reversed() if v < 0 else c)
+            if not abs(v) > 0.0:
+                raise ValueError(f"radius must be positive, got {abs(v)}")
+            circle_rows.append(len(rows))
+            rows.append((x, y, v, 0.0))
         else:
-            circles.append(OrientedCircle.from_line(complex(x, y), v))
-    if not circles:
+            B, C = _line_triple(complex(x, y), v)
+            rows.append((0.0, B.real, B.imag, C))
+    if not rows:
         raise ValueError("packing file defines no circles")
-    return CirclePacking(circles)
+    columns = np.array(rows).T.copy()
+    x, y, v, _ = columns[:, circle_rows]
+    radius = abs(v)
+    # Python floats overflow to inf and nan without a word; so do these.
+    with np.errstate(all="ignore"):
+        k = 1.0 / radius
+        # -center * k is a complex product with (k, 0), as CPython takes it.
+        ar, ai = -x, -y
+        circle = np.stack(
+            (k, ar * k - ai * 0.0, ar * 0.0 + ai * k, (x * x + y * y - radius * radius) * k)
+        )
+    columns[:, circle_rows] = np.where(v < 0.0, -circle, circle)
+    return CirclePacking.from_columns(columns)
 
 
 def dump_packing(packing: CirclePacking) -> str:
-    lines = []
-    for c in packing.circles:
-        if c.is_line:
-            n, d = c.line_geometry()
-            lines.append(f"L {n.real:.17g} {n.imag:.17g} {d:.17g}")
-        else:
-            m = c.center
-            lines.append(f"C {m.real:.17g} {m.imag:.17g} {1.0 / c.A:.17g}")
-    return "\n".join(lines) + "\n"
+    import numpy as np
+
+    with np.errstate(divide="ignore"):  # lines are redone
+        radius = (1.0 / packing.columns[0]).tolist()
+    rows = list(map("C %s %.17g".__mod__, zip(packing.centre_text, radius)))
+    for k in np.flatnonzero(packing.lines).tolist():
+        _, Bre, Bim, C = packing.columns[:, k].tolist()
+        n, d = _line_geometry(complex(Bre, Bim), C)
+        rows[k] = "L %.17g %.17g %.17g" % (n.real, n.imag, d)
+    return "\n".join(rows) + "\n"

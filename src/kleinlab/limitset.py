@@ -11,9 +11,10 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
-from .gasket import OrientedCircle, _TripleSet
+from .gasket import CirclePacking, OrientedCircle, _TripleSet, _line_geometry
 from .groups import MarkedGroup
 from .mobius import (
     INFINITY,
@@ -89,24 +90,30 @@ class LimitSetCloud:
     A point is kept when its lift to the sphere lies at squared distance
     tol^2 or more from the lift of every point kept before it (the lift
     turns chordal distance into Euclidean distance).
+
+    The kept points are held as columns: `z`, a complex array with the point
+    at infinity as inf + inf j, and their `words`.  `points` builds the
+    CloudPoints on each read.
     """
 
     def __init__(self, dedup_tolerance: float):
+        import numpy as np
+
         if not dedup_tolerance > 0.0:
             raise ValueError("dedup tolerance must be positive")
         self.dedup_tolerance = dedup_tolerance
-        self.points: list[CloudPoint] = []
+        self.z = np.zeros(0, dtype=complex)
+        self.words: list[str] = []
 
     def try_add(self, point: SpherePoint, word: str) -> bool:
         """extend by one point; True when it is kept.  Each call costs
         O(len(self)), so pass a batch to extend instead."""
-        before = len(self.points)
-        self.extend([point], [word])
-        return len(self.points) > before
+        return bool(self.extend([point], [word])[0])
 
-    def extend(self, points: list[SpherePoint], words: list[str]) -> None:
+    def extend(self, points, words: list[str]):
         """Offer every (point, word) in order; keep the points the greedy
-        rule above keeps.
+        rule above keeps, and return which ones as a boolean array.  points
+        is a list of SpherePoints or a complex array in the layout of `z`.
 
         The lifts are hashed into the 8 grids of _grid_keys.  Two lifts
         within tol share a cell in at least one of the grids, so a point
@@ -117,16 +124,19 @@ class LimitSetCloud:
         alone run the exact greedy, looking each other up through their own
         8 cells.  A hash collision only adds work.
         """
+        import numpy as np
+
         tol = self.dedup_tolerance
-        n = len(self.points)
-        candidates = [cp.point for cp in self.points] + list(points)
+        n = len(self)
+        points = _plane(points)
+        candidates = np.concatenate((self.z, points))
         crowded = _crowded(candidates, tol).nonzero()[0].tolist()
-        rows = _grid_keys([candidates[i] for i in crowded], tol)
+        rows = _grid_keys(candidates[crowded], tol)
         cells: dict[int, list[tuple[float, float, float]]] = {}
-        keep = [True] * len(points)
+        keep = np.ones(len(points), dtype=bool)
         t2 = tol * tol
         for i, keys in zip(crowded, zip(*(row.tolist() for row in rows))):
-            x, y, z = lift = sphere_coords(candidates[i])
+            x, y, z = lift = sphere_coords(_sphere_point(candidates[i]))
             if i >= n and any(
                 (px - x) ** 2 + (py - y) ** 2 + (pz - z) ** 2 < t2
                 for key in keys
@@ -136,31 +146,54 @@ class LimitSetCloud:
                 continue
             for key in keys:
                 cells.setdefault(key, []).append(lift)
-        self.points.extend(
-            CloudPoint(p, word) for p, word, k in zip(points, words, keep) if k
-        )
+        self.z = np.concatenate((self.z, points[keep]))
+        self.words += itertools.compress(words, keep.tolist())
+        return keep
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.words)
+
+    @property
+    def points(self) -> list[CloudPoint]:
+        return [CloudPoint(_sphere_point(z), w) for z, w in zip(self.z.tolist(), self.words)]
 
     def __iter__(self) -> Iterator[CloudPoint]:
         return iter(self.points)
 
     def finite_points(self) -> list[complex]:
-        return [complex(p.point) for p in self.points if p.point is not INFINITY]
+        return [z for z in self.z.tolist() if not math.isinf(z.real)]
 
 
-def _grid_keys(points: list[SpherePoint], tol: float):
-    """Yield, for each of 8 grids over the lifts to the sphere, the int64
-    cell key of every point.  The cells have side 4 max(tol, 1e-12), so the
-    lifts' rounding stays small against them, and each grid is shifted by 0
-    or half a cell along each axis."""
+_INFINITY_Z = complex(math.inf, math.inf)
+
+
+def _plane(points):
+    """A list of SpherePoints as a complex array, the point at infinity as
+    inf + inf j; a complex array is returned as is."""
     import numpy as np
 
-    z = np.array([0j if p is INFINITY else p for p in points], dtype=complex)
+    if isinstance(points, np.ndarray):
+        return points
+    return np.array([_INFINITY_Z if p is INFINITY else p for p in points], dtype=complex)
+
+
+def _sphere_point(z: complex) -> SpherePoint:
+    return INFINITY if math.isinf(z.real) else complex(z)
+
+
+def _grid_keys(z, tol: float):
+    """Yield, for each of 8 grids over the lifts to the sphere, the int64
+    cell key of every point of the complex array z (the point at infinity
+    as inf + inf j).  The cells have side 4 max(tol, 1e-12), so the lifts'
+    rounding stays small against them, and each grid is shifted by 0 or
+    half a cell along each axis."""
+    import numpy as np
+
+    infinite = np.isinf(z.real)
+    z = np.where(infinite, 0j, z)
     r2 = z.real * z.real + z.imag * z.imag
     lift = np.stack([2.0 * z.real, 2.0 * z.imag, r2 - 1.0]) / (1.0 + r2)
-    lift[:, [p is INFINITY for p in points]] = [[0.0], [0.0], [1.0]]
+    lift[:, infinite] = [[0.0], [0.0], [1.0]]
     scaled = lift / (4.0 * max(tol, 1e-12))
     for shift in itertools.product((0.0, 0.5), repeat=3):
         x, y, w = np.floor(scaled + np.array(shift)[:, None]).astype(np.int64)
@@ -168,13 +201,13 @@ def _grid_keys(points: list[SpherePoint], tol: float):
         yield (x * 1_000_000_007 + y) * 998_244_353 + w
 
 
-def _crowded(points: list[SpherePoint], tol: float):
-    """Boolean array: which points share a cell with another point in one
-    of the grids of _grid_keys."""
+def _crowded(z, tol: float):
+    """Boolean array: which points of the complex array z share a cell with
+    another point in one of the grids of _grid_keys."""
     import numpy as np
 
-    crowded = np.zeros(len(points), dtype=bool)
-    for key in _grid_keys(points, tol):
+    crowded = np.zeros(len(z), dtype=bool)
+    for key in _grid_keys(z, tol):
         order = np.argsort(key)
         shared = np.flatnonzero(key[order[1:]] == key[order[:-1]])
         crowded[order[shared]] = True
@@ -213,7 +246,7 @@ def limit_points_by_fixed_points(group: MarkedGroup, max_word_len: int) -> Limit
                 points.append(m.attracting_fixed_point())
                 words.append(word)
     cloud.extend(points, words)
-    if not cloud.points:
+    if not len(cloud):
         raise EllipticOnlyError(
             f"no parabolic or loxodromic word up to length {max_word_len}"
         )
@@ -252,21 +285,34 @@ class EmittedCircle(NamedTuple):
     depth_exhausted: bool
 
 
-class DfsResult(NamedTuple):
+@dataclass(frozen=True)
+class DfsResult:
+    """The emitted circles as one table: `packing` holds their columns, in
+    preorder, with each one's word, depth-exhausted flag and whether the
+    cloud kept its centre beside it.  `circles` builds the EmittedCircles on
+    first read."""
+
     cloud: LimitSetCloud
-    circles: list[EmittedCircle]
+    packing: CirclePacking
+    words: list[str]
+    depth_exhausted: list[bool]
+    in_cloud: list[bool]
     stats: DfsStats
 
+    @cached_property
+    def circles(self) -> list[EmittedCircle]:
+        return list(map(EmittedCircle, self.packing.circles, self.words, self.depth_exhausted))
 
-def _circle_meets_window(c: OrientedCircle, w: Rectangle) -> bool:
-    """Whether the circle's locus (the curve, not the disk) meets the
-    closed rectangle."""
-    if c.is_line:
-        n, d = c.line_geometry()
+
+def _circle_meets_window(A: float, B: complex, C: float, w: Rectangle) -> bool:
+    """Whether the locus (the curve, not the disk) of the circle with
+    coefficients A, B, C meets the closed rectangle."""
+    if abs(A) < 1e-9:
+        n, d = _line_geometry(B, C)
         vals = [(n.conjugate() * corner).real for corner in w.corners()]
         return min(vals) <= d <= max(vals)
-    m = -c.B / c.A
-    r = 1.0 / abs(c.A)
+    m = -B / A
+    r = 1.0 / abs(A)
     # Distance from center to the rectangle ranges over [dmin, dmax]; the
     # curve meets the rectangle iff r lies in that interval.
     cx = min(max(m.real, w.x0), w.x1)
@@ -274,11 +320,6 @@ def _circle_meets_window(c: OrientedCircle, w: Rectangle) -> bool:
     dmin = math.hypot(m.real - cx, m.imag - cy)
     dmax = max(abs(corner - m) for corner in w.corners())
     return dmin <= r <= dmax
-
-
-def _circle(A: float, Bre: float, Bim: float, C: float) -> OrientedCircle:
-    """The circle of a triple already at unit discriminant, taken as is."""
-    return OrientedCircle._from_unit_triple(A, complex(Bre, Bim), C)
 
 
 def _meets_window(rows, w: Rectangle):
@@ -307,7 +348,8 @@ def _meets_window(rows, w: Rectangle):
             | (np.abs(r - dmax) <= 1e-12 * r)
         )
     for k in np.flatnonzero(unsure).tolist():
-        meets[k] = _circle_meets_window(_circle(*rows[k].tolist()), w)
+        A, Bre, Bim, C = rows[k].tolist()
+        meets[k] = _circle_meets_window(A, complex(Bre, Bim), C, w)
     return meets
 
 
@@ -325,8 +367,9 @@ def limit_set_dfs(group: MarkedGroup, config: DfsConfig) -> DfsResult:
     appear in the output alongside the sub-epsilon horizon.  Emitted circle
     centers form the returned cloud.
 
-    The traversal only records each new normalized triple.  The window test
-    and the cloud dedup then run in bulk over all of them, in preorder.
+    The traversal only records each new normalized triple.  The window test,
+    the centres and the cloud dedup then run in bulk over all of them, in
+    preorder, and the result keeps them as one table.
     """
     t0 = time.perf_counter()
     stats = DfsStats()
@@ -411,19 +454,23 @@ def limit_set_dfs(group: MarkedGroup, config: DfsConfig) -> DfsResult:
             C2 = A * bbc + C * aa - 2.0 * (Br * ab).real
             stack.append((A2, B2.real, B2.imag, C2, letters[rank] + word, rank, depth + 1))
 
-    if window is None:
-        hits = range(len(words))
-    else:
-        import numpy as np
+    import numpy as np
 
-        hits = np.flatnonzero(_meets_window(np.array(coeffs).reshape(-1, 4), window)).tolist()
-    emitted = [
-        EmittedCircle(_circle(*coeffs[4 * k : 4 * k + 4]), words[k], flags[k]) for k in hits
-    ]
-    stats.circles_emitted = len(emitted)
-    cloud.extend([e.circle.center for e in emitted], [e.word for e in emitted])
+    rows = np.array(coeffs).reshape(-1, 4)
+    if window is not None:
+        hits = np.flatnonzero(_meets_window(rows, window))
+        rows = rows[hits]
+        words = [words[k] for k in hits.tolist()]
+        flags = [flags[k] for k in hits.tolist()]
+    packing = CirclePacking.from_columns(np.ascontiguousarray(rows.T))
+    stats.circles_emitted = len(packing)
+    in_cloud = cloud.extend(packing.centres, words).tolist()
     stats.wall_time = time.perf_counter() - t0
-    return DfsResult(cloud, emitted, stats)
+    return DfsResult(cloud, packing, words, flags, in_cloud, stats)
+
+
+# Outline samples render paints per pass, which bounds its memory.
+_SAMPLES_PER_PASS = 1 << 20
 
 
 class RenderResult(NamedTuple):
@@ -433,36 +480,37 @@ class RenderResult(NamedTuple):
 
 def render(
     cloud: LimitSetCloud | None,
-    circles: Iterable[OrientedCircle],
+    circles: CirclePacking | Iterable[OrientedCircle],
     window: Rectangle,
     resolution: int,
     comment: str | None = None,
 ) -> RenderResult:
     """Rasterize circle outlines and cloud points into a P6 pixmap and an
-    SVG with one element per circle.  Byte-deterministic for fixed inputs."""
+    SVG with one element per circle.  Byte-deterministic for fixed inputs.
+
+    The pixels are those of plotting, in order, each circle's outline (a
+    dot below 0.4 px of radius) and line in black, then each cloud point in
+    window in red, where a sample (xf, yf) paints pixel (int(xf), int(yf)).
+    The outline angles take math's cos and sin, as the samples always have.
+    """
+    import numpy as np
+
     if resolution < 16:
         raise ValueError("resolution must be >= 16")
+    packing = circles if isinstance(circles, CirclePacking) else CirclePacking(circles)
     width = int(resolution)
     xspan = window.x1 - window.x0
     yspan = window.y1 - window.y0
     height = max(1, round(width * yspan / xspan))
     scale = width / xspan
 
-    def to_px(z: complex) -> tuple[float, float]:
-        return ((z.real - window.x0) * scale, (window.y1 - z.imag) * scale)
+    raster = np.full((height * width, 3), 255, dtype=np.uint8)
 
-    raster = bytearray(b"\xff" * (width * height * 3))
+    def paint(xf, yf, rgb: tuple[int, int, int]) -> None:
+        # int() truncates toward zero, so a sample in (-1, 0) lands on 0.
+        on = (xf > -1.0) & (xf < width) & (yf > -1.0) & (yf < height)
+        raster[yf[on].astype(np.int64) * width + xf[on].astype(np.int64)] = rgb
 
-    def plot(xf: float, yf: float, rgb: tuple[int, int, int]) -> None:
-        x = int(xf)
-        y = int(yf)
-        if 0 <= x < width and 0 <= y < height:
-            i = (y * width + x) * 3
-            raster[i] = rgb[0]
-            raster[i + 1] = rgb[1]
-            raster[i + 2] = rgb[2]
-
-    circles = list(circles)
     svg_parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">'
@@ -473,66 +521,84 @@ def render(
     svg_parts.append(f'<rect width="{width}" height="{height}" fill="#ffffff"/>')
 
     black = (0, 0, 0)
-    for c in circles:
-        if c.is_line:
-            n, d = c.line_geometry()
-            p0 = n * d
-            direction = n * 1j
-            # Clip the line to the window by intersecting with each edge.
-            ts: list[float] = []
-            for t_axis, lo, hi, other_lo, other_hi, real_axis in (
-                ("x", window.x0, window.x1, window.y0, window.y1, True),
-                ("y", window.y0, window.y1, window.x0, window.x1, False),
-            ):
-                comp = direction.real if real_axis else direction.imag
-                base = p0.real if real_axis else p0.imag
-                if abs(comp) > 1e-15:
-                    for edge in (lo, hi):
-                        t = (edge - base) / comp
-                        q = p0 + t * direction
-                        o = q.imag if real_axis else q.real
-                        if other_lo - 1e-9 <= o <= other_hi + 1e-9:
-                            ts.append(t)
-            if len(ts) < 2:
-                continue
-            t_lo, t_hi = min(ts), max(ts)
-            q0, q1 = p0 + t_lo * direction, p0 + t_hi * direction
-            x0, y0 = to_px(q0)
-            x1, y1 = to_px(q1)
-            steps = 2 * max(width, height)
-            for s in range(steps + 1):
-                f = s / steps
-                plot(x0 + f * (x1 - x0), y0 + f * (y1 - y0), black)
-            svg_parts.append(
-                f'<line x1="{x0:.4f}" y1="{y0:.4f}" x2="{x1:.4f}" y2="{y1:.4f}" '
-                f'stroke="#000000" stroke-width="1"/>'
-            )
-        else:
-            m = c.center
-            r = c.radius
-            cx, cy = to_px(m)
-            rpx = r * scale
-            if rpx < 0.4:
-                plot(cx, cy, black)
-            else:
-                npts = min(4096, max(16, int(rpx * 8)))
-                for sidx in range(npts):
-                    t = 2.0 * math.pi * sidx / npts
-                    plot(cx + rpx * math.cos(t), cy + rpx * math.sin(t), black)
-            svg_parts.append(
-                f'<circle cx="{cx:.4f}" cy="{cy:.4f}" r="{rpx:.4f}" '
-                f'fill="none" stroke="#000000" stroke-width="1"/>'
-            )
+    z = packing.centres
+    lines = packing.lines
+    with np.errstate(divide="ignore", invalid="ignore"):  # lines are redone
+        cx = (z.real - window.x0) * scale
+        cy = (window.y1 - z.imag) * scale
+        rpx = 1.0 / abs(packing.columns[0]) * scale
+    dot = ~lines & (rpx < 0.4)
+    paint(cx[dot], cy[dot], black)
+    ring = np.flatnonzero(~lines & (rpx >= 0.4))
+    # min(4096, max(16, int(rpx * 8))), clipped before the cast.
+    npts = np.clip(rpx[ring] * 8, 16, 4096).astype(np.int64)
+    # The cos and sin tables of every outline size, end to end.
+    sizes = np.unique(npts)
+    cos_t, sin_t = (
+        np.fromiter((f(2.0 * math.pi * s / m) for m in sizes.tolist() for s in range(m)), float)
+        for f in (math.cos, math.sin)
+    )
+    table_start = np.cumsum(sizes) - sizes
+    # Outlines a pass at a time, each pass about _SAMPLES_PER_PASS samples.
+    passes = np.cumsum(npts) // _SAMPLES_PER_PASS
+    for part in np.split(np.arange(len(ring)), np.flatnonzero(np.diff(passes)) + 1):
+        count = npts[part]
+        owner = np.repeat(ring[part], count)
+        # Sample s of an outline reads entry s of its size's table.
+        shift = table_start[np.searchsorted(sizes, count)] - (np.cumsum(count) - count)
+        sample = np.repeat(shift, count) + np.arange(len(owner))
+        px = cx[owner] + rpx[owner] * cos_t[sample]
+        paint(px, cy[owner] + rpx[owner] * sin_t[sample], black)
+
+    circle = '<circle cx="%.4f" cy="%.4f" r="%.4f" fill="none" stroke="#000000" stroke-width="1"/>'
+    elements = list(map(circle.__mod__, zip(cx.tolist(), cy.tolist(), rpx.tolist())))
+    for k in np.flatnonzero(lines).tolist():
+        _, Bre, Bim, C = packing.columns[:, k].tolist()
+        n, d = _line_geometry(complex(Bre, Bim), C)
+        p0 = n * d
+        direction = n * 1j
+        # Clip the line to the window by intersecting with each edge.
+        ts: list[float] = []
+        for lo, hi, other_lo, other_hi, real_axis in (
+            (window.x0, window.x1, window.y0, window.y1, True),
+            (window.y0, window.y1, window.x0, window.x1, False),
+        ):
+            comp = direction.real if real_axis else direction.imag
+            base = p0.real if real_axis else p0.imag
+            if abs(comp) > 1e-15:
+                for edge in (lo, hi):
+                    t = (edge - base) / comp
+                    q = p0 + t * direction
+                    o = q.imag if real_axis else q.real
+                    if other_lo - 1e-9 <= o <= other_hi + 1e-9:
+                        ts.append(t)
+        if len(ts) < 2:
+            elements[k] = ""
+            continue
+        t_lo, t_hi = min(ts), max(ts)
+        q0, q1 = p0 + t_lo * direction, p0 + t_hi * direction
+        x0, y0 = (q0.real - window.x0) * scale, (window.y1 - q0.imag) * scale
+        x1, y1 = (q1.real - window.x0) * scale, (window.y1 - q1.imag) * scale
+        steps = 2 * max(width, height)
+        f = np.arange(steps + 1) / steps
+        paint(x0 + f * (x1 - x0), y0 + f * (y1 - y0), black)
+        elements[k] = (
+            f'<line x1="{x0:.4f}" y1="{y0:.4f}" x2="{x1:.4f}" y2="{y1:.4f}" '
+            f'stroke="#000000" stroke-width="1"/>'
+        )
+    svg_parts += filter(None, elements)
 
     red = (200, 0, 0)
     if cloud is not None:
-        for z in cloud.finite_points():
-            if window.contains(z):
-                x, y = to_px(z)
-                plot(x, y, red)
-                svg_parts.append(
-                    f'<rect x="{x:.4f}" y="{y:.4f}" width="1" height="1" fill="#c80000"/>'
-                )
+        x, y = cloud.z.real, cloud.z.imag
+        inside = (window.x0 <= x) & (x <= window.x1) & (window.y0 <= y) & (y <= window.y1)
+        px = (x[inside] - window.x0) * scale
+        py = (window.y1 - y[inside]) * scale
+        paint(px, py, red)
+        svg_parts += map(
+            '<rect x="%.4f" y="%.4f" width="1" height="1" fill="#c80000"/>'.__mod__,
+            zip(px.tolist(), py.tolist()),
+        )
 
     svg_parts.append("</svg>")
     header = b"P6\n"
@@ -540,4 +606,5 @@ def render(
         for line in comment.splitlines():
             header += b"# " + line.encode("ascii", "replace") + b"\n"
     header += f"{width} {height}\n255\n".encode("ascii")
-    return RenderResult(header + bytes(raster), "\n".join(svg_parts) + "\n")
+    return RenderResult(header + raster.tobytes(), "\n".join(svg_parts) + "\n")
+

@@ -1,4 +1,6 @@
+import collections
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -18,7 +20,8 @@ from kleinlab.gasket import (
     bounded_gasket,
     dump_packing,
 )
-from kleinlab.mobius import MoebiusMap
+from kleinlab.limitset import CloudPoint, EmittedCircle, LimitSetCloud
+from kleinlab.mobius import INFINITY, MoebiusMap
 
 from childenv import child_env
 from gasketgraph import subdivided_gasket_edges
@@ -225,6 +228,77 @@ def test_points_rows_match_golden_digest(tmp_path):
     rows = [line for line in lines if not line.startswith(b"#")]
     assert len(rows) == 12570
     assert hashlib.sha256(b"".join(rows)).hexdigest() == GOLDEN_POINTS_DEPTH8
+
+
+def cloud_text_oracle(points):
+    """The cloud rows as they were: one f-string per CloudPoint."""
+    lines = []
+    for p in points:
+        xy = "inf inf" if p.point is INFINITY else f"{p.point.real:.17g} {p.point.imag:.17g}"
+        lines.append(f"{xy} {len(p.word)} {p.word or '-'}")
+    return "\n".join(lines) + "\n"
+
+
+def test_cloud_rows_match_per_row_oracle():
+    circles = [
+        OrientedCircle._from_unit_triple(A, complex(Bre, Bim), (Bre * Bre + Bim * Bim - 1.0) / A)
+        for A, Bre, Bim in ((2.0, 0.0, 0.5), (-2.0, -0.0, -1.0), (4.0, 1.0, 0.0), (1.0, 0.3, 0.1))
+    ]
+    circles += [OrientedCircle.from_line(1j, 0.0), OrientedCircle.from_center_radius(0.5j, 0.5)]
+    packing = CirclePacking(circles + circles[::-1])
+    words = ["", "a", "bA", "Ab", "B", "aaB", "x", "y", "z", "w", "v", "u"]
+    cloud = LimitSetCloud(1e-9)
+    kept = cloud.extend(packing.centres, words)
+    expected = cloud_text_oracle(cloud.points)
+    assert cli._cloud_text(cloud) == expected
+    assert cli._cloud_text(cloud, itertools.compress(packing.centre_text, kept)) == expected
+    assert expected.splitlines()[:3] == ["-0 -0.25 0 -", "-0 -0.5 1 a", "-0.25 0 2 bA"]
+    assert "inf inf 1 B" in expected.splitlines()
+    assert len(cloud) == 6
+    points = [INFINITY, complex(-0.0, 0.0), 0.1 - 2.5j]
+    cloud = LimitSetCloud(1e-9)
+    cloud.extend(points, ["", "ab", "b"])
+    assert cli._cloud_text(cloud) == cloud_text_oracle(cloud.points) == (
+        "inf inf 0 -\n-0 0 2 ab\n0.10000000000000001 -2.5 1 b\n"
+    )
+    assert cli._cloud_text(LimitSetCloud(1e-9)) == "\n"
+
+
+def test_dfs_builds_no_per_circle_objects(tmp_path, monkeypatch, capsys):
+    # dfs keeps its circles as one table from the traversal to the writes:
+    # the only circle objects are the four seeds that DfsConfig takes.
+    made = collections.Counter()
+    unit_triple = OrientedCircle._from_unit_triple.__func__
+    init = OrientedCircle.__init__
+
+    def counted_unit_triple(cls, *args):
+        made["OrientedCircle"] += 1
+        return unit_triple(cls, *args)
+
+    def counted_init(self, *args):
+        made["OrientedCircle"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(OrientedCircle, "_from_unit_triple", classmethod(counted_unit_triple))
+    monkeypatch.setattr(OrientedCircle, "__init__", counted_init)
+    for cls in (EmittedCircle, CloudPoint):
+        def counted_new(kind, *args, new=cls.__new__):
+            made[kind.__name__] += 1
+            return new(kind, *args)
+
+        monkeypatch.setattr(cls, "__new__", staticmethod(counted_new))
+    # The counters see every constructor.
+    OrientedCircle(1.0, 0j, -1.0).reversed()
+    EmittedCircle(OrientedCircle.from_line(1j, 0.0), "", False)
+    CloudPoint(0j, "")
+    assert made == {"OrientedCircle": 3, "EmittedCircle": 1, "CloudPoint": 1}
+    made.clear()
+
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["dfs", "--preset", "hw-gasket", "--epsilon", "1e-2", "--out", "run"]) == 0
+    capsys.readouterr()
+    seeds = len(cli.load_packing(cli._preset_text("hw-seeds.txt")))
+    assert sum(made.values()) <= seeds == 4, made
 
 
 def test_dfs_stats_content(tmp_path):

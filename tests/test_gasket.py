@@ -25,10 +25,11 @@ from kleinlab.gasket import (
     tangency_point,
     tangent_quadruple_flip,
     _cap_candidates,
+    _columns,
     _scan_products,
     _TripleSet,
 )
-from kleinlab.groups import load_marking
+from kleinlab.groups import _format_lines, load_marking
 from kleinlab.limitset import DfsConfig, Rectangle, limit_set_dfs
 from kleinlab.mobius import INFINITY, MoebiusMap, chordal_distance
 
@@ -386,6 +387,105 @@ def test_loaded_circles_keep_exact_discriminant():
     assert reloaded.curvature == pytest.approx(13794.0, rel=1e-12)
 
 
+def dump_oracle(circles):
+    """dump_packing as it was: one f-string per circle."""
+    rows = []
+    for c in circles:
+        if c.is_line:
+            n, d = c.line_geometry()
+            rows.append(f"L {n.real:.17g} {n.imag:.17g} {d:.17g}")
+        else:
+            m = c.center
+            rows.append(f"C {m.real:.17g} {m.imag:.17g} {1.0 / c.A:.17g}")
+    return "\n".join(rows) + "\n"
+
+
+def load_oracle(text):
+    """load_packing as it was: one OrientedCircle per row."""
+    circles = []
+    for line_no, line in _format_lines(text):
+        parts = line.split()
+        if len(parts) != 4 or parts[0] not in ("C", "L"):
+            raise ValueError(f"line {line_no}: expected 'C re im radius' or 'L re im offset'")
+        x, y, v = (float(p) for p in parts[1:])
+        if parts[0] == "C":
+            if v == 0.0:
+                raise ValueError(f"line {line_no}: zero radius")
+            c = OrientedCircle.from_center_radius(complex(x, y), abs(v))
+            circles.append(c.reversed() if v < 0 else c)
+        else:
+            circles.append(OrientedCircle.from_line(complex(x, y), v))
+    if not circles:
+        raise ValueError("packing file defines no circles")
+    return circles
+
+
+def crafted_circles():
+    """Triples whose centre components are +0.0 and -0.0, with A of both
+    signs; lines; enclosing circles; and a transformed gasket."""
+    circles = [
+        OrientedCircle._from_unit_triple(A, complex(Bre, Bim), (Bre * Bre + Bim * Bim - 1.0) / A)
+        for A in (2.0, -2.0, 3e-9)
+        for Bre in (0.0, -0.0, 0.75)
+        for Bim in (0.0, -0.0, -0.5)
+    ]
+    circles += [
+        OrientedCircle.from_line(1j, 0.0),
+        OrientedCircle.from_line(-1j, -1.0),
+        OrientedCircle.from_line(-0.6 + 0.8j, 2.5),
+        OrientedCircle.from_center_radius(0.25 - 0.5j, 1.5).reversed(),
+    ]
+    m = MoebiusMap(1.0 + 0.5j, 0.2, -0.3j, 1.0)
+    return circles + [c.transform(m) for c in bounded_gasket(2).circles]
+
+
+def test_dump_packing_matches_per_row_oracle():
+    circles = crafted_circles()
+    text = dump_packing(CirclePacking(circles))
+    assert text == dump_oracle(circles)
+    rows = text.splitlines()
+    assert {row.split()[1] for row in rows[:27]} >= {"0", "-0"}
+    assert {row.split()[2] for row in rows[:27]} >= {"0", "-0"}
+    assert sum(row.startswith("L ") for row in rows) == 3
+    assert rows[30].startswith("C 0.25 -0.5 -1.5")
+    # A packing made from columns writes the same rows.
+    assert dump_packing(CirclePacking.from_columns(_columns(circles))) == text
+    assert dump_packing(CirclePacking([])) == "\n"
+
+
+def test_load_packing_matches_per_row_oracle():
+    text = dump_oracle(crafted_circles()) + (
+        "C -0 0 -3\nC 0 -0.0 2\nC 1e-300 -1e300 5e-324\nC 1e200 0 1e-200\n"
+        "C inf 0 1\nC 0 1 inf\nL -0 -2 -0.0\nL 1e-310 0 1\nL inf 1 0\n"
+    )
+    # Bit for bit: signed zeros, infinities and NaNs included.
+    assert load_packing(text).columns.tobytes() == _columns(load_oracle(text)).tobytes()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "C 0 0 1\nC 0 0 0\n",
+        "C 0 0 -0.0\n",
+        "C 0 0 1\n# c\nC 0 0 nan\nC 0 0 0\n",
+        "C 0 0 1\nL 0 0 1\n",
+        "L -0 0.0 2\n",
+        "C 0 x 1\n",
+        "C 0 0\n",
+        "\n\nQ 1 2 3\n",
+        "",
+        "# only a comment\n\n",
+        "L 1 0 nan\nC 0 0 1 # ok\nC 1 1 0\n",
+    ],
+)
+def test_load_packing_errors_match_per_row_oracle(text):
+    with pytest.raises(ValueError) as want:
+        load_oracle(text)
+    with pytest.raises(ValueError) as got:
+        load_packing(text)
+    assert str(got.value) == str(want.value)
+
+
 def hw_gasket_packing(epsilon):
     """The circles of `dfs --preset hw-gasket` at the given epsilon."""
     preset = resources.files("kleinlab").joinpath("presets")
@@ -515,7 +615,7 @@ def all_pairs_scan(circles, tol):
 
 
 def assert_scan_matches_all_pairs(circles, tol):
-    graph, overlap, _ = _scan_products(circles, tol)
+    graph, overlap, _ = _scan_products(CirclePacking(circles), tol)
     edges, expected_overlap = all_pairs_scan(circles, tol)
     assert [(e.i, e.j, e.point) for e in graph.edges] == edges
     assert overlap == expected_overlap
@@ -632,7 +732,7 @@ def test_cap_index_candidates_track_tangencies():
     # pairs that touch or overlap (at eps 1e-3: 81,795 tangent pairs).
     circles = hw_gasket_packing(1e-3).circles
     candidates = len(_cap_candidates(circles, 1e-6)[0])
-    graph, overlap, _ = _scan_products(circles, 1e-6)
+    graph, overlap, _ = _scan_products(CirclePacking(circles), 1e-6)
     print(
         f"\ncap index at eps 1e-3: {candidates} candidate pairs for "
         f"{len(graph.edges)} tangent and {len(overlap)} overlapping pairs"
@@ -654,9 +754,9 @@ def test_scan_does_not_depend_on_row_order():
     shuffled = [circles[k] for k in perm]
     assert perm[:4] != [0, 1, 2, 3]
     assert len(_cap_candidates(shuffled, 1e-6)[0]) == len(_cap_candidates(circles, 1e-6)[0])
-    edges = {(e.i, e.j) for e in _scan_products(circles, 1e-6)[0].edges}
+    edges = {(e.i, e.j) for e in _scan_products(CirclePacking(circles), 1e-6)[0].edges}
     moved = {
         (min(perm[e.i], perm[e.j]), max(perm[e.i], perm[e.j]))
-        for e in _scan_products(shuffled, 1e-6)[0].edges
+        for e in _scan_products(CirclePacking(shuffled), 1e-6)[0].edges
     }
     assert moved == edges

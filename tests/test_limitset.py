@@ -15,6 +15,7 @@ from kleinlab.groups import (
     load_marking,
     solve_parabolic_commutator,
 )
+from kleinlab import limitset
 from kleinlab.limitset import (
     DfsConfig,
     EllipticOnlyError,
@@ -23,13 +24,13 @@ from kleinlab.limitset import (
     limit_points_by_fixed_points,
     limit_set_dfs,
     render,
-    _circle,
     _circle_meets_window,
     _meets_window,
 )
 from kleinlab.mobius import INFINITY, MapClass, MoebiusMap, chordal_distance, sphere_coords
 
 from hausdorff import hausdorff_distance
+from renderoracle import render_oracle
 
 WINDOW = Rectangle(-1.0, -1.0, 2.0, 1.0)
 
@@ -305,6 +306,81 @@ def test_render_roundtrip_preserves_gasket_structure(group):
     assert verdict.quadruples_checked >= 50
 
 
+def assert_render_matches_oracle(cloud, circles, window, resolution, comment=None):
+    """render against the per-pixel renderer it replaced: the same PPM and
+    SVG bytes."""
+    got = render(cloud, circles, window, resolution, comment)
+    want = render_oracle(cloud, list(circles), window, resolution, comment)
+    assert got.svg == want.svg
+    assert got.ppm == want.ppm
+    return got
+
+
+def test_render_matches_per_pixel_oracle_on_dfs():
+    window = Rectangle(-1.0, -1.0, 2.0, 2.0)
+    result = hw_dfs(1e-2, window)
+    comment = "kleinlab dfs --epsilon 1e-2"
+    got = render(result.cloud, result.packing, window, 800, comment)
+    circles = [e.circle for e in result.circles]
+    assert got == assert_render_matches_oracle(result.cloud, circles, window, 800, comment)
+    assert "<!-- kleinlab dfs - -epsilon 1e-2 -->" in got.svg
+
+
+def test_render_matches_per_pixel_oracle_on_edge_cases(monkeypatch):
+    s = 64.0  # pixels per unit in the unit window at resolution 64
+    window = Rectangle(0.0, 0.0, 1.0, 1.0)
+    px = lambda x, y: complex(x / s, 1.0 - y / s)  # noqa: E731
+    circles = [
+        # Outline samples and dots at x or y in (-1, 0) px: int() puts them
+        # on pixel 0, floor would drop them.
+        OrientedCircle.from_center_radius(px(-0.5, 20.0), 10.0 / s),
+        OrientedCircle.from_center_radius(px(30.0, -0.5), 10.0 / s),
+        OrientedCircle.from_center_radius(px(-0.5, 10.0), 0.2 / s),
+        OrientedCircle.from_center_radius(px(10.0, -0.7), 0.2 / s),
+        # A dot and an outline either side of 0.4 px of radius.
+        OrientedCircle.from_center_radius(px(40.0, 40.0), (0.4 - 1e-9) / s),
+        OrientedCircle.from_center_radius(px(50.0, 40.0), (0.4 + 1e-9) / s),
+        # 4096 samples, the cap, on an arc through the window.
+        OrientedCircle.from_center_radius(0.5 - 8.0j, 8.3),
+        # Enclosing circles.
+        OrientedCircle.from_center_radius(0.5 + 0.5j, 0.3).reversed(),
+        OrientedCircle.from_center_radius(0.25 + 0.75j, 0.05).reversed(),
+        # Horizontal, vertical and diagonal lines, and one beside the window.
+        OrientedCircle.from_line(1j, 0.5),
+        OrientedCircle.from_line(1, 0.25),
+        OrientedCircle.from_line((1 + 1j) / math.sqrt(2), 0.5),
+        OrientedCircle.from_line(1j, 3.0),
+    ]
+    cloud = cloud_of(
+        [INFINITY, 0.5 + 0.5j, 5 + 5j, complex(-0.0, 0.25), 0.999 + 0.001j, 1 + 1j, -0.01 + 0.5j]
+    )
+    comment = "kleinlab dfs --out run\nconfig: a--b"
+    out = assert_render_matches_oracle(cloud, circles, window, 64, comment)
+    assert out.svg.count("<line") == 3
+    assert out.svg.count('fill="#c80000"') == 4
+    assert "<!-- kleinlab dfs - -out run\nconfig: a- -b -->" in out.svg
+    # The same circles in a window twice as wide as it is high.
+    assert_render_matches_oracle(cloud, circles, Rectangle(-1.0, -0.5, 2.0, 1.0), 90, comment)
+    assert_render_matches_oracle(None, circles[::-1], Rectangle(-0.5, 0.0, 1.5, 0.75), 37)
+    # Outlines split over many passes.
+    monkeypatch.setattr(limitset, "_SAMPLES_PER_PASS", 100)
+    assert_render_matches_oracle(cloud, circles, window, 64, comment)
+
+
+def test_render_outlines_take_math_cos_and_sin(monkeypatch):
+    # numpy's cos and sin agree with libm's on some builds and not on
+    # others.  With math's turned by 0.05 rad, the oracle's outlines move,
+    # and render's must move with them.
+    cos, sin = math.cos, math.sin
+    monkeypatch.setattr(math, "cos", lambda t: cos(t + 0.05))
+    monkeypatch.setattr(math, "sin", lambda t: sin(t + 0.05))
+    circles = [
+        OrientedCircle.from_center_radius(0.5 + 0.5j, 0.3),
+        OrientedCircle.from_center_radius(0.2 + 0.3j, 0.1).reversed(),
+    ]
+    assert_render_matches_oracle(None, circles, Rectangle(0.0, 0.0, 1.0, 1.0), 64)
+
+
 def hw_dfs(epsilon, window):
     """limit_set_dfs with the hw-gasket preset's marking and seeds."""
     preset = resources.files("kleinlab").joinpath("presets")
@@ -316,7 +392,7 @@ def hw_dfs(epsilon, window):
 
 def assert_window_pass_matches_scalar(circles, window):
     rows = np.array([(c.A, c.B.real, c.B.imag, c.C) for c in circles]).reshape(-1, 4)
-    expected = [_circle_meets_window(c, window) for c in circles]
+    expected = [_circle_meets_window(c.A, c.B, c.C, window) for c in circles]
     assert _meets_window(rows, window).tolist() == expected
     return expected
 
@@ -362,7 +438,10 @@ def test_window_pass_matches_scalar_test_on_edge_cases():
         (1.1595221068715122, -3.181421727857764, -1.6657878702303257),
         (1.2154975757657593, -3.344549800838393, -1.62221357339776),
     ]
-    circles += [_circle(A, Bre, Bim, (Bre * Bre + Bim * Bim - 1.0) / A) for A, Bre, Bim in last_place]
+    circles += [
+        OrientedCircle._from_unit_triple(A, complex(Bre, Bim), (Bre * Bre + Bim * Bim - 1.0) / A)
+        for A, Bre, Bim in last_place
+    ]
     expected = assert_window_pass_matches_scalar(circles, w)
     # Only the circle around the window and the line beside it miss it,
     # and two of the last-place rows.
