@@ -27,7 +27,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from importlib import resources
 
 from . import __version__
@@ -46,6 +46,7 @@ from .groups import _format_lines, load_marking, solve_parabolic_commutator
 from .limitset import (
     DfsConfig,
     Rectangle,
+    _raster_size,
     limit_points_by_fixed_points,
     limit_set_dfs,
     render,
@@ -243,13 +244,10 @@ def _fmt_complex(z: complex, digits: int = 9) -> str:
     return f"{z.real:.{digits}f}{sign}{abs(z.imag):.{digits}f}i"
 
 
-def _cloud_text(cloud, xy=None) -> str:
-    """One 'x y word_length word' row per cloud point, 'inf inf' for
-    infinity and '-' for the empty word.  xy, when given, holds each
-    point's 'x y' already formatted."""
-    if xy is None:
-        xy = map("%.17g %.17g".__mod__, zip(cloud.z.real.tolist(), cloud.z.imag.tolist()))
-    words = cloud.words
+def _cloud_text(xy, words: list[str]) -> str:
+    """One 'x y word_length word' row per cloud point, '-' for the empty
+    word.  xy holds each point's 'x y' already formatted, in %.17g, and
+    'inf inf' for infinity."""
     rows = map("%s %d %s".__mod__, zip(xy, map(len, words), [w or "-" for w in words]))
     return "\n".join(rows) + "\n"
 
@@ -280,7 +278,8 @@ def _cmd_solve(cfg: RunConfig, argv: list[str]) -> int:
 def _cmd_points(cfg: RunConfig, argv: list[str]) -> int:
     group = _load_marked_group(cfg)
     cloud = limit_points_by_fixed_points(group, cfg.depth)
-    _emit(cfg, _header_text(cfg, argv), _cloud_text(cloud))
+    xy = map("%.17g %.17g".__mod__, zip(cloud.z.real.tolist(), cloud.z.imag.tolist()))
+    _emit(cfg, _header_text(cfg, argv), _cloud_text(xy, cloud.words))
     print(f"{len(cloud)} limit points at depth {cfg.depth}")
     return 0
 
@@ -290,6 +289,7 @@ def _cmd_dfs(cfg: RunConfig, argv: list[str]) -> int:
         raise _UsageError("dfs needs --out (artifact base path)")
     if cfg.window is None:
         raise _UsageError("dfs needs --window x0,y0,x1,y1")
+    _raster_size(cfg.window, cfg.resolution)  # an undrawable raster fails before the DFS
     group = _load_marked_group(cfg)
     seeds = load_packing(_resolve_input(cfg.seeds or "preset:hw-seeds")).circles
     dfs_config = DfsConfig(
@@ -311,33 +311,23 @@ def _cmd_dfs(cfg: RunConfig, argv: list[str]) -> int:
         ),
     )
     _write_atomic(cfg.out + ".circles.txt", _commented(header, "\n".join(circle_lines) + "\n"))
-    # The cloud holds the centres it kept, which dump_packing has formatted.
+    # The cloud is the centres it kept, which dump_packing has formatted.
     xy = itertools.compress(result.packing.centre_text, result.in_cloud)
-    _write_atomic(cfg.out + ".cloud.txt", _commented(header, _cloud_text(result.cloud, xy)))
+    words = list(itertools.compress(result.words, result.in_cloud))
+    _write_atomic(cfg.out + ".cloud.txt", _commented(header, _cloud_text(xy, words)))
 
-    image = render(
-        result.cloud,
-        result.packing,
-        cfg.window,
-        cfg.resolution,
-        comment=header,
-    )
+    image = render(result.packing, result.in_cloud, cfg.window, cfg.resolution, comment=header)
     _write_atomic(cfg.out + ".ppm", image.ppm)
     _write_atomic(cfg.out + ".svg", image.svg)
 
     stats = result.stats
+    counters = asdict(stats)
+    del counters["wall_time"]  # timing stays out of the artifacts
     stats_doc = {
         "version": __version__,
         "command": "kleinlab " + " ".join(argv),
         "config": dict(cfg.echo_pairs()),
-        "stats": {
-            "words_visited": stats.words_visited,
-            "branches_pruned": stats.branches_pruned,
-            "circles_emitted": stats.circles_emitted,
-            "depth_exhausted_branches": stats.depth_exhausted_branches,
-            "max_depth_reached": stats.max_depth_reached,
-            "cloud_points": len(result.cloud),
-        },
+        "stats": counters,
     }
     _write_atomic(cfg.out + ".stats.json", json.dumps(stats_doc, indent=2, sort_keys=True) + "\n")
 
@@ -365,16 +355,7 @@ def _cmd_verify_gasket(cfg: RunConfig, argv: list[str]) -> int:
         "command": "kleinlab " + " ".join(argv),
         "config": dict(cfg.echo_pairs()),
         "circles": len(packing),
-        "passed": verdict.passed,
-        "connected": verdict.connected,
-        "overlap_pairs": [list(p) for p in verdict.overlap_pairs[:20]],
-        "worst_residual": verdict.worst_residual,
-        "worst_quadruple": list(verdict.worst_quadruple) if verdict.worst_quadruple else None,
-        "triangles_checked": verdict.triangles_checked,
-        "quadruples_checked": verdict.quadruples_checked,
-        "candidate_pairs": verdict.candidate_pairs,
-        "tangent_pairs": verdict.tangent_pairs,
-        "failures": list(verdict.failures),
+        **asdict(replace(verdict, overlap_pairs=verdict.overlap_pairs[:20])),
     }
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if cfg.out:

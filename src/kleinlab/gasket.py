@@ -311,9 +311,6 @@ class CirclePacking:
     def __len__(self) -> int:
         return self.columns.shape[1]
 
-    def curvatures(self) -> list[float]:
-        return self.columns[0].tolist()
-
 
 @dataclass(frozen=True)
 class TangencyEdge:
@@ -358,8 +355,8 @@ class TangencyGraph:
     adjacency: row v of `indices`, from `indptr[v]` to `indptr[v + 1]`,
     lists v's neighbours in ascending order.
 
-    Tangency points are computed only where they are read: `edge_point`,
-    and the lazy `edges` and `adjacency`.
+    Tangency points are computed only where they are read: `edge_point`
+    and the lazy `edges`.
     """
 
     def __init__(self, packing: CirclePacking, i, j):
@@ -370,10 +367,6 @@ class TangencyGraph:
         self.columns = packing.columns
         self.i, self.j = i, j
         self.indptr, self.indices, _ = _csr(np.concatenate((i, j)), np.concatenate((j, i)), n)
-
-    @property
-    def circles(self) -> list[OrientedCircle]:
-        return self.packing.circles
 
     def has_edge(self, i: int, j: int) -> bool:
         if not (0 <= i < self.n and 0 <= j < self.n):
@@ -390,20 +383,11 @@ class TangencyGraph:
     @cached_property
     def edges(self) -> list[TangencyEdge]:
         """Every edge with its tangency point, in (i, j) order."""
-        c = self.circles
+        c = self.packing.circles
         return [
             TangencyEdge(a, b, tangency_point(c[a], c[b]))
             for a, b in zip(self.i.tolist(), self.j.tolist())
         ]
-
-    @cached_property
-    def adjacency(self) -> dict[int, dict[int, SpherePoint]]:
-        """adjacency[i] = {j: tangency point} for every vertex i."""
-        adj: dict[int, dict[int, SpherePoint]] = {v: {} for v in range(self.n)}
-        for e in self.edges:
-            adj[e.i][e.j] = e.point
-            adj[e.j][e.i] = e.point
-        return adj
 
     @cached_property
     def _oriented(self):
@@ -499,10 +483,10 @@ def _columns(circles: list[OrientedCircle]):
     return np.stack((A, B.real, B.imag, C))
 
 
-def _cap_candidates(circles, tol: float):
+def _cap_candidates(columns, tol: float):
     """Every pair (i, j), i < j, whose inversive product p may reach -2 - tol:
-    int arrays in lexicographic order, and p of each pair.  circles is a
-    list of OrientedCircles or their _columns.
+    int arrays in lexicographic order, and p of each pair.  columns holds
+    the circles as CirclePacking.columns does.
 
     The disk of (A, B, C) is the spherical cap {u : s + w.u <= 0} with
     w = (2 Re B, 2 Im B, A - C) and s = A + C, centred at -w/|w| (the Lorentz
@@ -527,7 +511,7 @@ def _cap_candidates(circles, tol: float):
     """
     import numpy as np
 
-    A, Bre, Bim, C = circles if isinstance(circles, np.ndarray) else _columns(circles)
+    A, Bre, Bim, C = columns
     empty = np.zeros(0, dtype=np.int64)
     if len(A) < 2:
         return empty, empty, np.zeros(0)
@@ -890,7 +874,7 @@ def load_packing(text: str) -> CirclePacking:
     """The packing of a text in the format above, parsed straight into
     columns.  Each triple takes the operations of from_center_radius (and
     reversed, for a negative radius) or from_line, and each bad line raises
-    the error those would."""
+    the error those would, after its line number."""
     import numpy as np
 
     # (A, Re B, Im B, C) of each line; (x, y, radius, 0) of each circle,
@@ -898,20 +882,23 @@ def load_packing(text: str) -> CirclePacking:
     rows: list[tuple[float, float, float, float]] = []
     circle_rows: list[int] = []
     for line_no, line in _format_lines(text):
-        parts = line.split()
-        if len(parts) != 4 or parts[0] not in ("C", "L"):
-            raise ValueError(f"line {line_no}: expected 'C re im radius' or 'L re im offset'")
-        x, y, v = map(float, parts[1:])
-        if parts[0] == "C":
-            if v == 0.0:
-                raise ValueError(f"line {line_no}: zero radius")
-            if not abs(v) > 0.0:
-                raise ValueError(f"radius must be positive, got {abs(v)}")
-            circle_rows.append(len(rows))
-            rows.append((x, y, v, 0.0))
-        else:
-            B, C = _line_triple(complex(x, y), v)
-            rows.append((0.0, B.real, B.imag, C))
+        try:
+            parts = line.split()
+            if len(parts) != 4 or parts[0] not in ("C", "L"):
+                raise ValueError("expected 'C re im radius' or 'L re im offset'")
+            x, y, v = map(float, parts[1:])
+            if parts[0] == "C":
+                if v == 0.0:
+                    raise ValueError("zero radius")
+                if not abs(v) > 0.0:
+                    raise ValueError(f"radius must be positive, got {abs(v)}")
+                circle_rows.append(len(rows))
+                rows.append((x, y, v, 0.0))
+            else:
+                B, C = _line_triple(complex(x, y), v)
+                rows.append((0.0, B.real, B.imag, C))
+        except ValueError as exc:
+            raise ValueError(f"line {line_no}: {exc}") from None
     if not rows:
         raise ValueError("packing file defines no circles")
     columns = np.array(rows).T.copy()

@@ -333,10 +333,10 @@ _BIND_RE = re.compile(r"^bind\s+([a-z])\s*=\s*(.+)$")
 _REL_RE = re.compile(r"^rel\s+(.+)$")
 
 
-def _parse_entry(text: str, line_no: int) -> complex:
+def _parse_entry(text: str) -> complex:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 2:
-        raise ValueError(f"line {line_no}: matrix entry needs 're,im', got {text!r}")
+        raise ValueError(f"matrix entry needs 're,im', got {text!r}")
     return complex(float(parts[0]), float(parts[1]))
 
 
@@ -360,10 +360,11 @@ def load_marking(text: str) -> MarkedGroup:
             continue
         m = _GEN_RE.match(line)
         if m:
-            name = m.group(1)
-            a, b, c, d = (_parse_entry(m.group(k), line_no) for k in range(2, 6))
-            names.append(name)
-            images[name] = MoebiusMap(a, b, c, d)
+            try:
+                images[m.group(1)] = MoebiusMap(*(_parse_entry(m.group(k)) for k in range(2, 6)))
+            except ValueError as exc:  # a bad float, or DegenerateMatrixError
+                raise type(exc)(f"line {line_no}: {exc}") from None
+            names.append(m.group(1))
             continue
         m = _BIND_RE.match(line)
         if m:

@@ -11,8 +11,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple
+from typing import NamedTuple
 
 from .gasket import CirclePacking, OrientedCircle, _TripleSet, _line_geometry
 from .groups import MarkedGroup
@@ -27,11 +26,9 @@ from .mobius import (
 __all__ = [
     "EllipticOnlyError",
     "Rectangle",
-    "CloudPoint",
     "LimitSetCloud",
     "DfsConfig",
     "DfsStats",
-    "EmittedCircle",
     "DfsResult",
     "limit_points_by_fixed_points",
     "limit_set_dfs",
@@ -59,6 +56,8 @@ class Rectangle:
     def __post_init__(self):
         if not (self.x0 < self.x1 and self.y0 < self.y1):
             raise ValueError(f"degenerate window {self}")
+        if not (math.isfinite(self.x1 - self.x0) and math.isfinite(self.y1 - self.y0)):
+            raise ValueError(f"window corners and sides must be finite, got {self}")
 
     @classmethod
     def parse(cls, text: str) -> "Rectangle":
@@ -79,11 +78,6 @@ class Rectangle:
         )
 
 
-class CloudPoint(NamedTuple):
-    point: SpherePoint
-    word: str
-
-
 class LimitSetCloud:
     """Deduplicated limit-set sample points in deterministic discovery order.
 
@@ -92,8 +86,7 @@ class LimitSetCloud:
     turns chordal distance into Euclidean distance).
 
     The kept points are held as columns: `z`, a complex array with the point
-    at infinity as inf + inf j, and their `words`.  `points` builds the
-    CloudPoints on each read.
+    at infinity as inf + inf j, and their `words`.
     """
 
     def __init__(self, dedup_tolerance: float):
@@ -152,16 +145,6 @@ class LimitSetCloud:
 
     def __len__(self) -> int:
         return len(self.words)
-
-    @property
-    def points(self) -> list[CloudPoint]:
-        return [CloudPoint(_sphere_point(z), w) for z, w in zip(self.z.tolist(), self.words)]
-
-    def __iter__(self) -> Iterator[CloudPoint]:
-        return iter(self.points)
-
-    def finite_points(self) -> list[complex]:
-        return [z for z in self.z.tolist() if not math.isinf(z.real)]
 
 
 _INFINITY_Z = complex(math.inf, math.inf)
@@ -276,32 +259,22 @@ class DfsStats:
     circles_emitted: int = 0
     depth_exhausted_branches: int = 0
     max_depth_reached: int = 0
+    cloud_points: int = 0
     wall_time: float = 0.0
-
-
-class EmittedCircle(NamedTuple):
-    circle: OrientedCircle
-    word: str
-    depth_exhausted: bool
 
 
 @dataclass(frozen=True)
 class DfsResult:
     """The emitted circles as one table: `packing` holds their columns, in
     preorder, with each one's word, depth-exhausted flag and whether the
-    cloud kept its centre beside it.  `circles` builds the EmittedCircles on
-    first read."""
+    cloud kept its centre beside it.  The cloud is the centres and words
+    that `in_cloud` selects."""
 
-    cloud: LimitSetCloud
     packing: CirclePacking
     words: list[str]
     depth_exhausted: list[bool]
     in_cloud: list[bool]
     stats: DfsStats
-
-    @cached_property
-    def circles(self) -> list[EmittedCircle]:
-        return list(map(EmittedCircle, self.packing.circles, self.words, self.depth_exhausted))
 
 
 def _circle_meets_window(A: float, B: complex, C: float, w: Rectangle) -> bool:
@@ -364,8 +337,8 @@ def limit_set_dfs(group: MarkedGroup, config: DfsConfig) -> DfsResult:
     traversal revisits the invariant circline exponentially often), or at
     max_depth (emitted with the depth_exhausted flag).  Every distinct
     circline encountered is emitted once, so oversized members of the orbit
-    appear in the output alongside the sub-epsilon horizon.  Emitted circle
-    centers form the returned cloud.
+    appear in the output alongside the sub-epsilon horizon.  The emitted
+    circles' centres, deduplicated as in LimitSetCloud, form the cloud.
 
     The traversal only records each new normalized triple.  The window test,
     the centres and the cloud dedup then run in bulk over all of them, in
@@ -373,7 +346,6 @@ def limit_set_dfs(group: MarkedGroup, config: DfsConfig) -> DfsResult:
     """
     t0 = time.perf_counter()
     stats = DfsStats()
-    cloud = LimitSetCloud(_CLOUD_TOLERANCE)
     seen = _TripleSet()
     # Each new normalized triple, four coefficients to a row, with its word
     # and whether it was flagged depth-exhausted.
@@ -464,13 +436,16 @@ def limit_set_dfs(group: MarkedGroup, config: DfsConfig) -> DfsResult:
         flags = [flags[k] for k in hits.tolist()]
     packing = CirclePacking.from_columns(np.ascontiguousarray(rows.T))
     stats.circles_emitted = len(packing)
-    in_cloud = cloud.extend(packing.centres, words).tolist()
+    keep = LimitSetCloud(_CLOUD_TOLERANCE).extend(packing.centres, words)
+    stats.cloud_points = int(keep.sum())
     stats.wall_time = time.perf_counter() - t0
-    return DfsResult(cloud, packing, words, flags, in_cloud, stats)
+    return DfsResult(packing, words, flags, keep.tolist(), stats)
 
 
 # Outline samples render paints per pass, which bounds its memory.
 _SAMPLES_PER_PASS = 1 << 20
+# The most pixels render draws, 8192^2: a raster of 192 MiB.
+_MAX_PIXELS = 1 << 26
 
 
 class RenderResult(NamedTuple):
@@ -478,15 +453,35 @@ class RenderResult(NamedTuple):
     svg: str
 
 
+def _raster_size(window: Rectangle, resolution: int) -> tuple[int, int]:
+    """The (width, height) of render's raster.  ValueError when the raster
+    would hold more than _MAX_PIXELS pixels."""
+    if resolution < 16:
+        raise ValueError("resolution must be >= 16")
+    width = int(resolution)
+    # Both factors are clamped just past the cap, so that no width or
+    # window overflows a float; a clamped raster is over the cap anyway.
+    rows = min(width, _MAX_PIXELS + 1) * (window.y1 - window.y0) / (window.x1 - window.x0)
+    height = max(1, round(min(rows, _MAX_PIXELS + 1)))
+    if width * height > _MAX_PIXELS:
+        raise ValueError(
+            f"a {width} x {height} raster is {width * height} pixels, "
+            f"over the {_MAX_PIXELS} that render draws"
+        )
+    return width, height
+
+
 def render(
-    cloud: LimitSetCloud | None,
-    circles: CirclePacking | Iterable[OrientedCircle],
+    packing: CirclePacking,
+    in_cloud: list[bool],
     window: Rectangle,
     resolution: int,
     comment: str | None = None,
 ) -> RenderResult:
     """Rasterize circle outlines and cloud points into a P6 pixmap and an
-    SVG with one element per circle.  Byte-deterministic for fixed inputs.
+    SVG with one element per circle.  The cloud points are the centres of
+    the circles that the booleans in_cloud select.  Byte-deterministic for
+    fixed inputs.
 
     The pixels are those of plotting, in order, each circle's outline (a
     dot below 0.4 px of radius) and line in black, then each cloud point in
@@ -495,14 +490,8 @@ def render(
     """
     import numpy as np
 
-    if resolution < 16:
-        raise ValueError("resolution must be >= 16")
-    packing = circles if isinstance(circles, CirclePacking) else CirclePacking(circles)
-    width = int(resolution)
-    xspan = window.x1 - window.x0
-    yspan = window.y1 - window.y0
-    height = max(1, round(width * yspan / xspan))
-    scale = width / xspan
+    width, height = _raster_size(window, resolution)
+    scale = width / (window.x1 - window.x0)
 
     raster = np.full((height * width, 3), 255, dtype=np.uint8)
 
@@ -550,8 +539,11 @@ def render(
         px = cx[owner] + rpx[owner] * cos_t[sample]
         paint(px, cy[owner] + rpx[owner] * sin_t[sample], black)
 
-    circle = '<circle cx="%.4f" cy="%.4f" r="%.4f" fill="none" stroke="#000000" stroke-width="1"/>'
-    elements = list(map(circle.__mod__, zip(cx.tolist(), cy.tolist(), rpx.tolist())))
+    # Each centre's x and y are formatted once, for its circle and its
+    # cloud point alike.
+    xs, ys = (list(map("%.4f".__mod__, v.tolist())) for v in (cx, cy))
+    circle = '<circle cx="%s" cy="%s" r="%.4f" fill="none" stroke="#000000" stroke-width="1"/>'
+    elements = list(map(circle.__mod__, zip(xs, ys, rpx.tolist())))
     for k in np.flatnonzero(lines).tolist():
         _, Bre, Bim, C = packing.columns[:, k].tolist()
         n, d = _line_geometry(complex(Bre, Bim), C)
@@ -588,17 +580,12 @@ def render(
         )
     svg_parts += filter(None, elements)
 
-    red = (200, 0, 0)
-    if cloud is not None:
-        x, y = cloud.z.real, cloud.z.imag
-        inside = (window.x0 <= x) & (x <= window.x1) & (window.y0 <= y) & (y <= window.y1)
-        px = (x[inside] - window.x0) * scale
-        py = (window.y1 - y[inside]) * scale
-        paint(px, py, red)
-        svg_parts += map(
-            '<rect x="%.4f" y="%.4f" width="1" height="1" fill="#c80000"/>'.__mod__,
-            zip(px.tolist(), py.tolist()),
-        )
+    x, y = z.real, z.imag
+    inside = (window.x0 <= x) & (x <= window.x1) & (window.y0 <= y) & (y <= window.y1)
+    dots = np.asarray(in_cloud, dtype=bool) & inside
+    paint(cx[dots], cy[dots], (200, 0, 0))
+    rect = '<rect x="%s" y="%s" width="1" height="1" fill="#c80000"/>'
+    svg_parts += map(rect.__mod__, itertools.compress(zip(xs, ys), dots.tolist()))
 
     svg_parts.append("</svg>")
     header = b"P6\n"

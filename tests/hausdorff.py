@@ -11,8 +11,9 @@ from scipy.spatial import cKDTree
 
 
 def _in_window(cloud, window):
-    points = [(z.real, z.imag) for z in cloud.finite_points() if window.contains(z)]
-    return np.asarray(points, dtype=float).reshape(-1, 2)
+    x, y = cloud.z.real, cloud.z.imag  # infinity is inf + inf j, outside
+    inside = (window.x0 <= x) & (x <= window.x1) & (window.y0 <= y) & (y <= window.y1)
+    return np.column_stack((x[inside], y[inside]))
 
 
 def hausdorff_distance(a, b, window):

@@ -1,10 +1,11 @@
 """The per-pixel renderer that `kleinlab.limitset.render` replaced, kept as
 the oracle for its bulk passes.
 
-``render_oracle(cloud, circles, window, resolution, comment)`` takes a
-``LimitSetCloud`` (or None) and a list of ``OrientedCircle``s.  It plots
-every outline sample, line sample and cloud point through one Python
-``plot`` call, in input order, and returns the ``RenderResult``.
+``render_oracle(circles, in_cloud, window, resolution, comment)`` takes a
+list of ``OrientedCircle``s and one boolean per circle, which marks the
+circles whose centres are cloud points.  It plots every outline sample,
+line sample and cloud point through one Python ``plot`` call, in input
+order, and returns the ``RenderResult``.
 """
 
 import math
@@ -12,7 +13,7 @@ import math
 from kleinlab.limitset import RenderResult
 
 
-def render_oracle(cloud, circles, window, resolution, comment=None):
+def render_oracle(circles, in_cloud, window, resolution, comment=None):
     width = int(resolution)
     xspan = window.x1 - window.x0
     yspan = window.y1 - window.y0
@@ -90,14 +91,13 @@ def render_oracle(cloud, circles, window, resolution, comment=None):
             )
 
     red = (200, 0, 0)
-    if cloud is not None:
-        for z in cloud.finite_points():
-            if window.contains(z):
-                x, y = to_px(z)
-                plot(x, y, red)
-                svg_parts.append(
-                    f'<rect x="{x:.4f}" y="{y:.4f}" width="1" height="1" fill="#c80000"/>'
-                )
+    for c, dot in zip(circles, in_cloud):
+        if dot and not c.is_line and window.contains(c.center):
+            x, y = to_px(c.center)
+            plot(x, y, red)
+            svg_parts.append(
+                f'<rect x="{x:.4f}" y="{y:.4f}" width="1" height="1" fill="#c80000"/>'
+            )
 
     svg_parts.append("</svg>")
     header = b"P6\n"

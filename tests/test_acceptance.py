@@ -33,7 +33,6 @@ from kleinlab.decomposition import (
     validate_bowditch,
 )
 from kleinlab.gasket import (
-    CirclePacking,
     OrientedCircle,
     apply_to_packing,
     bounded_gasket,
@@ -55,6 +54,7 @@ from kleinlab.groups import (
 from kleinlab.limitset import (
     DfsConfig,
     Rectangle,
+    _sphere_point,
     limit_points_by_fixed_points,
     limit_set_dfs,
 )
@@ -109,11 +109,11 @@ def test_criterion_2_cloud_invariance_one_depth_up():
     c8 = limit_points_by_fixed_points(group, 8)
 
     def worst_gap(cloud):
-        tree = cKDTree(np.array([sphere_coords(p.point) for p in cloud.points]))
+        tree = cKDTree(np.array([sphere_coords(_sphere_point(z)) for z in cloud.z.tolist()]))
         worst = 0.0
         for letter in "abAB":
             g = group.letter_map(letter)
-            moved = np.array([sphere_coords(g.apply(p.point)) for p in c8.points])
+            moved = np.array([sphere_coords(g.apply(_sphere_point(z))) for z in c8.z.tolist()])
             worst = max(worst, float(tree.query(moved)[0].max()))
         return worst
 
@@ -140,14 +140,14 @@ def test_criterion_3_gasket_verdict_of_dfs_output():
         window=Rectangle(-1.0, -1.0, 2.0, 2.0),
     )
     result = limit_set_dfs(group, cfg)
-    packing = CirclePacking([e.circle for e in result.circles])
+    packing = result.packing
     verdict = is_apollonian_like(packing, residual_tol=1e-5, normalize=True)
     elapsed = time.perf_counter() - t0
     ok = verdict.passed and verdict.worst_residual < 1e-5 and elapsed < 60.0
     assert report(
         3,
         ok,
-        f"{len(packing.circles)} circles, verdict "
+        f"{len(packing)} circles, verdict "
         f"{'pass' if verdict.passed else 'fail'}, worst residual "
         f"{verdict.worst_residual:.2e} (<1e-5) over {verdict.quadruples_checked} "
         f"quadruples, {elapsed:.1f}s (<60s)",

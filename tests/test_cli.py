@@ -2,6 +2,7 @@ import collections
 import hashlib
 import itertools
 import json
+import math
 import os
 import random
 import re
@@ -16,11 +17,12 @@ from kleinlab import cli
 from kleinlab.gasket import (
     CirclePacking,
     OrientedCircle,
+    TangencyEdge,
     apply_to_packing,
     bounded_gasket,
     dump_packing,
 )
-from kleinlab.limitset import CloudPoint, EmittedCircle, LimitSetCloud
+from kleinlab.limitset import LimitSetCloud
 from kleinlab.mobius import INFINITY, MoebiusMap
 
 from childenv import child_env
@@ -230,13 +232,19 @@ def test_points_rows_match_golden_digest(tmp_path):
     assert hashlib.sha256(b"".join(rows)).hexdigest() == GOLDEN_POINTS_DEPTH8
 
 
-def cloud_text_oracle(points):
-    """The cloud rows as they were: one f-string per CloudPoint."""
+def cloud_text_oracle(cloud):
+    """The cloud rows as they were: one f-string per point."""
     lines = []
-    for p in points:
-        xy = "inf inf" if p.point is INFINITY else f"{p.point.real:.17g} {p.point.imag:.17g}"
-        lines.append(f"{xy} {len(p.word)} {p.word or '-'}")
+    for z, word in zip(cloud.z.tolist(), cloud.words):
+        xy = "inf inf" if math.isinf(z.real) else f"{z.real:.17g} {z.imag:.17g}"
+        lines.append(f"{xy} {len(word)} {word or '-'}")
     return "\n".join(lines) + "\n"
+
+
+def points_rows(cloud):
+    """The cloud's rows as `points` writes them."""
+    xy = map("%.17g %.17g".__mod__, zip(cloud.z.real.tolist(), cloud.z.imag.tolist()))
+    return cli._cloud_text(xy, cloud.words)
 
 
 def test_cloud_rows_match_per_row_oracle():
@@ -249,56 +257,77 @@ def test_cloud_rows_match_per_row_oracle():
     words = ["", "a", "bA", "Ab", "B", "aaB", "x", "y", "z", "w", "v", "u"]
     cloud = LimitSetCloud(1e-9)
     kept = cloud.extend(packing.centres, words)
-    expected = cloud_text_oracle(cloud.points)
-    assert cli._cloud_text(cloud) == expected
-    assert cli._cloud_text(cloud, itertools.compress(packing.centre_text, kept)) == expected
+    expected = cloud_text_oracle(cloud)
+    assert points_rows(cloud) == expected
+    dfs_rows = cli._cloud_text(
+        itertools.compress(packing.centre_text, kept), list(itertools.compress(words, kept))
+    )
+    assert dfs_rows == expected
     assert expected.splitlines()[:3] == ["-0 -0.25 0 -", "-0 -0.5 1 a", "-0.25 0 2 bA"]
     assert "inf inf 1 B" in expected.splitlines()
     assert len(cloud) == 6
     points = [INFINITY, complex(-0.0, 0.0), 0.1 - 2.5j]
     cloud = LimitSetCloud(1e-9)
     cloud.extend(points, ["", "ab", "b"])
-    assert cli._cloud_text(cloud) == cloud_text_oracle(cloud.points) == (
+    assert points_rows(cloud) == cloud_text_oracle(cloud) == (
         "inf inf 0 -\n-0 0 2 ab\n0.10000000000000001 -2.5 1 b\n"
     )
-    assert cli._cloud_text(LimitSetCloud(1e-9)) == "\n"
+    assert points_rows(LimitSetCloud(1e-9)) == "\n"
 
 
-def test_dfs_builds_no_per_circle_objects(tmp_path, monkeypatch, capsys):
-    # dfs keeps its circles as one table from the traversal to the writes:
-    # the only circle objects are the four seeds that DfsConfig takes.
+@pytest.fixture
+def objects_made(monkeypatch):
+    """Counts of the OrientedCircles and TangencyEdges built while the test
+    runs, by class name."""
     made = collections.Counter()
     unit_triple = OrientedCircle._from_unit_triple.__func__
-    init = OrientedCircle.__init__
+    circle_init = OrientedCircle.__init__
+    edge_init = TangencyEdge.__init__
 
     def counted_unit_triple(cls, *args):
         made["OrientedCircle"] += 1
         return unit_triple(cls, *args)
 
-    def counted_init(self, *args):
+    def counted_circle_init(self, *args):
         made["OrientedCircle"] += 1
-        init(self, *args)
+        circle_init(self, *args)
+
+    def counted_edge_init(self, *args):
+        made["TangencyEdge"] += 1
+        edge_init(self, *args)
 
     monkeypatch.setattr(OrientedCircle, "_from_unit_triple", classmethod(counted_unit_triple))
-    monkeypatch.setattr(OrientedCircle, "__init__", counted_init)
-    for cls in (EmittedCircle, CloudPoint):
-        def counted_new(kind, *args, new=cls.__new__):
-            made[kind.__name__] += 1
-            return new(kind, *args)
-
-        monkeypatch.setattr(cls, "__new__", staticmethod(counted_new))
+    monkeypatch.setattr(OrientedCircle, "__init__", counted_circle_init)
+    monkeypatch.setattr(TangencyEdge, "__init__", counted_edge_init)
     # The counters see every constructor.
     OrientedCircle(1.0, 0j, -1.0).reversed()
-    EmittedCircle(OrientedCircle.from_line(1j, 0.0), "", False)
-    CloudPoint(0j, "")
-    assert made == {"OrientedCircle": 3, "EmittedCircle": 1, "CloudPoint": 1}
+    TangencyEdge(0, 1, 0j)
+    assert made == {"OrientedCircle": 2, "TangencyEdge": 1}
     made.clear()
+    return made
 
+
+def test_dfs_builds_no_per_circle_objects(objects_made, tmp_path, monkeypatch, capsys):
+    # dfs keeps its circles as one table from the traversal to the writes:
+    # the only circle objects are the four seeds that DfsConfig takes.
     monkeypatch.chdir(tmp_path)
     assert cli.main(["dfs", "--preset", "hw-gasket", "--epsilon", "1e-2", "--out", "run"]) == 0
     capsys.readouterr()
     seeds = len(cli.load_packing(cli._preset_text("hw-seeds.txt")))
-    assert sum(made.values()) <= seeds == 4, made
+    assert sum(objects_made.values()) <= seeds == 4, objects_made
+
+
+@pytest.mark.parametrize("epsilon", ["1e-2", "1e-3"])
+def test_verify_builds_no_per_edge_objects(epsilon, objects_made, tmp_path, monkeypatch, capsys):
+    # verify-gasket --normalize works on the edge arrays: the only circles
+    # it builds are the two behind each of the anchor triangle's three
+    # tangency points, and it builds no TangencyEdge.
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["dfs", "--preset", "hw-gasket", "--epsilon", epsilon, "--out", "run"]) == 0
+    objects_made.clear()
+    assert cli.main(["verify-gasket", "run.circles.txt", "--normalize"]) == 0
+    capsys.readouterr()
+    assert objects_made == {"OrientedCircle": 6}, objects_made
 
 
 def test_dfs_stats_content(tmp_path):
@@ -333,6 +362,30 @@ def test_dfs_rejects_empty_out(tmp_path, monkeypatch, capsys):
         assert cli.main(["dfs", "--preset", "hw-gasket", "--epsilon", "0.05", *extra]) == 2
         assert "dfs needs --out" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["empty-out.cfg"]
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        # The window's top edge is at infinity.
+        (["--epsilon", "0.5", "--window=0,0,1,inf"], "window corners and sides must be finite"),
+        # One pixel row and column past the 8192 x 8192 cap, on the square
+        # preset window: the check fires before any raster is allocated.
+        (["--resolution", "8193"], "a 8193 x 8193 raster is 67125249 pixels, over the 67108864"),
+    ],
+)
+def test_dfs_rejects_an_undrawable_raster_before_the_dfs(
+    extra, message, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+
+    def no_dfs(*args):
+        raise AssertionError("the DFS ran")
+
+    monkeypatch.setattr(cli, "limit_set_dfs", no_dfs)
+    assert cli.main(["dfs", "--preset", "hw-gasket", "--out", "run", *extra]) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_artifacts_get_the_mode_open_gives(tmp_path, monkeypatch, capsys):

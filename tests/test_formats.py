@@ -8,6 +8,8 @@ import pytest
 from kleinlab.cli import load_config
 from kleinlab.decomposition import load_graph_of_groups, load_simple_graph, load_tree_system
 from kleinlab.gasket import load_packing
+from kleinlab.groups import load_marking
+from kleinlab.mobius import DegenerateMatrixError
 
 # loader, one good line, one bad line, the error for a bad line 5, a check on
 # what the good line parses to
@@ -40,6 +42,33 @@ def test_loader_skips_comments_and_names_first_bad_line(loader, good, bad, messa
     assert check(loader(f"# header\n\n{good}  # trailing comment\n   \n"))
     with pytest.raises(ValueError, match=re.escape(message)):
         loader(f"# header\n\n{good}  # trailing comment\n   \n{bad}\n{bad} # again\n")
+
+
+@pytest.mark.parametrize(
+    "loader, text, error, message",
+    [
+        (load_packing, "C 0 0 1\nL 0 0 1\n", ValueError, "line 2: line normal must be nonzero"),
+        (load_packing, "# c\nC 0 0 nan\n", ValueError, "line 2: radius must be positive, got nan"),
+        (load_packing, "\nC x 0 1\n", ValueError, "line 2: could not convert string to float: 'x'"),
+        (
+            load_marking,
+            "gen a = [[1,0],[0,0];[0,0],[1,0]]\ngen b = [[1,0],[x,0];[0,0],[1,0]]\n",
+            ValueError,
+            "line 2: could not convert string to float: 'x'",
+        ),
+        # A singular image keeps its error class.
+        (
+            load_marking,
+            "# singular\ngen a = [[1,0],[2,0];[1,0],[2,0]]\n",
+            DegenerateMatrixError,
+            "line 2: determinant 0j too small",
+        ),
+    ],
+    ids=["zero-normal", "nan-radius", "packing-float", "marking-float", "singular-gen"],
+)
+def test_packing_and_marking_errors_name_the_line(loader, text, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        loader(text)
 
 
 def test_tree_system_rows_skip_comments_and_blank_lines():

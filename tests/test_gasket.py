@@ -401,20 +401,24 @@ def dump_oracle(circles):
 
 
 def load_oracle(text):
-    """load_packing as it was: one OrientedCircle per row."""
+    """load_packing as it was: one OrientedCircle per row, and each error
+    after its line number."""
     circles = []
     for line_no, line in _format_lines(text):
-        parts = line.split()
-        if len(parts) != 4 or parts[0] not in ("C", "L"):
-            raise ValueError(f"line {line_no}: expected 'C re im radius' or 'L re im offset'")
-        x, y, v = (float(p) for p in parts[1:])
-        if parts[0] == "C":
-            if v == 0.0:
-                raise ValueError(f"line {line_no}: zero radius")
-            c = OrientedCircle.from_center_radius(complex(x, y), abs(v))
-            circles.append(c.reversed() if v < 0 else c)
-        else:
-            circles.append(OrientedCircle.from_line(complex(x, y), v))
+        try:
+            parts = line.split()
+            if len(parts) != 4 or parts[0] not in ("C", "L"):
+                raise ValueError("expected 'C re im radius' or 'L re im offset'")
+            x, y, v = (float(p) for p in parts[1:])
+            if parts[0] == "C":
+                if v == 0.0:
+                    raise ValueError("zero radius")
+                c = OrientedCircle.from_center_radius(complex(x, y), abs(v))
+                circles.append(c.reversed() if v < 0 else c)
+            else:
+                circles.append(OrientedCircle.from_line(complex(x, y), v))
+        except ValueError as exc:
+            raise ValueError(f"line {line_no}: {exc}") from None
     if not circles:
         raise ValueError("packing file defines no circles")
     return circles
@@ -494,7 +498,7 @@ def hw_gasket_packing(epsilon):
     config = DfsConfig(
         epsilon=epsilon, max_depth=64, seeds=tuple(seeds), window=Rectangle(-1.0, -1.0, 2.0, 2.0)
     )
-    return CirclePacking([e.circle for e in limit_set_dfs(group, config).circles])
+    return limit_set_dfs(group, config).packing
 
 
 def test_triangles_match_brute_force():
@@ -620,7 +624,7 @@ def assert_scan_matches_all_pairs(circles, tol):
     assert [(e.i, e.j, e.point) for e in graph.edges] == edges
     assert overlap == expected_overlap
     # The index's products are bit for bit those of inversive_product.
-    i, j, p = _cap_candidates(circles, tol)
+    i, j, p = _cap_candidates(_columns(circles), tol)
     assert p.tolist() == [circles[a].inversive_product(circles[b]) for a, b in zip(i, j)]
     return graph, overlap
 
@@ -730,9 +734,9 @@ def test_overlap_pairs_are_sorted():
 def test_cap_index_candidates_track_tangencies():
     # The index is output-sensitive: its candidates are at most twice the
     # pairs that touch or overlap (at eps 1e-3: 81,795 tangent pairs).
-    circles = hw_gasket_packing(1e-3).circles
-    candidates = len(_cap_candidates(circles, 1e-6)[0])
-    graph, overlap, _ = _scan_products(CirclePacking(circles), 1e-6)
+    packing = hw_gasket_packing(1e-3)
+    candidates = len(_cap_candidates(packing.columns, 1e-6)[0])
+    graph, overlap, _ = _scan_products(packing, 1e-6)
     print(
         f"\ncap index at eps 1e-3: {candidates} candidate pairs for "
         f"{len(graph.edges)} tangent and {len(overlap)} overlapping pairs"
@@ -748,15 +752,17 @@ def test_verdict_counts_scan_work():
 
 
 def test_scan_does_not_depend_on_row_order():
-    circles = hw_gasket_packing(1e-2).circles
-    perm = list(range(len(circles)))
+    packing = hw_gasket_packing(1e-2)
+    perm = list(range(len(packing)))
     random.Random(67).shuffle(perm)
-    shuffled = [circles[k] for k in perm]
+    shuffled = CirclePacking.from_columns(packing.columns[:, perm])
     assert perm[:4] != [0, 1, 2, 3]
-    assert len(_cap_candidates(shuffled, 1e-6)[0]) == len(_cap_candidates(circles, 1e-6)[0])
-    edges = {(e.i, e.j) for e in _scan_products(CirclePacking(circles), 1e-6)[0].edges}
+    assert len(_cap_candidates(shuffled.columns, 1e-6)[0]) == len(
+        _cap_candidates(packing.columns, 1e-6)[0]
+    )
+    edges = {(e.i, e.j) for e in _scan_products(packing, 1e-6)[0].edges}
     moved = {
         (min(perm[e.i], perm[e.j]), max(perm[e.i], perm[e.j]))
-        for e in _scan_products(CirclePacking(shuffled), 1e-6)[0].edges
+        for e in _scan_products(shuffled, 1e-6)[0].edges
     }
     assert moved == edges

@@ -26,6 +26,7 @@ from kleinlab.limitset import (
     render,
     _circle_meets_window,
     _meets_window,
+    _sphere_point,
 )
 from kleinlab.mobius import INFINITY, MapClass, MoebiusMap, chordal_distance, sphere_coords
 
@@ -88,14 +89,34 @@ def test_rectangle_parse_and_validation():
         Rectangle(0, 0, 0, 1)
     with pytest.raises(ValueError):
         Rectangle.parse("1,2,3")
+    for corners in ((0, 0, 1, math.inf), (-math.inf, 0, 1, 1), (0, 0, math.nan, 1)):
+        with pytest.raises(ValueError):
+            Rectangle(*corners)
+    # Finite corners, but a side that overflows.
+    with pytest.raises(ValueError, match="must be finite"):
+        Rectangle(-1e308, 0.0, 1e308, 1.0)
+
+
+def test_render_rejects_a_raster_over_the_pixel_cap():
+    # 8192 x 8192 pixels is the cap; one row more is refused before the
+    # raster is allocated, and so is a window tall enough to overflow.
+    assert limitset._MAX_PIXELS == 8192 * 8192
+    empty = CirclePacking([])
+    assert limitset._raster_size(Rectangle(0.0, 0.0, 1.0, 1.0), 8192) == (8192, 8192)
+    with pytest.raises(ValueError, match="a 8192 x 8193 raster is 67117056 pixels"):
+        render(empty, [], Rectangle(0.0, 0.0, 8192.0, 8193.0), 8192)
+    with pytest.raises(ValueError, match="over the 67108864"):
+        render(empty, [], Rectangle(0.0, -1e308, 1e-300, 1e308 / 2), 16)
+    with pytest.raises(ValueError, match="over the 67108864"):
+        render(empty, [], Rectangle(0.0, 0.0, 1.0, 1.0), 10**400)
 
 
 def test_fixed_point_cloud_of_diagonal_map():
     diag = MarkedGroup(Alphabet(["a"]), {"a": MoebiusMap(2, 0, 0, 0.5)})
     cloud = limit_points_by_fixed_points(diag, 3)
-    assert [p.point for p in cloud.points] == [INFINITY, 0j]
-    assert [p.word for p in cloud.points] == ["a", "A"]
-    assert cloud.finite_points() == [0j]
+    assert cloud.z.tolist() == [complex(math.inf, math.inf), 0j]
+    assert cloud.words == ["a", "A"]
+    assert cloud.z[np.isfinite(cloud.z)].tolist() == [0j]
 
 
 def test_fixed_point_cloud_rejects_elliptic_group():
@@ -106,11 +127,10 @@ def test_fixed_point_cloud_rejects_elliptic_group():
 
 def test_cloud_contains_generator_and_commutator_points(group):
     cloud = limit_points_by_fixed_points(group, 4)
-    pts = [p.point for p in cloud.points]
-    assert INFINITY in pts
-    finite = cloud.finite_points()
+    assert np.isinf(cloud.z.real).any()
+    finite = cloud.z[np.isfinite(cloud.z)]
     for target in (0j, (-1 + 1j) / 2):
-        assert min(abs(z - target) for z in finite) < 1e-9
+        assert abs(finite - target).min() < 1e-9
 
 
 def test_cloud_sizes_are_reproducible(group):
@@ -122,18 +142,17 @@ def test_fixed_point_cloud_matches_word_by_word_oracle(group):
     candidates = fixed_point_candidates(group, 6)
     cloud = limit_points_by_fixed_points(group, 6)
     assert len(cloud) == 1302
-    assert [(p.point, p.word) for p in cloud.points] == [
-        candidates[k] for k in greedy_oracle([p for p, _ in candidates], 1e-9)
-    ]
+    kept = [candidates[k] for k in greedy_oracle([p for p, _ in candidates], 1e-9)]
+    assert cloud.z.tolist() == limitset._plane([p for p, _ in kept]).tolist()
+    assert cloud.words == [w for _, w in kept]
 
 
 def test_deeper_cloud_extends_shallower_one(group):
     c4 = limit_points_by_fixed_points(group, 4)
     c5 = limit_points_by_fixed_points(group, 5)
     assert len(c5) > len(c4)
-    for a, b in zip(c4.points, c5.points):
-        assert a.word == b.word
-        assert chordal_distance(a.point, b.point) == 0.0
+    assert c5.words[: len(c4)] == c4.words
+    assert c5.z[: len(c4)].tolist() == c4.z.tolist()
 
 
 def test_cloud_is_nearly_invariant_two_depths_up(group):
@@ -141,10 +160,10 @@ def test_cloud_is_nearly_invariant_two_depths_up(group):
     # conjugate word of length at most d + 2
     c5 = limit_points_by_fixed_points(group, 5)
     c7 = limit_points_by_fixed_points(group, 7)
-    tree = cKDTree(np.array([sphere_coords(p.point) for p in c7.points]))
+    tree = cKDTree(np.array([sphere_coords(_sphere_point(z)) for z in c7.z.tolist()]))
     for letter in "aAbB":
         g = group.letter_map(letter)
-        moved = np.array([sphere_coords(g.apply(p.point)) for p in c5.points])
+        moved = np.array([sphere_coords(g.apply(_sphere_point(z))) for z in c5.z.tolist()])
         assert tree.query(moved)[0].max() < 1e-9
 
 
@@ -155,16 +174,16 @@ def test_dfs_with_huge_epsilon_emits_only_seeds(group):
     assert result.stats.branches_pruned == 4
     assert result.stats.depth_exhausted_branches == 0
     assert result.stats.max_depth_reached == 0
-    assert [e.word for e in result.circles] == [""] * 4
+    assert result.words == [""] * 4
 
 
 def test_dfs_is_deterministic(group):
     cfg = DfsConfig(epsilon=0.2, max_depth=14, seeds=strip_seeds(), window=WINDOW)
     r1 = limit_set_dfs(group, cfg)
     r2 = limit_set_dfs(group, cfg)
-    assert [e.word for e in r1.circles] == [e.word for e in r2.circles]
-    assert [repr(e.circle) for e in r1.circles] == [repr(e.circle) for e in r2.circles]
-    assert [p.point for p in r1.cloud.points] == [p.point for p in r2.cloud.points]
+    assert r1.words == r2.words
+    assert r1.packing.columns.tobytes() == r2.packing.columns.tobytes()
+    assert r1.packing.centres[r1.in_cloud].tolist() == r2.packing.centres[r2.in_cloud].tolist()
     assert r1.stats.words_visited == r2.stats.words_visited
     assert r1.stats.circles_emitted == r2.stats.circles_emitted
 
@@ -190,12 +209,13 @@ def test_dfs_emitted_circles_are_word_images_of_seeds(group):
     seeds = strip_seeds()
     cfg = DfsConfig(epsilon=0.05, max_depth=14, seeds=seeds, window=WINDOW)
     result = limit_set_dfs(group, cfg)
-    for e in result.circles[::17]:
-        if not e.word:
+    for k in range(0, len(result.packing), 17):
+        if not result.words[k]:
             continue
-        m = group.evaluate(e.word)
+        m = group.evaluate(result.words[k])
+        A, Bre, Bim, C = result.packing.columns[:, k].tolist()
         best = min(
-            max(abs(img.A - e.circle.A), abs(img.B - e.circle.B), abs(img.C - e.circle.C))
+            max(abs(img.A - A), abs(img.B - complex(Bre, Bim)), abs(img.C - C))
             for img in (s.transform(m) for s in seeds)
         )
         assert best < 1e-9
@@ -230,7 +250,7 @@ def test_hausdorff_basics():
     w = Rectangle(-2.0, -2.0, 2.0, 2.0)
     assert hausdorff_distance(a, a, w) == 0.0
     assert hausdorff_distance(cloud_of([0j]), cloud_of([1.0 + 0j]), w) == pytest.approx(1.0)
-    shifted = cloud_of([p + 0.5 for p in a.finite_points()])
+    shifted = cloud_of((a.z + 0.5).tolist())
     assert hausdorff_distance(a, shifted, w) == pytest.approx(0.5)
 
 
@@ -258,7 +278,7 @@ def test_clouds_converge_to_deep_reference(group):
 
 
 def test_render_blank_canvas():
-    out = render(None, [], Rectangle(0.0, 0.0, 2.0, 1.0), 64)
+    out = render(CirclePacking([]), [], Rectangle(0.0, 0.0, 2.0, 1.0), 64)
     header = b"P6\n64 32\n255\n"
     assert out.ppm.startswith(header)
     assert len(out.ppm) == len(header) + 64 * 32 * 3
@@ -269,7 +289,8 @@ def test_render_blank_canvas():
 
 def test_render_single_circle_and_point():
     w = Rectangle(-2.0, -2.0, 2.0, 2.0)
-    out = render(cloud_of([1j]), [OrientedCircle.from_center_radius(0, 1.0)], w, 128)
+    # The cloud point is the circle's centre.
+    out = render(CirclePacking([OrientedCircle.from_center_radius(0, 1.0)]), [True], w, 128)
     assert out.svg.count("<circle") == 1
     assert out.svg.count('fill="#c80000"') == 1
     m = re.search(r'<circle cx="([-0-9.]+)" cy="([-0-9.]+)" r="([0-9.]+)"', out.svg)
@@ -279,7 +300,7 @@ def test_render_single_circle_and_point():
 
 
 def test_render_comment_appears_in_both_outputs():
-    out = render(None, [], Rectangle(0.0, 0.0, 1.0, 1.0), 32, comment="run 7")
+    out = render(CirclePacking([]), [], Rectangle(0.0, 0.0, 1.0, 1.0), 32, comment="run 7")
     assert b"# run 7\n" in out.ppm.split(b"255\n")[0]
     assert "<!-- run 7 -->" in out.svg
 
@@ -290,10 +311,10 @@ def test_render_roundtrip_preserves_gasket_structure(group):
     # which Descartes residuals and inversive products both survive
     cfg = DfsConfig(epsilon=0.05, max_depth=14, seeds=strip_seeds(), window=WINDOW)
     result = limit_set_dfs(group, cfg)
-    out = render(result.cloud, [e.circle for e in result.circles], WINDOW, 800)
+    out = render(result.packing, result.in_cloud, WINDOW, 800)
     rows = re.findall(r'<circle cx="([-0-9.]+)" cy="([-0-9.]+)" r="([0-9.]+)"', out.svg)
-    lines = sum(1 for e in result.circles if e.circle.is_line)
-    assert len(rows) == len(result.circles) - lines
+    lines = int(result.packing.lines.sum())
+    assert len(rows) == len(result.packing) - lines
     rebuilt = CirclePacking(
         [
             OrientedCircle.from_center_radius(complex(float(cx), float(cy)), float(r))
@@ -306,11 +327,11 @@ def test_render_roundtrip_preserves_gasket_structure(group):
     assert verdict.quadruples_checked >= 50
 
 
-def assert_render_matches_oracle(cloud, circles, window, resolution, comment=None):
+def assert_render_matches_oracle(circles, in_cloud, window, resolution, comment=None):
     """render against the per-pixel renderer it replaced: the same PPM and
     SVG bytes."""
-    got = render(cloud, circles, window, resolution, comment)
-    want = render_oracle(cloud, list(circles), window, resolution, comment)
+    got = render(CirclePacking(circles), in_cloud, window, resolution, comment)
+    want = render_oracle(circles, in_cloud, window, resolution, comment)
     assert got.svg == want.svg
     assert got.ppm == want.ppm
     return got
@@ -320,9 +341,9 @@ def test_render_matches_per_pixel_oracle_on_dfs():
     window = Rectangle(-1.0, -1.0, 2.0, 2.0)
     result = hw_dfs(1e-2, window)
     comment = "kleinlab dfs --epsilon 1e-2"
-    got = render(result.cloud, result.packing, window, 800, comment)
-    circles = [e.circle for e in result.circles]
-    assert got == assert_render_matches_oracle(result.cloud, circles, window, 800, comment)
+    got = render(result.packing, result.in_cloud, window, 800, comment)
+    circles = result.packing.circles
+    assert got == assert_render_matches_oracle(circles, result.in_cloud, window, 800, comment)
     assert "<!-- kleinlab dfs - -epsilon 1e-2 -->" in got.svg
 
 
@@ -351,20 +372,26 @@ def test_render_matches_per_pixel_oracle_on_edge_cases(monkeypatch):
         OrientedCircle.from_line((1 + 1j) / math.sqrt(2), 0.5),
         OrientedCircle.from_line(1j, 3.0),
     ]
-    cloud = cloud_of(
-        [INFINITY, 0.5 + 0.5j, 5 + 5j, complex(-0.0, 0.25), 0.999 + 0.001j, 1 + 1j, -0.01 + 0.5j]
-    )
+    # Cloud points at infinity (the last line's centre), at an enclosing
+    # circle's centre, and at the centres of dots in, on the edge of and
+    # beside the window.
+    in_cloud = [False] * len(circles)
+    in_cloud[7] = in_cloud[-1] = True
+    for z in (5 + 5j, complex(-0.0, 0.25), 0.999 + 0.001j, 1 + 1j, -0.01 + 0.5j):
+        circles.append(OrientedCircle.from_center_radius(z, 1e-3))
+        in_cloud.append(True)
     comment = "kleinlab dfs --out run\nconfig: a--b"
-    out = assert_render_matches_oracle(cloud, circles, window, 64, comment)
+    out = assert_render_matches_oracle(circles, in_cloud, window, 64, comment)
     assert out.svg.count("<line") == 3
     assert out.svg.count('fill="#c80000"') == 4
     assert "<!-- kleinlab dfs - -out run\nconfig: a- -b -->" in out.svg
     # The same circles in a window twice as wide as it is high.
-    assert_render_matches_oracle(cloud, circles, Rectangle(-1.0, -0.5, 2.0, 1.0), 90, comment)
-    assert_render_matches_oracle(None, circles[::-1], Rectangle(-0.5, 0.0, 1.5, 0.75), 37)
+    assert_render_matches_oracle(circles, in_cloud, Rectangle(-1.0, -0.5, 2.0, 1.0), 90, comment)
+    no_cloud = [False] * len(circles)
+    assert_render_matches_oracle(circles[::-1], no_cloud, Rectangle(-0.5, 0.0, 1.5, 0.75), 37)
     # Outlines split over many passes.
     monkeypatch.setattr(limitset, "_SAMPLES_PER_PASS", 100)
-    assert_render_matches_oracle(cloud, circles, window, 64, comment)
+    assert_render_matches_oracle(circles, in_cloud, window, 64, comment)
 
 
 def test_render_outlines_take_math_cos_and_sin(monkeypatch):
@@ -378,7 +405,7 @@ def test_render_outlines_take_math_cos_and_sin(monkeypatch):
         OrientedCircle.from_center_radius(0.5 + 0.5j, 0.3),
         OrientedCircle.from_center_radius(0.2 + 0.3j, 0.1).reversed(),
     ]
-    assert_render_matches_oracle(None, circles, Rectangle(0.0, 0.0, 1.0, 1.0), 64)
+    assert_render_matches_oracle(circles, [False, False], Rectangle(0.0, 0.0, 1.0, 1.0), 64)
 
 
 def hw_dfs(epsilon, window):
@@ -402,7 +429,7 @@ def assert_window_pass_matches_scalar(circles, window):
     [Rectangle(-1.0, -1.0, 2.0, 2.0), WINDOW, Rectangle(-0.2, 0.3, 0.05, 0.35)],
 )
 def test_window_pass_matches_scalar_test_on_dfs_circles(window):
-    circles = [e.circle for e in hw_dfs(1e-2, None).circles]
+    circles = hw_dfs(1e-2, None).packing.circles
     assert len(circles) > 1369
     expected = assert_window_pass_matches_scalar(circles, window)
     assert any(expected) and not all(expected)
@@ -453,23 +480,23 @@ def assert_extend_matches_oracle(points, tol):
     across two calls followed by try_add for the last few points."""
     words = ["ab"[k % 2] * (k % 7) for k in range(len(points))]
     kept = greedy_oracle(points, tol)
-    expected = [(points[k], words[k]) for k in kept]
+    expected = (limitset._plane([points[k] for k in kept]).tolist(), [words[k] for k in kept])
     bulk = LimitSetCloud(tol)
     bulk.extend(points, words)
-    assert bulk.points == expected
+    assert (bulk.z.tolist(), bulk.words) == expected
     a, b = len(points) // 3, len(points) - 10
     staged = LimitSetCloud(tol)
     staged.extend(points[:a], words[:a])
     staged.extend(points[a:b], words[a:b])
     added = [staged.try_add(p, w) for p, w in zip(points[b:], words[b:])]
-    assert staged.points == expected
+    assert (staged.z.tolist(), staged.words) == expected
     assert added == [k in kept for k in range(b, len(points))]
     return kept
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-6, 1e-3, 1e-13])
 def test_cloud_extend_matches_try_add_on_dfs_centres(tol):
-    centres = [e.circle.center for e in hw_dfs(1e-2, None).circles]
+    centres = [c.center for c in hw_dfs(1e-2, None).packing.circles]
     assert centres.count(INFINITY) == 2
     assert len(assert_extend_matches_oracle(centres, tol)) == len(centres) - 1
 
