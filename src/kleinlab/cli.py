@@ -22,37 +22,43 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import itertools
-import json
 import os
 import sys
-import tempfile
 from dataclasses import asdict, dataclass, fields, replace
-from importlib import resources
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .decomposition import (
-    cut_pairs,
-    link_valency,
-    load_graph_of_groups,
-    load_simple_graph,
-    load_tree_system,
-    local_cut_valency,
-    tree_system_limit,
-    validate_bowditch,
-)
-from .gasket import dump_packing, is_apollonian_like, load_packing
 from .groups import _format_lines, load_marking, solve_parabolic_commutator
-from .limitset import (
-    DfsConfig,
-    Rectangle,
-    _raster_size,
-    limit_points_by_fixed_points,
-    limit_set_dfs,
-    render,
-)
+
+if TYPE_CHECKING:
+    from .limitset import Rectangle
 
 __all__ = ["main", "RunConfig", "load_config", "ConfigError", "UnknownKeyError"]
+
+# The library names the handlers use -> their defining module.  Each handler
+# imports its names where it runs, so a command loads only its own modules;
+# `cli.<name>` reads the defining module on every access, so a wrapper set
+# there is what both see.
+_HANDLER_NAMES = {
+    name: module
+    for module, names in (
+        ("decomposition", "cut_pairs link_valency load_graph_of_groups load_simple_graph "
+                          "load_tree_system local_cut_valency tree_system_limit "
+                          "validate_bowditch"),
+        ("gasket", "dump_packing is_apollonian_like load_packing"),
+        ("limitset", "DfsConfig Rectangle _raster_size limit_points_by_fixed_points "
+                     "limit_set_dfs render"),
+    )
+    for name in names.split()
+}
+
+
+def __getattr__(name: str):
+    if name in _HANDLER_NAMES:
+        return getattr(importlib.import_module("." + _HANDLER_NAMES[name], __package__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ConfigError(ValueError):
@@ -104,7 +110,7 @@ class RunConfig:
                 continue
             if isinstance(val, bool):
                 text = "true" if val else "false"
-            elif isinstance(val, Rectangle):
+            elif f.name == "window":
                 text = f"{val.x0!r},{val.y0!r},{val.x1!r},{val.y1!r}"
             else:
                 text = str(val)
@@ -135,6 +141,8 @@ def _parse_value(key: str, raw: str):
             raise ConfigError(f"resolution must be >= 16, got {raw}")
         return val
     if key == "window":
+        from .limitset import Rectangle
+
         return Rectangle.parse(raw)
     if key == "normalize":
         if raw not in ("true", "false"):
@@ -165,6 +173,8 @@ def load_config(text: str, source: str = "<config>") -> dict[str, object]:
 
 
 def _preset_text(name: str) -> str:
+    from importlib import resources
+
     path = resources.files("kleinlab").joinpath("presets", name)
     try:
         return path.read_text()
@@ -175,7 +185,8 @@ def _preset_text(name: str) -> str:
 def _resolve_input(ref: str, suffix: str = ".txt") -> str:
     """Read a path, or a bundled file via the preset:<name> scheme."""
     if ref.startswith("preset:"):
-        return _preset_text(ref.split(":", 1)[1] + suffix)
+        name = ref.split(":", 1)[1]
+        return _preset_text(name if name.endswith(suffix) else name + suffix)
     with open(ref, "r") as fh:
         return fh.read()
 
@@ -212,6 +223,8 @@ def _commented(header: str, body: str) -> str:
 
 
 def _write_atomic(path: str, data: str | bytes) -> None:
+    import tempfile
+
     payload = data.encode() if isinstance(data, str) else data
     directory = os.path.dirname(os.path.abspath(path))
     # mkstemp creates the file 0600; give the artifact the mode open() would.
@@ -276,6 +289,8 @@ def _cmd_solve(cfg: RunConfig, argv: list[str]) -> int:
 
 
 def _cmd_points(cfg: RunConfig, argv: list[str]) -> int:
+    from .limitset import limit_points_by_fixed_points
+
     group = _load_marked_group(cfg)
     cloud = limit_points_by_fixed_points(group, cfg.depth)
     xy = map("%.17g %.17g".__mod__, zip(cloud.z.real.tolist(), cloud.z.imag.tolist()))
@@ -285,6 +300,11 @@ def _cmd_points(cfg: RunConfig, argv: list[str]) -> int:
 
 
 def _cmd_dfs(cfg: RunConfig, argv: list[str]) -> int:
+    import json
+
+    from .gasket import dump_packing, load_packing
+    from .limitset import DfsConfig, _raster_size, limit_set_dfs, render
+
     if not cfg.out:
         raise _UsageError("dfs needs --out (artifact base path)")
     if cfg.window is None:
@@ -344,6 +364,10 @@ def _cmd_dfs(cfg: RunConfig, argv: list[str]) -> int:
 
 
 def _cmd_verify_gasket(cfg: RunConfig, argv: list[str]) -> int:
+    import json
+
+    from .gasket import is_apollonian_like, load_packing
+
     if cfg.input is None:
         raise _UsageError("verify-gasket needs an input packing file")
     packing = load_packing(_resolve_input(cfg.input))
@@ -366,12 +390,19 @@ def _cmd_verify_gasket(cfg: RunConfig, argv: list[str]) -> int:
 
 
 def _cmd_validate_gog(cfg: RunConfig, argv: list[str]) -> int:
+    from .decomposition import load_graph_of_groups, validate_bowditch
+
     if cfg.input is None:
         raise _UsageError("validate-gog needs an input graph-of-groups file")
     ref = cfg.input
-    if not os.path.exists(ref) and not ref.startswith("preset:") and "/" not in ref:
-        ref = "preset:" + ref  # bare names fall back to bundled files
-    graph = load_graph_of_groups(_resolve_input(ref, ".gog"))
+    if os.path.exists(ref) or ref.startswith("preset:") or "/" in ref:
+        text = _resolve_input(ref, ".gog")
+    else:  # bare names fall back to bundled files
+        try:
+            text = _resolve_input("preset:" + ref, ".gog")
+        except _UsageError:
+            raise _UsageError(f"no file or bundled preset named {ref!r}") from None
+    graph = load_graph_of_groups(text)
     report = validate_bowditch(graph)
     lines = [
         f"vertices: {len(graph.vertices)}  edges: {len(graph.edges)}  "
@@ -390,6 +421,8 @@ def _cmd_validate_gog(cfg: RunConfig, argv: list[str]) -> int:
 
 
 def _cmd_tree_limit(cfg: RunConfig, argv: list[str]) -> int:
+    from .decomposition import load_tree_system, tree_system_limit
+
     if cfg.input is None:
         raise _UsageError("tree-limit needs an input tree-system file")
     system = load_tree_system(_resolve_input(cfg.input))
@@ -403,6 +436,8 @@ def _cmd_tree_limit(cfg: RunConfig, argv: list[str]) -> int:
 
 
 def _cmd_cuts(cfg: RunConfig, argv: list[str]) -> int:
+    from .decomposition import cut_pairs, link_valency, load_simple_graph, local_cut_valency
+
     if cfg.input is None:
         raise _UsageError("cuts needs an input graph edge-list file")
     graph = load_simple_graph(_resolve_input(cfg.input))

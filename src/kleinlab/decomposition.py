@@ -18,7 +18,7 @@ from math import gcd, lcm
 from operator import add
 from typing import Iterable
 
-from .groups import _format_lines
+from .groups import _connected, _format_lines
 
 __all__ = [
     "UnknownVertexError",
@@ -88,20 +88,6 @@ class GoGEdge:
     two_ended: bool = True
     slot_u: int | None = None
     slot_v: int | None = None
-
-
-def _connected(vertices, neighbours) -> bool:
-    """Whether the graph on a nonempty sized collection of vertices, where
-    neighbours(x) lists the neighbours of x, is connected."""
-    frontier = {next(iter(vertices))}
-    seen = set(frontier)
-    while frontier:
-        reached: set = set()
-        for x in frontier:
-            reached.update(neighbours(x))
-        frontier = reached - seen
-        seen |= frontier
-    return len(seen) == len(vertices)
 
 
 class GraphOfGroups:

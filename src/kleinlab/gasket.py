@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 
-from .decomposition import _connected
-from .groups import _format_lines
+from .groups import _connected, _format_lines
 from .mobius import (
     INFINITY,
     MoebiusMap,

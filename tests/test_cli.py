@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from kleinlab import cli
+from kleinlab import cli, decomposition, gasket, limitset
 from kleinlab.gasket import (
     CirclePacking,
     OrientedCircle,
@@ -42,43 +42,89 @@ def run_cli(*args, cwd=None):
     )
 
 
+# Child-process code that prints, as its last stderr line, the kleinlab
+# modules (without the package prefix) and numpy or scipy if loaded; a
+# module blocked by a None entry is not loaded.
+LOADED_MODULES = (
+    "print(sorted(m.removeprefix('kleinlab.') for m, mod in sys.modules.items() "
+    "if mod and (m.startswith('kleinlab.') or m in ('numpy', 'scipy'))), file=sys.stderr)"
+)
+# What every command loads: the front end and what `load_config` reads with.
+CLI_MODULES = ["cli", "groups", "mobius"]
+
+
 def test_cli_import_leaves_numpy_and_scipy_unloaded():
-    # Starting the CLI must not pay for numpy: only the commands that need
-    # it import it, when they run.  No command needs scipy.
-    code = "import sys, kleinlab.cli; print([m for m in ('numpy', 'scipy') if m in sys.modules])"
+    # Starting the CLI must not pay for numpy, or for the library modules
+    # no command shares: each command imports its own when it runs.  No
+    # command needs scipy.
     r = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=300
+        [sys.executable, "-c", "import sys, kleinlab.cli; " + LOADED_MODULES],
+        capture_output=True, text=True, env=child_env(), timeout=300,
     )
     assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "[]"
+    assert r.stderr.splitlines()[-1] == str(CLI_MODULES)
 
 
 def test_no_command_needs_scipy(tmp_path):
     # scipy is a test dependency only: every command runs in a child where
-    # importing it fails.
+    # importing it fails, and loads only the modules it runs.
     prelude = (
         "import sys; sys.modules['scipy'] = None; "
-        "from kleinlab.cli import main; sys.exit(main(sys.argv[1:]))"
+        "from kleinlab.cli import main; rc = main(sys.argv[1:]); "
+        + LOADED_MODULES + "; sys.exit(rc)"
     )
+    limit_set = sorted(CLI_MODULES + ["gasket", "limitset", "numpy"])
+    splitting = sorted(CLI_MODULES + ["decomposition"])
     (tmp_path / "ts.txt").write_text(
         "space A 2\nrow 0 1\nrow 1 0\nspace B 2\nrow 0 2\nrow 2 0\n"
         "tree-edge A B\nglue A B 1 0\n"
     )
     (tmp_path / "c4.txt").write_text("a b\nb c\nc d\nd a\n")
-    for args in (
-        ["solve"],
-        ["points", "--depth", "3"],
-        ["dfs", "--preset", "hw-gasket", "--epsilon", "1e-2"],
-        ["verify-gasket", "--normalize", "hw-gasket.circles.txt"],
-        ["validate-gog", "abc-example"],
-        ["tree-limit", "ts.txt"],
-        ["cuts", "c4.txt"],
+    for args, loaded in (
+        (["solve"], CLI_MODULES),
+        (["points", "--depth", "3"], limit_set),
+        (["dfs", "--preset", "hw-gasket", "--epsilon", "1e-2"], limit_set),
+        (["verify-gasket", "--normalize", "hw-gasket.circles.txt"],
+         sorted(CLI_MODULES + ["gasket", "numpy"])),
+        (["validate-gog", "abc-example"], splitting),
+        (["tree-limit", "ts.txt"], splitting),
+        (["cuts", "c4.txt"], splitting),
     ):
         r = subprocess.run(
             [sys.executable, "-c", prelude, *args],
             capture_output=True, text=True, cwd=tmp_path, env=child_env(), timeout=300,
         )
         assert r.returncode == 0, (args, r.stderr)
+        assert r.stderr.splitlines()[-1] == str(loaded), args
+
+
+def test_stages_stay_reachable_for_tracing(tmp_path, monkeypatch, capsys):
+    # A tracer wraps each stage where it is defined.  The commands must call
+    # it from there, and `cli.<name>` must read it from there too.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c4.txt").write_text("a b\nb c\nc d\nd a\n")
+    calls = collections.Counter()
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        for module, name in (
+            (limitset, "limit_set_dfs"), (gasket, "load_packing"), (decomposition, "cut_pairs"),
+        ):
+            patch.setattr(module, name, counting(name, getattr(module, name)))
+            assert getattr(cli, name) is getattr(module, name)
+        assert cli.main(["dfs", "--preset", "hw-gasket", "--epsilon", "1e-2", "--out", "run"]) == 0
+        assert cli.main(["verify-gasket", "run.circles.txt"]) == 0
+        assert cli.main(["cuts", "c4.txt"]) == 0
+    capsys.readouterr()
+    # dfs loads its seeds and verify-gasket its packing.
+    assert calls == {"limit_set_dfs": 1, "load_packing": 2, "cut_pairs": 1}
+    assert cli.limit_set_dfs is limitset.limit_set_dfs
+    assert "limit_set_dfs" not in vars(cli)
 
 
 def test_main_builds_the_parser_once(capsys):
@@ -382,7 +428,7 @@ def test_dfs_rejects_an_undrawable_raster_before_the_dfs(
     def no_dfs(*args):
         raise AssertionError("the DFS ran")
 
-    monkeypatch.setattr(cli, "limit_set_dfs", no_dfs)
+    monkeypatch.setattr(limitset, "limit_set_dfs", no_dfs)
     assert cli.main(["dfs", "--preset", "hw-gasket", "--out", "run", *extra]) == 2
     assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
@@ -503,6 +549,21 @@ def test_validate_gog_bundled_example():
     assert r.returncode == 0
     assert "vertices: 7  edges: 6  tree: yes" in r.stdout
     assert "pass" in r.stdout.splitlines()
+
+
+def test_validate_gog_takes_the_bundled_name_with_or_without_its_suffix(capsys):
+    bodies = []
+    for name in ("abc-example", "abc-example.gog"):
+        assert cli.main(["validate-gog", name]) == 0
+        bodies.append(capsys.readouterr().out.splitlines()[3:])
+    assert bodies[0] == bodies[1] == ["vertices: 7  edges: 6  tree: yes", "pass"]
+
+
+@pytest.mark.parametrize("name", ["missing.gog", "missing"])
+def test_validate_gog_names_a_missing_input_as_given(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["validate-gog", name]) == 2
+    assert capsys.readouterr().err == f"no file or bundled preset named {name!r}\n"
 
 
 def test_validate_gog_reports_failing_clause(tmp_path):
