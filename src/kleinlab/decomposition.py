@@ -18,7 +18,7 @@ from math import gcd, lcm
 from operator import add
 from typing import Iterable
 
-from .groups import _connected, _format_lines
+from .groups import _format_lines
 
 __all__ = [
     "UnknownVertexError",
@@ -57,6 +57,26 @@ class UnknownPointError(ValueError):
 class MetricDegenerateError(ValueError):
     """The quotient construction produced distance zero between points that
     were not identified."""
+
+
+def _components(vertices, neighbours) -> list[set]:
+    """The vertex sets of the components of the graph on a sized collection
+    of vertices, in order of their first vertex, where neighbours(x) lists
+    the neighbours of x; a neighbour outside vertices is passed over."""
+    left = set(vertices)
+    out = []
+    for start in vertices:
+        if start in left:
+            left.remove(start)
+            component, stack = {start}, [start]
+            while stack:
+                for y in neighbours(stack.pop()):
+                    if y in left:
+                        left.remove(y)
+                        component.add(y)
+                        stack.append(y)
+            out.append(component)
+    return out
 
 
 # -- graphs of groups ----------------------------------------------------------
@@ -108,7 +128,7 @@ class GraphOfGroups:
         for e in self.edges:
             adj[e.u].append(e.v)
             adj[e.v].append(e.u)
-        if not _connected(adj, adj.__getitem__):
+        if len(_components(adj, adj.__getitem__)) != 1:
             raise ValueError("underlying graph must be connected")
 
     def incident(self, vertex_id: str) -> list[GoGEdge]:
@@ -313,7 +333,7 @@ class TreeSystem:
                 raise ValueError("tree edges must be distinct and loop-free")
             adj[t1].add(t2)
             adj[t2].add(t1)
-        if len(self.tree_edges) != len(ids) - 1 or not _connected(adj, adj.__getitem__):
+        if len(self.tree_edges) != len(ids) - 1 or len(_components(adj, adj.__getitem__)) != 1:
             raise ValueError("edges must form a tree on the vertex spaces")
         for edge in self.tree_edges:
             pairs = self.gluings.get(edge)
@@ -341,29 +361,17 @@ def tree_system_limit(system: TreeSystem) -> FiniteMetricSpace:
     Quotient points are named t:p after the lexicographically smallest
     member of their class.
     """
-    nodes = [(t, p) for t in sorted(system.spaces) for p in system.spaces[t].points]
-    parent = {x: x for x in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            # Keep the lexicographically smaller representative.
-            if ry < rx:
-                rx, ry = ry, rx
-            parent[ry] = rx
-
+    glued: dict[tuple[str, str], list[tuple[str, str]]] = {
+        (t, p): [] for t in sorted(system.spaces) for p in system.spaces[t].points
+    }
     for (t1, t2), pairs in system.gluings.items():
         for p, q in pairs:
-            union((t1, p), (t2, q))
-
-    classes = sorted({find(x) for x in nodes})
-    class_index = {rep: i for i, rep in enumerate(classes)}
+            glued[t1, p].append((t2, q))
+            glued[t2, q].append((t1, p))
+    # Each class is a component of the gluings, named after its least member.
+    members = sorted(_components(glued, glued.__getitem__), key=min)
+    classes = [min(c) for c in members]
+    class_index = {x: i for i, c in enumerate(members) for x in c}
     n = len(classes)
 
     # Every space's scaled metric, rescaled to one common denominator.
@@ -372,7 +380,7 @@ def tree_system_limit(system: TreeSystem) -> FiniteMetricSpace:
     for t in sorted(system.spaces):
         space = system.spaces[t]
         scale = den // space._den
-        cls = [class_index[find((t, p))] for p in space.points]
+        cls = [class_index[t, p] for p in space.points]
         for (a, i), (b, j) in combinations(enumerate(cls), 2):
             if i == j:
                 continue
@@ -434,14 +442,7 @@ class SimpleGraph:
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[str, str]]) -> "SimpleGraph":
         edges = list(edges)
-        seen: list[str] = []
-        have = set()
-        for u, v in edges:
-            for x in (u, v):
-                if x not in have:
-                    have.add(x)
-                    seen.append(x)
-        return cls(seen, edges)
+        return cls(dict.fromkeys(x for edge in edges for x in edge), edges)
 
     def __contains__(self, v: str) -> bool:
         return v in self.adjacency
@@ -449,26 +450,8 @@ class SimpleGraph:
     def edge_count(self) -> int:
         return sum(len(s) for s in self.adjacency.values()) // 2
 
-    def _components(self, removed: set[str]) -> list[set[str]]:
-        out = []
-        seen: set[str] = set()
-        for start in self.vertices:
-            if start in removed or start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for y in self.adjacency[x]:
-                    if y not in removed and y not in comp:
-                        comp.add(y)
-                        stack.append(y)
-            seen |= comp
-            out.append(comp)
-        return out
-
     def is_connected(self) -> bool:
-        return not self.vertices or _connected(self.adjacency, self.adjacency.__getitem__)
+        return len(_components(self.adjacency, self.adjacency.__getitem__)) <= 1
 
 
 def _require_vertex(g: SimpleGraph, v: str) -> None:
@@ -481,7 +464,8 @@ def local_cut_valency(g: SimpleGraph, v: str) -> int:
     (for connected G, every component does)."""
     _require_vertex(g, v)
     nbrs = g.adjacency[v]
-    return sum(1 for comp in g._components({v}) if comp & nbrs)
+    rest = g.adjacency.keys() - {v}
+    return sum(1 for comp in _components(rest, g.adjacency.__getitem__) if comp & nbrs)
 
 
 def link_valency(g: SimpleGraph, v: str) -> int:
@@ -493,7 +477,7 @@ def link_valency(g: SimpleGraph, v: str) -> int:
     subdivision vertices, every subdivision vertex gets link valency 2 even
     though the graph minus that vertex stays connected."""
     _require_vertex(g, v)
-    return len(g._components(set(g.vertices) - g.adjacency[v]))
+    return len(_components(g.adjacency[v], g.adjacency.__getitem__))
 
 
 @dataclass(frozen=True)

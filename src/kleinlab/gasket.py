@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 
-from .groups import _connected, _format_lines
+from .groups import _format_lines
 from .mobius import (
     INFINITY,
     MoebiusMap,
@@ -330,17 +330,6 @@ def _csr_rows(indptr, indices, vertices):
     return owner, indices[start[owner] + offset]
 
 
-def _csr(src, dst, n: int):
-    """(indptr, indices) of the arcs src -> dst, each row in ascending order,
-    and the sorted arc keys src * n + dst."""
-    import numpy as np
-
-    keys = src * n + dst
-    order = np.argsort(keys)
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
-    return indptr, dst[order], keys[order]
-
-
 def _contains(sorted_keys, keys):
     """Whether each of keys is in the nonempty sorted_keys."""
     import numpy as np
@@ -350,29 +339,28 @@ def _contains(sorted_keys, keys):
 
 
 class TangencyGraph:
-    """The tangent pairs of a packing as sorted int arrays i < j, with a CSR
-    adjacency: row v of `indices`, from `indptr[v]` to `indptr[v + 1]`,
-    lists v's neighbours in ascending order.
+    """The tangent pairs of a packing as int arrays i < j in lexicographic
+    order, so their `keys` i * n + j ascend: the one edge table that
+    `has_edge`, the degree order of the cliques and `is_connected` read.
 
     Tangency points are computed only where they are read: `edge_point`
     and the lazy `edges`.
     """
 
     def __init__(self, packing: CirclePacking, i, j):
-        import numpy as np
-
-        self.n = n = len(packing)
+        self.n = len(packing)
         self.packing = packing
         self.columns = packing.columns
         self.i, self.j = i, j
-        self.indptr, self.indices, _ = _csr(np.concatenate((i, j)), np.concatenate((j, i)), n)
+        self.keys = i * self.n + j
 
     def has_edge(self, i: int, j: int) -> bool:
-        if not (0 <= i < self.n and 0 <= j < self.n):
+        i, j = min(i, j), max(i, j)
+        if not (0 <= i and j < self.n):
             return False
-        row = self.indices[self.indptr[i]:self.indptr[i + 1]]
-        pos = int(row.searchsorted(j))
-        return pos < len(row) and int(row[pos]) == j
+        key = i * self.n + j
+        pos = int(self.keys.searchsorted(key))
+        return pos < len(self.keys) and int(self.keys[pos]) == key
 
     def edge_point(self, i: int, j: int) -> SpherePoint:
         if not self.has_edge(i, j):
@@ -402,10 +390,15 @@ class TangencyGraph:
         import numpy as np
 
         n = self.n
+        degree = np.bincount(np.concatenate((self.i, self.j)), minlength=n)
         rank = np.empty(n, dtype=np.int64)
-        rank[np.lexsort((np.arange(n), np.diff(self.indptr)))] = np.arange(n)
+        rank[np.lexsort((np.arange(n), degree))] = np.arange(n)
         up = rank[self.i] < rank[self.j]
-        return _csr(np.where(up, self.i, self.j), np.where(up, self.j, self.i), n)
+        src, dst = np.where(up, self.i, self.j), np.where(up, self.j, self.i)
+        keys = src * n + dst
+        order = np.argsort(keys)
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+        return indptr, dst[order], keys[order]
 
     def _extend(self, clique):
         """Every clique one vertex larger, each vertex list in the order of
@@ -452,12 +445,22 @@ class TangencyGraph:
         return zip(*self._triangles.tolist())
 
     def is_connected(self) -> bool:
-        flat, bounds = self.indices.tolist(), self.indptr.tolist()
-        # Each row is sliced when the search reaches it and dropped after,
-        # so the search holds no list per vertex.
-        return self.n == 0 or _connected(
-            range(self.n), lambda v: flat[bounds[v]:bounds[v + 1]]
-        )
+        """A min-label pass with pointer jumping (Shiloach-Vishkin, J.
+        Algorithms 3, 1982): each round hooks the larger root of every edge
+        to the smaller, points every vertex at its root, and drops the edges
+        inside one tree.  Each component ends rooted at its least vertex."""
+        import numpy as np
+
+        root = np.arange(self.n)
+        i, j = self.i, self.j
+        while len(i):
+            ri, rj = root[i], root[j]
+            np.minimum.at(root, np.maximum(ri, rj), np.minimum(ri, rj))
+            while (root[root] != root).any():
+                root = root[root]
+            apart = root[i] != root[j]
+            i, j = i[apart], j[apart]
+        return not root.any()
 
 
 # Rounding allowance for the cap prune and the grid cells.  What it covers
@@ -873,13 +876,14 @@ def load_packing(text: str) -> CirclePacking:
     """The packing of a text in the format above, parsed straight into
     columns.  Each triple takes the operations of from_center_radius (and
     reversed, for a negative radius) or from_line, and each bad line raises
-    the error those would, after its line number."""
+    the error those would, after its line number.  A non-finite number is
+    an error too, found in one pass after the lines parse."""
     import numpy as np
 
-    # (A, Re B, Im B, C) of each line; (x, y, radius, 0) of each circle,
-    # which one bulk pass then turns into its triple.
-    rows: list[tuple[float, float, float, float]] = []
-    circle_rows: list[int] = []
+    # (x, y, radius or offset) of each row, which one bulk pass turns into
+    # the circles' triples; (row, B, C) of each line.
+    rows: list[tuple[float, float, float]] = []
+    lines: list[tuple[int, complex, float]] = []
     for line_no, line in _format_lines(text):
         try:
             parts = line.split()
@@ -891,17 +895,18 @@ def load_packing(text: str) -> CirclePacking:
                     raise ValueError("zero radius")
                 if not abs(v) > 0.0:
                     raise ValueError(f"radius must be positive, got {abs(v)}")
-                circle_rows.append(len(rows))
-                rows.append((x, y, v, 0.0))
             else:
-                B, C = _line_triple(complex(x, y), v)
-                rows.append((0.0, B.real, B.imag, C))
+                lines.append((len(rows), *_line_triple(complex(x, y), v)))
+            rows.append((x, y, v))
         except ValueError as exc:
             raise ValueError(f"line {line_no}: {exc}") from None
     if not rows:
         raise ValueError("packing file defines no circles")
-    columns = np.array(rows).T.copy()
-    x, y, v, _ = columns[:, circle_rows]
+    x, y, v = np.array(rows).T
+    finite = np.isfinite(x) & np.isfinite(y) & np.isfinite(v)
+    if not finite.all():
+        line_no, line = next(itertools.islice(_format_lines(text), int(finite.argmin()), None))
+        raise ValueError(f"line {line_no}: numbers must be finite, got {line!r}")
     radius = abs(v)
     # Python floats overflow to inf and nan without a word; so do these.
     with np.errstate(all="ignore"):
@@ -911,7 +916,9 @@ def load_packing(text: str) -> CirclePacking:
         circle = np.stack(
             (k, ar * k - ai * 0.0, ar * 0.0 + ai * k, (x * x + y * y - radius * radius) * k)
         )
-    columns[:, circle_rows] = np.where(v < 0.0, -circle, circle)
+    columns = np.where(v < 0.0, -circle, circle)
+    for row, B, C in lines:
+        columns[:, row] = (0.0, B.real, B.imag, C)
     return CirclePacking.from_columns(columns)
 
 

@@ -349,20 +349,6 @@ def _format_lines(text: str):
             yield i, line
 
 
-def _connected(vertices, neighbours) -> bool:
-    """Whether the graph on a nonempty sized collection of vertices, where
-    neighbours(x) lists the neighbours of x, is connected."""
-    frontier = {next(iter(vertices))}
-    seen = set(frontier)
-    while frontier:
-        reached: set = set()
-        for x in frontier:
-            reached.update(neighbours(x))
-        frontier = reached - seen
-        seen |= frontier
-    return len(seen) == len(vertices)
-
-
 def load_marking(text: str) -> MarkedGroup:
     """Parse `gen`/`bind` lines into a MarkedGroup; `rel` lines are ignored
     so one file can carry a marking and a presentation together."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .gasket import CirclePacking, OrientedCircle, _TripleSet, _line_geometry
-from .groups import MarkedGroup
+from .groups import MarkedGroup, reduced_word_count
 from .mobius import (
     INFINITY,
     MapClass,
@@ -40,6 +40,10 @@ __all__ = [
 # Chordal distance below which two cloud points of `points` or `dfs` count
 # as one.
 _CLOUD_TOLERANCE = 1e-9
+# The most words limit_points_by_fixed_points composes, 2^22: every level
+# stays in memory and each is 2 rank - 1 times the last, so rank-2 depth 13
+# (3,188,644 words) runs and depth 14 (9,565,936) is refused.
+_MAX_WORDS = 1 << 22
 
 
 class EllipticOnlyError(ValueError):
@@ -205,10 +209,19 @@ def limit_points_by_fixed_points(group: MarkedGroup, max_word_len: int) -> Limit
     Level n extends each level-(n-1) word and map, in order, by every
     letter that does not cancel its last one, so each word is composed
     once and the depth-d cloud is an exact prefix of the depth-(d+1) cloud.
-    Raises EllipticOnlyError when no word contributes.
+    Raises EllipticOnlyError when no word contributes, and ValueError,
+    before any word is composed, when there are over _MAX_WORDS words.
     """
     if max_word_len < 1:
         raise ValueError("max_word_len must be >= 1")
+    rank = group.alphabet.rank
+    # Running totals, so a huge depth stops at the first one over the cap.
+    totals = itertools.accumulate(reduced_word_count(rank, n) for n in range(1, max_word_len + 1))
+    if any(total > _MAX_WORDS for total in totals):
+        raise ValueError(
+            f"depth {max_word_len} at rank {rank} needs more than the {_MAX_WORDS} words "
+            f"that points composes"
+        )
     cloud = LimitSetCloud(_CLOUD_TOLERANCE)
     letters = group.alphabet.letters
     maps = [group.letter_map(x) for x in letters]
@@ -226,7 +239,7 @@ def limit_points_by_fixed_points(group: MarkedGroup, max_word_len: int) -> Limit
         for word, m in level:
             kind = m.classify()
             if kind is not MapClass.IDENTITY and kind is not MapClass.ELLIPTIC:
-                points.append(m.attracting_fixed_point())
+                points.append(m._attracting_fixed_point(kind))
                 words.append(word)
     cloud.extend(points, words)
     if not len(cloud):

@@ -35,7 +35,8 @@ _CLASS_EPS = 1e-9
 
 
 class DegenerateMatrixError(ValueError):
-    """Raised when a matrix with (numerically) zero determinant is used."""
+    """Raised when a matrix with (numerically) zero determinant, or a
+    non-finite entry, is used."""
 
 
 class IdentityMapError(ValueError):
@@ -117,6 +118,8 @@ class MoebiusMap:
 
     def __init__(self, a: complex, b: complex, c: complex, d: complex):
         a, b, c, d = complex(a), complex(b), complex(c), complex(d)
+        if not all(map(cmath.isfinite, (a, b, c, d))):
+            raise DegenerateMatrixError(f"matrix entries must be finite, got {(a, b, c, d)}")
         det = a * d - b * c
         scale = max(abs(a), abs(b), abs(c), abs(d))
         if scale == 0.0 or abs(det) < 1e-12 * scale * scale:
@@ -215,7 +218,10 @@ class MoebiusMap:
         "repelling", "indifferent"}.  Raises IdentityMapError for the
         identity, which fixes everything.
         """
-        kind = self.classify()
+        return self._fixed_points(self.classify())
+
+    def _fixed_points(self, kind: MapClass) -> list[tuple[SpherePoint, str]]:
+        """fixed_points of this map, already classified as kind."""
         if kind is MapClass.IDENTITY:
             raise IdentityMapError("the identity fixes every point")
         a, b, c, d = self.a, self.b, self.c, self.d
@@ -265,15 +271,17 @@ class MoebiusMap:
         parabolic map its unique fixed point.  Elliptic maps and the
         identity have no such point and raise.
         """
-        kind = self.classify()
+        return self._attracting_fixed_point(self.classify())
+
+    def _attracting_fixed_point(self, kind: MapClass) -> SpherePoint:
+        """attracting_fixed_point of this map, already classified as kind."""
         if kind is MapClass.IDENTITY:
             raise IdentityMapError("the identity has no distinguished fixed point")
         if kind is MapClass.ELLIPTIC:
             raise ValueError("elliptic maps have no attracting fixed point")
-        for point, tag in self.fixed_points():
-            if tag != "repelling":
-                return point
-        raise AssertionError("unreachable: non-elliptic map with only repelling fixed points")
+        # Two fixed points have reciprocal multipliers and a lone one is
+        # indifferent, so some fixed point is not repelling.
+        return next(point for point, tag in self._fixed_points(kind) if tag != "repelling")
 
 
 def transform_hermitian(

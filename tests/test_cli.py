@@ -434,6 +434,58 @@ def test_dfs_rejects_an_undrawable_raster_before_the_dfs(
     assert list(tmp_path.iterdir()) == []
 
 
+NAN_MARKING = "# one entry is not a number\ngen a = [[1,0],[nan,0];[0,0],[1,0]]\n"
+
+
+@pytest.mark.parametrize(
+    "args, name, text, message",
+    [
+        (["verify-gasket"], "packing.txt", "C 0 0 1\nC 2 0 1\nC nan 0 1\nC 1 1.5 0.5\n",
+         "line 3: numbers must be finite, got 'C nan 0 1'"),
+        (["verify-gasket", "--normalize"], "packing.txt", "C 0 0 1\nC 2 0 1e400\n",
+         "line 2: numbers must be finite, got 'C 2 0 1e400'"),
+        (["dfs", "--preset", "hw-gasket", "--out", "run", "--seeds"], "seeds.txt", "C 0 0 1e400\n",
+         "line 1: numbers must be finite, got 'C 0 0 1e400'"),
+        (["points", "--depth", "3", "--marking"], "marking.txt", NAN_MARKING,
+         "line 2: matrix entries must be finite"),
+        (["dfs", "--preset", "hw-gasket", "--out", "run", "--marking"], "marking.txt", NAN_MARKING,
+         "line 2: matrix entries must be finite"),
+    ],
+    ids=["verify-nan", "verify-overflow", "dfs-seeds", "points-marking", "dfs-marking"],
+)
+def test_non_finite_inputs_exit_2(args, name, text, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(text)
+    assert cli.main([*args, name]) == 2
+    out, err = capsys.readouterr()
+    assert message in err
+    assert out == ""
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+def test_points_refuses_a_depth_over_the_word_cap(monkeypatch, capsys):
+    monkeypatch.setattr(MoebiusMap, "compose", None)  # no word may be composed
+    assert cli.main(["points", "--depth", "14"]) == 2
+    out, err = capsys.readouterr()
+    assert "input error: depth 14 at rank 2 needs more than the 4194304 words" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("extra", [[], ["--normalize"]])
+def test_verify_gasket_fails_a_disconnected_packing(extra, tmp_path, monkeypatch, capsys):
+    # Two copies of the bounded gasket without its enclosing circle, apart.
+    inner = bounded_gasket(3).circles[1:]
+    moved = [c.transform(MoebiusMap(1, 10, 0, 1)) for c in inner]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "split.txt").write_text(dump_packing(CirclePacking(inner + moved)))
+    assert cli.main(["verify-gasket", "split.txt", *extra]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["circles"], doc["quadruples_checked"]) == (110, 62)
+    assert doc["connected"] is False
+    assert doc["worst_residual"] < 1e-5
+    assert doc["failures"] == ["tangency graph disconnected"]
+
+
 def test_artifacts_get_the_mode_open_gives(tmp_path, monkeypatch, capsys):
     previous = os.umask(0o022)
     try:

@@ -16,6 +16,7 @@ from kleinlab.decomposition import (
     UnknownPointError,
     UnknownVertexError,
     VertexType,
+    _components,
     abc_example,
     cut_pairs,
     link_valency,
@@ -672,11 +673,17 @@ def test_cut_pairs_on_theta():
     assert all(p.flagged for p in got.values())
 
 
+def components_without(g, removed):
+    """The components of g minus the removed vertices."""
+    rest = [v for v in g.vertices if v not in removed]
+    return _components(rest, g.adjacency.__getitem__)
+
+
 def brute_cut_pairs(g):
     """One component search per vertex pair."""
     out = []
     for x, y in combinations(sorted(g.vertices), 2):
-        comps = g._components({x, y})
+        comps = components_without(g, {x, y})
         if len(comps) <= 1:
             continue
         flagged = all((c & g.adjacency[x]) and (c & g.adjacency[y]) for c in comps)
@@ -745,7 +752,7 @@ def test_cut_pairs_match_all_pairs_search():
         found += len(expected)
         flagged += sum(p.flagged for p in expected)
         for x in g.vertices:
-            pieces = g._components({x})
+            pieces = components_without(g, {x})
             if len(pieces) > 1:
                 lonely += sum(1 for c in pieces if len(c) == 1 and min(c) > x)
     assert found > 3000 and flagged > 300

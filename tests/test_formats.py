@@ -63,8 +63,14 @@ def test_loader_skips_comments_and_names_first_bad_line(loader, good, bad, messa
             DegenerateMatrixError,
             "line 2: determinant 0j too small",
         ),
+        (
+            load_marking,
+            "gen a = [[1,0],[0,0];[0,0],[1,0]]\n\ngen b = [[1,0],[nan,0];[0,0],[1,0]]\n",
+            DegenerateMatrixError,
+            "line 3: matrix entries must be finite",
+        ),
     ],
-    ids=["zero-normal", "nan-radius", "packing-float", "marking-float", "singular-gen"],
+    ids=["zero-normal", "nan-radius", "packing-float", "marking-float", "singular-gen", "nan-gen"],
 )
 def test_packing_and_marking_errors_name_the_line(loader, text, error, message):
     with pytest.raises(error, match=re.escape(message)):

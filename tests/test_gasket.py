@@ -1,8 +1,10 @@
 import itertools
 import math
 import random
+import re
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from kleinlab.gasket import (
@@ -11,6 +13,7 @@ from kleinlab.gasket import (
     OrientedCircle,
     OverlappingCirclesError,
     STANDARD_TANGENCY_POINTS,
+    TangencyGraph,
     apply_to_packing,
     bounded_gasket,
     descartes_residual,
@@ -460,9 +463,9 @@ def test_dump_packing_matches_per_row_oracle():
 def test_load_packing_matches_per_row_oracle():
     text = dump_oracle(crafted_circles()) + (
         "C -0 0 -3\nC 0 -0.0 2\nC 1e-300 -1e300 5e-324\nC 1e200 0 1e-200\n"
-        "C inf 0 1\nC 0 1 inf\nL -0 -2 -0.0\nL 1e-310 0 1\nL inf 1 0\n"
+        "L -0 -2 -0.0\nL 1e-310 0 1\n"
     )
-    # Bit for bit: signed zeros, infinities and NaNs included.
+    # Bit for bit: signed zeros and the infinities of overflow included.
     assert load_packing(text).columns.tobytes() == _columns(load_oracle(text)).tobytes()
 
 
@@ -488,6 +491,18 @@ def test_load_packing_errors_match_per_row_oracle(text):
     with pytest.raises(ValueError) as got:
         load_packing(text)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("row", ["C nan 0 1", "C 0 -inf 1", "C 0 0 1e400", "C 0 0 -inf",
+                                 "L nan 1 0", "L 0 inf 0", "L 0 1 -1e999"])
+def test_load_packing_rejects_non_finite_numbers(row):
+    # The row's line is named, past a comment and a blank line; a later
+    # line's parse error still comes first, as the rows parse before the
+    # numbers are checked.
+    with pytest.raises(ValueError, match=re.escape(f"line 4: numbers must be finite, got {row!r}")):
+        load_packing(f"C 0 0 1\n# c\n\n{row}  # trailing\nL 0 1 2\n")
+    with pytest.raises(ValueError, match="line 3: zero radius"):
+        load_packing(f"{row}\nC 0 0 1\nC 1 1 0\n")
 
 
 def hw_gasket_packing(epsilon):
@@ -766,3 +781,69 @@ def test_scan_does_not_depend_on_row_order():
         for e in _scan_products(shuffled, 1e-6)[0].edges
     }
     assert moved == edges
+
+
+def split_packing():
+    """Two copies of bounded_gasket(3) without its enclosing circle, the
+    second moved by z -> z + 10: a packing of two components."""
+    inner = bounded_gasket(3).circles[1:]
+    move = MoebiusMap(1, 10, 0, 1)
+    return CirclePacking(inner + [c.transform(move) for c in inner])
+
+
+def union_find_connected(n, i, j):
+    """Whether the edges (i[k], j[k]) join all n vertices: a union-find."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in zip(i, j):
+        parent[find(a)] = find(b)
+    return len({find(x) for x in range(n)}) <= 1
+
+
+def test_label_pass_matches_union_find_on_packings():
+    # The enclosing circle's disk is its outside, so it goes too.
+    isolated = bounded_gasket(2).circles[1:] + [OrientedCircle.from_center_radius(5 + 5j, 0.5)]
+    apart = [OrientedCircle.from_center_radius(3.0 * k, 1.0) for k in range(5)]
+    packings = [hw_gasket_packing(1e-2), split_packing(), CirclePacking(isolated), CirclePacking(apart)]
+    verdicts = []
+    for packing in packings:
+        graph = detect_tangencies(packing)
+        connected = union_find_connected(graph.n, graph.i.tolist(), graph.j.tolist())
+        assert graph.is_connected() is connected
+        verdicts.append(connected)
+    assert verdicts == [True, False, False, False]
+    assert len(graph.i) == 0  # the last packing has no tangencies
+
+
+def test_edge_table_matches_union_find_and_edge_sets():
+    # Random graphs from sparse to dense, and paths through a shuffled
+    # order, which take the label pass several rounds.
+    rng = random.Random(20261019)
+    verdicts = set()
+    for trial in range(120):
+        n = rng.randint(1, 60)
+        pairs = set()
+        for _ in range(rng.randint(0, 2 * n)):
+            a, b = rng.sample(range(n), 2) if n > 1 else (0, 0)
+            if a != b:
+                pairs.add((min(a, b), max(a, b)))
+        if trial % 3 == 0:  # a path through a shuffled order
+            order = rng.sample(range(n), n)
+            pairs |= {(min(a, b), max(a, b)) for a, b in zip(order, order[1:])}
+        edges = sorted(pairs)
+        i = np.array([a for a, _ in edges], dtype=np.int64)
+        j = np.array([b for _, b in edges], dtype=np.int64)
+        graph = TangencyGraph(CirclePacking.from_columns(np.zeros((4, n))), i, j)
+        connected = union_find_connected(n, i.tolist(), j.tolist())
+        assert graph.is_connected() is connected
+        verdicts.add(connected)
+        for a in range(-1, n + 1):
+            for b in range(-1, n + 1):
+                assert graph.has_edge(a, b) is ((min(a, b), max(a, b)) in pairs)
+    assert verdicts == {True, False}

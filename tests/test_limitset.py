@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -13,6 +14,7 @@ from kleinlab.groups import (
     MarkedGroup,
     enumerate_reduced_words,
     load_marking,
+    reduced_word_count,
     solve_parabolic_commutator,
 )
 from kleinlab import limitset
@@ -131,6 +133,46 @@ def test_cloud_contains_generator_and_commutator_points(group):
     finite = cloud.z[np.isfinite(cloud.z)]
     for target in (0j, (-1 + 1j) / 2):
         assert abs(finite - target).min() < 1e-9
+
+
+def no_compose(*args):
+    raise AssertionError("a word was composed")
+
+
+def test_points_refuses_over_the_word_cap_before_composing(group, monkeypatch):
+    # Rank 2 has 3,188,644 nontrivial reduced words up to length 13 and
+    # 9,565,936 up to length 14; 2^22 lies between.
+    assert limitset._MAX_WORDS == 1 << 22
+    words = list(itertools.accumulate(reduced_word_count(2, n) for n in range(1, 15)))
+    assert words[12:] == [3188644, 9565936]
+    monkeypatch.setattr(MoebiusMap, "compose", no_compose)
+    for depth in (14, 30, 10**9):
+        with pytest.raises(ValueError, match=f"depth {depth} at rank 2 needs more than the 4194304"):
+            limit_points_by_fixed_points(group, depth)
+
+
+def test_word_cap_counts_bound_letters(monkeypatch):
+    # With the cap at the 52 words of rank 2 up to length 3, a rank-2
+    # marking runs depth 3; binding c = [a,b] makes it rank 3, whose depth
+    # 3 has 186 words, while its depth 2 (36 words) still runs.
+    gens = "gen a = [[1,0],[1,0];[0,0],[1,0]]\ngen b = [[1,0],[0,0];[0,2],[1,0]]\n"
+    rank2, rank3 = load_marking(gens), load_marking(gens + "bind c = [a,b]\n")
+    monkeypatch.setattr(limitset, "_MAX_WORDS", 52)
+    assert len(limit_points_by_fixed_points(rank2, 3)) > 0
+    assert len(limit_points_by_fixed_points(rank3, 2)) > 0
+    with pytest.raises(ValueError, match="depth 4 at rank 2 needs more than the 52 words"):
+        limit_points_by_fixed_points(rank2, 4)
+    with pytest.raises(ValueError, match="depth 3 at rank 3 needs more than the 52 words"):
+        limit_points_by_fixed_points(rank3, 3)
+
+
+def test_points_classifies_each_word_once(group, monkeypatch):
+    calls = []
+    classify = MoebiusMap.classify
+    monkeypatch.setattr(MoebiusMap, "classify", lambda m, *a: calls.append(m) or classify(m, *a))
+    cloud = limit_points_by_fixed_points(group, 6)
+    assert len(calls) == sum(reduced_word_count(2, n) for n in range(1, 7)) == 1456
+    assert len(cloud) == 1302
 
 
 def test_cloud_sizes_are_reproducible(group):

@@ -24,6 +24,15 @@ A_MAT = MoebiusMap(1, 1, 0, 1)
 B_MAT = MoebiusMap(1, 0, 2j, 1)
 
 
+@pytest.mark.parametrize(
+    "entries", [(1, math.nan, 0, 1), (complex(1, math.inf), 0, 0, 1), (1, 0, 0, -math.inf)]
+)
+def test_non_finite_entries_are_degenerate(entries):
+    # NaN compares false, so the determinant test alone would pass it.
+    with pytest.raises(DegenerateMatrixError, match="matrix entries must be finite"):
+        MoebiusMap(*entries)
+
+
 def test_compose_translation_with_parabolic():
     m = A_MAT.compose(B_MAT)
     assert m.a == pytest.approx(1 + 2j)
