@@ -16,8 +16,8 @@ from typing import NamedTuple
 from .gasket import CirclePacking, OrientedCircle, _TripleSet, _line_geometry
 from .groups import MarkedGroup, reduced_word_count
 from .mobius import (
+    _INFINITY_Z,
     INFINITY,
-    MapClass,
     MoebiusMap,
     SpherePoint,
     sphere_coords,
@@ -40,10 +40,15 @@ __all__ = [
 # Chordal distance below which two cloud points of `points` or `dfs` count
 # as one.
 _CLOUD_TOLERANCE = 1e-9
-# The most words limit_points_by_fixed_points composes, 2^22: every level
-# stays in memory and each is 2 rank - 1 times the last, so rank-2 depth 13
-# (3,188,644 words) runs and depth 14 (9,565,936) is refused.
+# The most words limit_points_by_fixed_points composes, 2^22: every word
+# is kept until the cloud dedup and each level is 2 rank - 1 times the last,
+# so rank-2 depth 13 (3,188,644 words) runs and depth 14 (9,565,936) is
+# refused.
 _MAX_WORDS = 1 << 22
+# The most letters those words hold together, 2^26: each word is its own
+# string, so rank 1, two words per length, would need text quadratic in
+# the depth.  Rank-2 depth 13 has 39,858,076 letters; rank 1 runs to 8,191.
+_MAX_LETTERS = 1 << 26
 
 
 class EllipticOnlyError(ValueError):
@@ -151,9 +156,6 @@ class LimitSetCloud:
         return len(self.words)
 
 
-_INFINITY_Z = complex(math.inf, math.inf)
-
-
 def _plane(points):
     """A list of SpherePoints as a complex array, the point at infinity as
     inf + inf j; a complex array is returned as is."""
@@ -209,39 +211,47 @@ def limit_points_by_fixed_points(group: MarkedGroup, max_word_len: int) -> Limit
     Level n extends each level-(n-1) word and map, in order, by every
     letter that does not cancel its last one, so each word is composed
     once and the depth-d cloud is an exact prefix of the depth-(d+1) cloud.
+    A level is held as the columns of its matrices (mobius._compose_rows),
+    classified and solved in bulk, and dropped once the next is built.
     Raises EllipticOnlyError when no word contributes, and ValueError,
-    before any word is composed, when there are over _MAX_WORDS words.
+    before any word is composed, when there are over _MAX_WORDS words or
+    _MAX_LETTERS letters.
     """
+    import numpy as np
+
+    from .mobius import _attracting_fixed_points, _column, _compose_rows
+
     if max_word_len < 1:
         raise ValueError("max_word_len must be >= 1")
     rank = group.alphabet.rank
-    # Running totals, so a huge depth stops at the first one over the cap.
-    totals = itertools.accumulate(reduced_word_count(rank, n) for n in range(1, max_word_len + 1))
-    if any(total > _MAX_WORDS for total in totals):
-        raise ValueError(
-            f"depth {max_word_len} at rank {rank} needs more than the {_MAX_WORDS} words "
-            f"that points composes"
-        )
-    cloud = LimitSetCloud(_CLOUD_TOLERANCE)
+    # Running totals, so a huge depth stops at the first one over a cap.
+    words_total = letters_total = 0
+    for n in range(1, max_word_len + 1):
+        count = reduced_word_count(rank, n)
+        words_total += count
+        letters_total += n * count
+        if words_total > _MAX_WORDS:
+            need = f"{_MAX_WORDS} words that points composes"
+        elif letters_total > _MAX_LETTERS:
+            need = f"{_MAX_LETTERS} letters that points keeps"
+        else:
+            continue
+        raise ValueError(f"depth {max_word_len} at rank {rank} needs more than the {need}")
     letters = group.alphabet.letters
-    maps = [group.letter_map(x) for x in letters]
-    points: list[SpherePoint] = []
-    words: list[str] = []
-
-    level = [("", MoebiusMap.identity())]
+    table = np.array([_column(group.letter_map(x)) for x in letters]).T
+    inverse = np.array([letters.index(x.swapcase()) for x in letters])
+    rows = np.array([_column(MoebiusMap.identity())]).T
+    words, last = [""], np.array([-1])
+    points, kept = [], []
     for _ in range(max_word_len):
-        level = [
-            (word + x, m.compose(mx))
-            for word, m in level
-            for x, mx in zip(letters, maps)
-            if not word or x != word[-1].swapcase()
-        ]
-        for word, m in level:
-            kind = m.classify()
-            if kind is not MapClass.IDENTITY and kind is not MapClass.ELLIPTIC:
-                points.append(m._attracting_fixed_point(kind))
-                words.append(word)
-    cloud.extend(points, words)
+        parent, last = (last[:, None] != inverse).nonzero()
+        rows = _compose_rows(rows[:, parent], table[:, last])
+        words = [words[p] + letters[x] for p, x in zip(parent.tolist(), last.tolist())]
+        candidate, z = _attracting_fixed_points(rows)
+        points.append(z)
+        kept += itertools.compress(words, candidate.tolist())
+    cloud = LimitSetCloud(_CLOUD_TOLERANCE)
+    cloud.extend(np.concatenate(points), kept)
     if not len(cloud):
         raise EllipticOnlyError(
             f"no parabolic or loxodromic word up to length {max_word_len}"

@@ -66,6 +66,8 @@ class _Infinity:
 
 
 INFINITY = _Infinity()
+# The point at infinity in a complex array.
+_INFINITY_Z = complex(math.inf, math.inf)
 
 SpherePoint = complex | _Infinity
 
@@ -124,6 +126,11 @@ class MoebiusMap:
         scale = max(abs(a), abs(b), abs(c), abs(d))
         if scale == 0.0 or abs(det) < 1e-12 * scale * scale:
             raise DegenerateMatrixError(f"determinant {det} too small for scale {scale}")
+        if not cmath.isfinite(det) or det == 0:
+            # The test above misses a determinant that overflows, which
+            # would scale every entry to 0, or underflows, which would
+            # divide by 0, when scale * scale does the same.
+            raise DegenerateMatrixError(f"determinant {det} must be finite and nonzero")
         s = cmath.sqrt(det)
         self.a = a / s
         self.b = b / s
@@ -282,6 +289,129 @@ class MoebiusMap:
         # Two fixed points have reciprocal multipliers and a lone one is
         # indifferent, so some fixed point is not repelling.
         return next(point for point, tag in self._fixed_points(kind) if tag != "repelling")
+
+
+# The column kernels below repeat MoebiusMap's arithmetic on float64 arrays
+# bit for bit.  A matrix is a column of an (8, n) array: Re and Im of a, b,
+# c and d.  Each complex operation is written out in the order CPython's
+# _Py_c_sum, _Py_c_diff, _Py_c_prod and _Py_c_quot use, and a float operand
+# of a complex operation is promoted to complex(x, 0.0) first, as in
+# `2.0 * c`; abs(z) is libm hypot, the function np.hypot calls.
+
+
+def _column(m: MoebiusMap) -> tuple[float, ...]:
+    """m's entries in that layout."""
+    return tuple(x for entry in m.matrix for x in (entry.real, entry.imag))
+
+
+def _compose_rows(left, right):
+    """left[:, k].compose(right[:, k]) for every column k."""
+    import numpy as np
+
+    ar, ai, br, bi, cr, ci, dr, di = left
+    er, ei, fr, fi, gr, gi, hr, hi = right
+
+    def dot(xr, xi, yr, yi, ur, ui, vr, vi):
+        # x y + u v
+        return (
+            (xr * yr - xi * yi) + (ur * vr - ui * vi),
+            (xr * yi + xi * yr) + (ur * vi + ui * vr),
+        )
+
+    return np.array([
+        *dot(ar, ai, er, ei, br, bi, gr, gi),
+        *dot(ar, ai, fr, fi, br, bi, hr, hi),
+        *dot(cr, ci, er, ei, dr, di, gr, gi),
+        *dot(cr, ci, fr, fi, dr, di, hr, hi),
+    ])
+
+
+def _quot(ar, ai, br, bi):
+    """a / b for columns.  Both of _Py_c_quot's branches are computed and
+    the one it takes is kept; a row with b = 0, where it raises, gets
+    nan or inf."""
+    import numpy as np
+
+    by_real = np.abs(br) >= np.abs(bi)
+    with np.errstate(all="ignore"):
+        ratio = np.where(by_real, bi / br, br / bi)
+        denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
+        re = np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom
+        im = np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom
+    return re, im
+
+
+def _sqrt(zr, zi):
+    """cmath.sqrt for columns that are finite and not both below DBL_MIN
+    in modulus: the branch cmath takes for them."""
+    import numpy as np
+
+    ax, ay = np.abs(zr) / 8.0, np.abs(zi)
+    s = 2.0 * np.sqrt(ax + np.hypot(ax, ay / 8.0))
+    d = ay / (2.0 * s)
+    right = zr >= 0.0
+    return np.where(right, s, d), np.copysign(np.where(right, d, s), zi)
+
+
+def _attracting_fixed_points(rows):
+    """classify and attracting_fixed_point of the map in each column of
+    rows, bit for bit.  Returns (candidate, z): which maps are parabolic
+    or loxodromic, and the attracting fixed point of each of those, in
+    order, as a complex array with INFINITY as _INFINITY_Z.
+
+    The scalar attracting_fixed_point settles every row the bulk rule
+    cannot: the pole branch abs(c) < _POLE_EPS * scale, a row whose z_plus
+    might tag as repelling (|lam| below 1 by rounding), and a row whose
+    arithmetic leaves the finite floats, where the scalar path may raise.
+    """
+    import numpy as np
+
+    ar, ai, br, bi, cr, ci, dr, di = rows
+    tol = _CLASS_EPS
+    with np.errstate(all="ignore"):
+        # classify: the band |tr^2 - 4| < tol first, then the identity.
+        tr, ti = ar + dr, ai + di
+        t2r, t2i = tr * tr - ti * ti, tr * ti + ti * tr
+        zr, zi = t2r - 4.0, t2i - 0.0
+        band_abs = np.hypot(zr, zi)
+        band = band_abs < tol
+        abs_c = np.hypot(cr, ci)
+        identity = (
+            band & (np.hypot(br, bi) < tol) & (abs_c < tol)
+            & (np.hypot(ar - dr, ai - di) < tol)
+        )
+        elliptic = ~band & (np.abs(t2i) < tol) & (-tol < t2r) & (t2r < 4.0)
+        candidate = ~(identity | elliptic)
+
+        # _fixed_points.  A parabolic map's point is (a - d) / (2 c); a
+        # loxodromic one's z_plus adds sq = sqrt(tr^2 - 4), which is
+        # outside the band, so _sqrt's branch holds.
+        scale = np.hypot(ar, ai) + np.hypot(br, bi) + abs_c + np.hypot(dr, di)
+        sr, si = _sqrt(zr, zi)
+        plus, minus = np.hypot(tr + sr, ti + si), np.hypot(tr - sr, ti - si)
+        swap = plus < minus
+        sr, si = np.where(swap, -sr, sr), np.where(swap, -si, si)
+        lr, li = tr + sr, ti + si
+        lam = np.hypot((lr + li * 0.0) / 2.0, (li - lr * 0.0) / 2.0)
+        m = lam * lam  # the scalar's lam ** 2 may differ in the last place
+        nr, ni = ar - dr, ai - di
+        nr, ni = np.where(band, nr, nr + sr), np.where(band, ni, ni + si)
+        re, im = _quot(nr, ni, 2.0 * cr - 0.0 * ci, 2.0 * ci + 0.0 * cr)
+        settled = ~(abs_c < _POLE_EPS * scale) & np.isfinite(scale + band_abs + re + im)
+        # With m >= 1 the scalar's 1 / lam ** 2 stays far below the 1 + tol
+        # that would tag z_plus repelling.
+        settled &= band | (np.isfinite(plus + minus + m) & (m >= 1.0))
+
+    z = re.astype(complex)
+    z.imag = im
+    for k in (candidate & ~settled).nonzero()[0].tolist():
+        fallback = object.__new__(MoebiusMap)
+        fallback.a, fallback.b, fallback.c, fallback.d = (
+            complex(x, y) for x, y in rows[:, k].reshape(4, 2).tolist()
+        )
+        point = fallback.attracting_fixed_point()
+        z[k] = _INFINITY_Z if point is INFINITY else point
+    return candidate, z[candidate]
 
 
 def transform_hermitian(

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from kleinlab import cli, decomposition, gasket, limitset
+from kleinlab import cli, decomposition, gasket, limitset, mobius
 from kleinlab.gasket import (
     CirclePacking,
     OrientedCircle,
@@ -450,8 +450,16 @@ NAN_MARKING = "# one entry is not a number\ngen a = [[1,0],[nan,0];[0,0],[1,0]]\
          "line 2: matrix entries must be finite"),
         (["dfs", "--preset", "hw-gasket", "--out", "run", "--marking"], "marking.txt", NAN_MARKING,
          "line 2: matrix entries must be finite"),
+        # Finite entries whose determinant overflows, or underflows to 0.
+        (["points", "--marking"], "marking.txt", "gen a = [[1e200,0],[0,0];[0,0],[1e200,0]]\n",
+         "line 1: determinant (inf+0j) must be finite and nonzero"),
+        (["points", "--marking"], "marking.txt", "gen a = [[1e-200,0],[0,0];[0,0],[1e-200,0]]\n",
+         "line 1: determinant 0j must be finite and nonzero"),
     ],
-    ids=["verify-nan", "verify-overflow", "dfs-seeds", "points-marking", "dfs-marking"],
+    ids=[
+        "verify-nan", "verify-overflow", "dfs-seeds", "points-marking", "dfs-marking",
+        "points-det-overflow", "points-det-underflow",
+    ],
 )
 def test_non_finite_inputs_exit_2(args, name, text, message, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -465,6 +473,7 @@ def test_non_finite_inputs_exit_2(args, name, text, message, tmp_path, monkeypat
 
 def test_points_refuses_a_depth_over_the_word_cap(monkeypatch, capsys):
     monkeypatch.setattr(MoebiusMap, "compose", None)  # no word may be composed
+    monkeypatch.setattr(mobius, "_compose_rows", None)
     assert cli.main(["points", "--depth", "14"]) == 2
     out, err = capsys.readouterr()
     assert "input error: depth 14 at rank 2 needs more than the 4194304 words" in err

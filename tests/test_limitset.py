@@ -17,7 +17,7 @@ from kleinlab.groups import (
     reduced_word_count,
     solve_parabolic_commutator,
 )
-from kleinlab import limitset
+from kleinlab import limitset, mobius
 from kleinlab.limitset import (
     DfsConfig,
     EllipticOnlyError,
@@ -33,6 +33,7 @@ from kleinlab.limitset import (
 from kleinlab.mobius import INFINITY, MapClass, MoebiusMap, chordal_distance, sphere_coords
 
 from hausdorff import hausdorff_distance
+from randommap import random_map
 from renderoracle import render_oracle
 
 WINDOW = Rectangle(-1.0, -1.0, 2.0, 1.0)
@@ -146,6 +147,7 @@ def test_points_refuses_over_the_word_cap_before_composing(group, monkeypatch):
     words = list(itertools.accumulate(reduced_word_count(2, n) for n in range(1, 15)))
     assert words[12:] == [3188644, 9565936]
     monkeypatch.setattr(MoebiusMap, "compose", no_compose)
+    monkeypatch.setattr(mobius, "_compose_rows", no_compose)
     for depth in (14, 30, 10**9):
         with pytest.raises(ValueError, match=f"depth {depth} at rank 2 needs more than the 4194304"):
             limit_points_by_fixed_points(group, depth)
@@ -166,13 +168,95 @@ def test_word_cap_counts_bound_letters(monkeypatch):
         limit_points_by_fixed_points(rank3, 3)
 
 
-def test_points_classifies_each_word_once(group, monkeypatch):
+def letter_total(rank, depth):
+    return sum(n * reduced_word_count(rank, n) for n in range(1, depth + 1))
+
+
+def test_letter_cap_bounds_the_word_text(group, monkeypatch):
+    # Rank 1 has two words of each length, so the word cap alone admits
+    # depth 2^21; its letters, depth (depth + 1), pass 2^26 after 8,191.
+    assert limitset._MAX_LETTERS == 1 << 26
+    assert letter_total(1, 8191) == 8191 * 8192 <= 1 << 26 < letter_total(1, 8192)
+    assert letter_total(2, 13) == 39858076
+    diag = MarkedGroup(Alphabet(["a"]), {"a": MoebiusMap(2, 0, 0, 0.5)})
+    # Rank 1 has 20 letters up to depth 4 and 30 up to 5; rank 2 has 28 up
+    # to depth 2 and 136 up to 3.
+    monkeypatch.setattr(limitset, "_MAX_LETTERS", 28)
+    assert limit_points_by_fixed_points(diag, 4).words == ["a", "A"]
+    assert len(limit_points_by_fixed_points(group, 2)) > 0
+    monkeypatch.setattr(MoebiusMap, "compose", no_compose)
+    monkeypatch.setattr(mobius, "_compose_rows", no_compose)
+    for depth in (5, 8192, 10**9):
+        with pytest.raises(ValueError, match=f"depth {depth} at rank 1 needs more than the 28 letters"):
+            limit_points_by_fixed_points(diag, depth)
+    with pytest.raises(ValueError, match="depth 3 at rank 2 needs more than the 28 letters"):
+        limit_points_by_fixed_points(group, 3)
+
+
+def test_points_classifies_only_the_fallback_rows(group, monkeypatch):
+    # The kernel classifies and solves in bulk; only a^n and A^n, on the
+    # pole branch (c = 0), go through the scalar path, two per level.
     calls = []
     classify = MoebiusMap.classify
     monkeypatch.setattr(MoebiusMap, "classify", lambda m, *a: calls.append(m) or classify(m, *a))
     cloud = limit_points_by_fixed_points(group, 6)
-    assert len(calls) == sum(reduced_word_count(2, n) for n in range(1, 7)) == 1456
     assert len(cloud) == 1302
+    assert len(calls) == 12
+    assert all(m.c == 0 for m in calls)
+
+
+def special_marking(a):
+    """a beside a seeded random second generator."""
+    return MarkedGroup(Alphabet("ab"), {"a": a, "b": random_map(random.Random(5))})
+
+
+@pytest.mark.parametrize(
+    "marking",
+    [("random", seed) for seed in range(60)] + [
+        ("diagonal", MoebiusMap(2, 0, 0, 0.5)),
+        ("parabolic", MoebiusMap(1, 1, 0, 1)),
+        ("elliptic", MoebiusMap(0, -1, 1, 0)),
+    ],
+    ids=lambda marking: f"{marking[0]}-{marking[1]}" if marking[0] == "random" else marking[0],
+)
+def test_kernel_matches_scalar_path_bit_for_bit(marking, monkeypatch):
+    # Every candidate point and word the level kernel hands the cloud
+    # equals the scalar MoebiusMap path's, word by word, to the last bit.
+    kind, value = marking
+    if kind == "random":
+        rng = random.Random(value)
+        names = "ab" if value % 2 else "abc"
+        group = MarkedGroup(Alphabet(names), {x: random_map(rng) for x in names})
+    else:
+        group = special_marking(value)
+    depth = 5 if group.alphabet.rank == 2 else 4
+    offered = []
+    extend = LimitSetCloud.extend
+    monkeypatch.setattr(
+        LimitSetCloud, "extend", lambda cloud, *args: offered.append(args) or extend(cloud, *args)
+    )
+    limit_points_by_fixed_points(group, depth)
+    [(z, words)] = offered
+    candidates = fixed_point_candidates(group, depth)
+    assert words == [w for _, w in candidates]
+    assert z.tobytes() == limitset._plane([p for p, _ in candidates]).tobytes()
+
+
+def test_kernel_falls_back_on_the_pole_branch(monkeypatch):
+    # The diagonal and c = 0 parabolic generators put a^n on the pole
+    # branch, which only the scalar attracting_fixed_point solves.
+    solved = []
+    attracting = MoebiusMap.attracting_fixed_point
+    monkeypatch.setattr(
+        MoebiusMap, "attracting_fixed_point", lambda m: solved.append(m) or attracting(m)
+    )
+    for a in (MoebiusMap(2, 0, 0, 0.5), MoebiusMap(1, 1, 0, 1)):
+        solved.clear()
+        limit_points_by_fixed_points(special_marking(a), 4)
+        assert solved and all(
+            abs(m.c) < mobius._POLE_EPS * (abs(m.a) + abs(m.b) + abs(m.c) + abs(m.d))
+            for m in solved
+        )
 
 
 def test_cloud_sizes_are_reproducible(group):
