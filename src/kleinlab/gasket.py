@@ -21,6 +21,7 @@ from operator import attrgetter
 
 from .groups import _format_lines
 from .mobius import (
+    _transport_coeffs,
     INFINITY,
     MoebiusMap,
     SpherePoint,
@@ -172,10 +173,8 @@ class OrientedCircle:
         return min(plus, minus) <= tol
 
     def transform(self, m: MoebiusMap) -> "OrientedCircle":
-        # m has determinant 1, so the discriminant is preserved analytically.
-        # Recomputing it here would subtract two large near-equal products
-        # (|B|^2 and A*C), and renormalizing by that noisy value perturbs
-        # high curvatures enough to spoil exact Descartes relations.
+        # Taken as is: transform_hermitian's docstring says why nothing
+        # renormalizes after a determinant-1 map.
         return OrientedCircle._from_unit_triple(*transform_hermitian(m, self.A, self.B, self.C))
 
     def inversive_product(self, other: "OrientedCircle") -> float:
@@ -631,7 +630,7 @@ def standard_base_quadruple() -> list[OrientedCircle]:
 
 
 class _TripleSet:
-    """Dedup set of normalized triples keyed on their rounded components.
+    """Dedup set of discriminant-1 triples keyed on their rounded components.
 
     Takes the four real components rather than a circle so the DFS hot loop
     can test a triple before building any object for it.  A triple and its
@@ -769,16 +768,11 @@ def _anchor_map(graph: TangencyGraph) -> MoebiusMap:
 
 
 def _moved_curvatures(columns, m: MoebiusMap):
-    """The curvature of every circle moved by m: transform_hermitian's A, in
-    its operation order written out in real arithmetic,
-    (A dd + C cc) - 2 Re((B c) conj(d))."""
+    """The curvature of every circle moved by m: transform_hermitian's A,
+    A dd + C cc - 2 Re(B cd), in its operation order in real arithmetic."""
     A, Bre, Bim, C = columns
-    c, d = m.c, m.d
-    dd = (d * d.conjugate()).real
-    cc = (c * c.conjugate()).real
-    Bc_re = Bre * c.real - Bim * c.imag
-    Bc_im = Bre * c.imag + Bim * c.real
-    return A * dd + C * cc - 2.0 * (Bc_re * d.real + Bc_im * d.imag)
+    dd, cc, _, _, cd = _transport_coeffs(m)[:5]
+    return A * dd + C * cc - 2.0 * (Bre * cd.real - Bim * cd.imag)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from .gasket import CirclePacking, OrientedCircle, _TripleSet, _line_geometry
 from .groups import MarkedGroup, reduced_word_count
 from .mobius import (
     _INFINITY_Z,
+    _transport_coeffs,
     INFINITY,
     MoebiusMap,
     SpherePoint,
@@ -288,10 +289,10 @@ class DfsStats:
 
 @dataclass(frozen=True)
 class DfsResult:
-    """The emitted circles as one table: `packing` holds their columns, in
-    preorder, with each one's word, depth-exhausted flag and whether the
-    cloud kept its centre beside it.  The cloud is the centres and words
-    that `in_cloud` selects."""
+    """The emitted circles as one table: `packing` holds their triples as
+    transported, in preorder, with each one's word, depth-exhausted flag and
+    whether the cloud kept its centre beside it.  The cloud is the centres
+    and words that `in_cloud` selects."""
 
     packing: CirclePacking
     words: list[str]
@@ -363,14 +364,16 @@ def limit_set_dfs(group: MarkedGroup, config: DfsConfig) -> DfsResult:
     appear in the output alongside the sub-epsilon horizon.  The emitted
     circles' centres, deduplicated as in LimitSetCloud, form the cloud.
 
-    The traversal only records each new normalized triple.  The window test,
-    the centres and the cloud dedup then run in bulk over all of them, in
-    preorder, and the result keeps them as one table.
+    The traversal only records each new triple, as transform_hermitian
+    leaves it: a row is its word folded onto its seed by
+    OrientedCircle.transform, bit for bit.  The window test, the centres and
+    the cloud dedup then run in bulk over all of them, in preorder, and the
+    result keeps them as one table.
     """
     t0 = time.perf_counter()
     stats = DfsStats()
     seen = _TripleSet()
-    # Each new normalized triple, four coefficients to a row, with its word
+    # Each new triple, four coefficients to a row, with its word
     # and whether it was flagged depth-exhausted.
     coeffs: list[float] = []
     words: list[str] = []
@@ -383,26 +386,9 @@ def limit_set_dfs(group: MarkedGroup, config: DfsConfig) -> DfsResult:
     nletters = len(letters)
     inverse_rank = [group.alphabet.letter_rank(x.swapcase()) for x in letters]
 
-    # Per-letter transport coefficients; constant for the whole run, so a
-    # child costs about a dozen real multiplications.
-    gen_coeffs = []
-    for x in letters:
-        m = group.letter_map(x)
-        a, b, c, d = m.a, m.b, m.c, m.d
-        gen_coeffs.append(
-            (
-                (d * d.conjugate()).real,
-                (c * c.conjugate()).real,
-                (b * b.conjugate()).real,
-                (a * a.conjugate()).real,
-                c * d.conjugate(),
-                a * d.conjugate(),
-                b * c.conjugate(),
-                a * c.conjugate(),
-                a * b.conjugate(),
-                b * d.conjugate(),
-            )
-        )
+    # Per-letter transform_hermitian products; constant for the whole run,
+    # so a child costs about a dozen real multiplications.
+    gen_coeffs = [_transport_coeffs(group.letter_map(x)) for x in letters]
 
     # Explicit stack, preorder; children pushed in reverse rank order so the
     # traversal matches the natural recursive order letter by letter.
@@ -419,16 +405,14 @@ def limit_set_dfs(group: MarkedGroup, config: DfsConfig) -> DfsResult:
         if not disc > 0.0:
             stats.branches_pruned += 1
             continue
-        t = 1.0 / math.sqrt(disc)
-        nA, nBre, nBim, nC = A * t, Bre * t, Bim * t, C * t
         # The emitted circle keeps the sign it arrived with, preserving the
         # seeds' disk orientations in the output; the dedup ignores it.
-        if not seen.try_add(nA, nBre, nBim, nC):
+        if not seen.try_add(A, Bre, Bim, C):
             stats.branches_pruned += 1
             continue
         ac = A - C
         small = 16.0 * disc < eps2 * (4.0 * bb + ac * ac)
-        coeffs += (nA, nBre, nBim, nC)
+        coeffs += (A, Bre, Bim, C)
         words.append(word)
         flags.append(not small and depth >= max_depth)
         if small:

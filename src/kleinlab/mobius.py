@@ -123,8 +123,12 @@ class MoebiusMap:
         if not all(map(cmath.isfinite, (a, b, c, d))):
             raise DegenerateMatrixError(f"matrix entries must be finite, got {(a, b, c, d)}")
         det = a * d - b * c
-        scale = max(abs(a), abs(b), abs(c), abs(d))
-        if scale == 0.0 or abs(det) < 1e-12 * scale * scale:
+        try:  # abs() overflows on a finite entry or determinant past DBL_MAX
+            scale = max(abs(a), abs(b), abs(c), abs(d))
+            small = scale == 0.0 or abs(det) < 1e-12 * scale * scale
+        except OverflowError:
+            raise DegenerateMatrixError(f"matrix entries too large, got {(a, b, c, d)}") from None
+        if small:
             raise DegenerateMatrixError(f"determinant {det} too small for scale {scale}")
         if not cmath.isfinite(det) or det == 0:
             # The test above misses a determinant that overflows, which
@@ -414,6 +418,19 @@ def _attracting_fixed_points(rows):
     return candidate, z[candidate]
 
 
+def _transport_coeffs(m: MoebiusMap) -> tuple:
+    """The ten products transform_hermitian reads off m, in its order:
+    |d|^2, |c|^2, |b|^2, |a|^2, c conj(d), a conj(d), b conj(c), a conj(c),
+    a conj(b) and b conj(d).  The DFS keeps one such table per letter."""
+    a, b, c, d = m.a, m.b, m.c, m.d
+    return (
+        (d * d.conjugate()).real, (c * c.conjugate()).real,
+        (b * b.conjugate()).real, (a * a.conjugate()).real,
+        c * d.conjugate(), a * d.conjugate(), b * c.conjugate(),
+        a * c.conjugate(), a * b.conjugate(), b * d.conjugate(),
+    )
+
+
 def transform_hermitian(
     m: MoebiusMap, A: float, B: complex, C: float
 ) -> tuple[float, complex, float]:
@@ -421,27 +438,19 @@ def transform_hermitian(
 
     The output triple vanishes exactly on the image of the input locus, and
     the side of the sphere where the form is negative maps to the side where
-    the output is negative, so orientation is preserved.  Determinant-1
-    matrices preserve the discriminant |B|^2 - A C exactly.
+    the output is negative, so orientation is preserved.  m has determinant
+    1, so it keeps the discriminant |B|^2 - A C exactly, and nothing
+    renormalizes the result: recomputing the discriminant subtracts two
+    large near-equal products, and dividing by that noise spoils exact
+    Descartes relations at high curvatures.  limit_set_dfs applies these
+    products inline in this order, so its rows equal these folds bit for bit.
     """
-    a, b, c, d = m.a, m.b, m.c, m.d
-    A2 = (
-        A * (d * d.conjugate()).real
-        + C * (c * c.conjugate()).real
-        - 2.0 * (B * c * d.conjugate()).real
+    dd, cc, bb, aa, cd, ad, bc, ac, ab, bd = _transport_coeffs(m)
+    return (
+        A * dd + C * cc - 2.0 * (B * cd).real,
+        -A * bd + B * ad + B.conjugate() * bc - C * ac,
+        A * bb + C * aa - 2.0 * (B * ab).real,
     )
-    B2 = (
-        -A * b * d.conjugate()
-        + B * a * d.conjugate()
-        + B.conjugate() * b * c.conjugate()
-        - C * a * c.conjugate()
-    )
-    C2 = (
-        A * (b * b.conjugate()).real
-        + C * (a * a.conjugate()).real
-        - 2.0 * (B * a * b.conjugate()).real
-    )
-    return (A2, B2, C2)
 
 
 def moebius_to_zero_one_inf(p1: SpherePoint, p2: SpherePoint, p3: SpherePoint) -> MoebiusMap:

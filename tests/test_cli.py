@@ -455,10 +455,13 @@ NAN_MARKING = "# one entry is not a number\ngen a = [[1,0],[nan,0];[0,0],[1,0]]\
          "line 1: determinant (inf+0j) must be finite and nonzero"),
         (["points", "--marking"], "marking.txt", "gen a = [[1e-200,0],[0,0];[0,0],[1e-200,0]]\n",
          "line 1: determinant 0j must be finite and nonzero"),
+        # A finite entry whose modulus overflows.
+        (["points", "--marking"], "marking.txt", "gen a = [[1.5e308,1.5e308],[0,0];[0,0],[1,0]]\n",
+         "line 1: matrix entries too large"),
     ],
     ids=[
         "verify-nan", "verify-overflow", "dfs-seeds", "points-marking", "dfs-marking",
-        "points-det-overflow", "points-det-underflow",
+        "points-det-overflow", "points-det-underflow", "points-entry-overflow",
     ],
 )
 def test_non_finite_inputs_exit_2(args, name, text, message, tmp_path, monkeypatch, capsys):

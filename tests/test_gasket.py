@@ -29,6 +29,7 @@ from kleinlab.gasket import (
     tangent_quadruple_flip,
     _cap_candidates,
     _columns,
+    _moved_curvatures,
     _scan_products,
     _TripleSet,
 )
@@ -758,6 +759,17 @@ def test_cap_index_candidates_track_tangencies():
     )
     assert len(graph.edges) == 81795
     assert candidates <= 2 * (len(graph.edges) + len(overlap))
+
+
+def test_moved_curvatures_are_transform_curvatures_bit_for_bit():
+    # The verdict's bulk pass reads the one transport table; its curvatures
+    # must be OrientedCircle.transform's A exactly, so no copy drifts.
+    rng = random.Random(43)
+    for packing in (bounded_gasket(3), hw_gasket_packing(2e-2)):
+        for _ in range(4):
+            m = random_map(rng)
+            expected = np.array([c.transform(m).A for c in packing.circles])
+            assert _moved_curvatures(packing.columns, m).tobytes() == expected.tobytes()
 
 
 def test_verdict_counts_scan_work():

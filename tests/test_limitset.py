@@ -534,13 +534,59 @@ def test_render_outlines_take_math_cos_and_sin(monkeypatch):
     assert_render_matches_oracle(circles, [False, False], Rectangle(0.0, 0.0, 1.0, 1.0), 64)
 
 
-def hw_dfs(epsilon, window):
-    """limit_set_dfs with the hw-gasket preset's marking and seeds."""
+def hw_marking_and_seeds():
+    """The hw-gasket preset's marked group and its seed circles."""
     preset = resources.files("kleinlab").joinpath("presets")
     group = load_marking(preset.joinpath("hw-marking.txt").read_text())
     seeds = load_packing(preset.joinpath("hw-seeds.txt").read_text()).circles
-    config = DfsConfig(epsilon=epsilon, max_depth=64, seeds=tuple(seeds), window=window)
+    return group, tuple(seeds)
+
+
+def hw_dfs(epsilon, window):
+    """limit_set_dfs with the hw-gasket preset's marking and seeds."""
+    group, seeds = hw_marking_and_seeds()
+    config = DfsConfig(epsilon=epsilon, max_depth=64, seeds=seeds, window=window)
     return limit_set_dfs(group, config)
+
+
+def conjugated_hw(g):
+    """The hw-gasket seen through g: each generator x becomes g x g^-1 and
+    each seed is moved by g.  Its triples are no longer integral."""
+    group, seeds = hw_marking_and_seeds()
+    images = {x: g.compose(group.letter_map(x)).compose(g.inverse()) for x in group.alphabet.names}
+    return MarkedGroup(group.alphabet, images), tuple(s.transform(g) for s in seeds)
+
+
+@pytest.mark.parametrize("conjugator", [None, 1, 2, 3], ids=["hw", "random1", "random2", "random3"])
+def test_dfs_rows_are_their_words_folded_onto_the_seed(conjugator):
+    # The DFS applies transform_hermitian's products inline and renormalizes
+    # nothing, so each row is its word folded letter by letter onto its seed
+    # through OrientedCircle.transform, bit for bit, integral marking or not.
+    if conjugator is None:
+        group, seeds = hw_marking_and_seeds()
+    else:
+        group, seeds = conjugated_hw(random_map(random.Random(conjugator)))
+    for seed in seeds:
+        result = limit_set_dfs(group, DfsConfig(epsilon=1e-2, max_depth=64, seeds=(seed,)))
+        assert len(result.words) > 100
+        folded = []
+        for word in result.words:
+            c = seed
+            for x in reversed(word):
+                c = c.transform(group.letter_map(x))
+            folded.append((c.A, c.B.real, c.B.imag, c.C))
+        assert result.packing.columns.tobytes() == np.array(folded).T.tobytes()
+
+
+def test_conjugated_gasket_passes_the_verdict():
+    # A determinant-1 map keeps the Descartes relation exactly, so the hw
+    # gasket moved by a Moebius map must still verify; renormalizing each
+    # DFS node by its recomputed discriminant left residuals of 0.26 here.
+    group, seeds = conjugated_hw(MoebiusMap(1 + 0.3j, 0.37, 0.21 - 0.1j, 1.13))
+    result = limit_set_dfs(group, DfsConfig(epsilon=3e-3, max_depth=64, seeds=seeds))
+    verdict = is_apollonian_like(result.packing, normalize=True)
+    assert verdict.passed, verdict.failures
+    assert verdict.worst_residual < 1e-6
 
 
 def assert_window_pass_matches_scalar(circles, window):
