@@ -130,8 +130,8 @@ _METAVARS = {
 def _parse_value(key: str, raw: str):
     if key in ("epsilon", "tol", "residual"):
         val = float(raw)
-        if not val > 0.0:
-            raise ConfigError(f"{key} must be positive, got {raw}")
+        if not 0.0 < val < float("inf"):
+            raise ConfigError(f"{key} must be positive and finite, got {raw}")
         return val
     if key in ("depth", "resolution"):
         val = int(raw)

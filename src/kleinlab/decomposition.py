@@ -582,6 +582,15 @@ def cut_pairs(g: SimpleGraph) -> list[CutPair]:
 
 # -- text formats ---------------------------------------------------------------
 
+def _number(kind, text: str, line_no: int):
+    """kind(text), int or Fraction; a bad one is a ValueError naming the line."""
+    try:
+        return kind(text)
+    except (ValueError, ZeroDivisionError):  # Fraction("1/0") is the latter
+        what = "an integer" if kind is int else "a rational"
+        raise ValueError(f"line {line_no}: expected {what}, got {text!r}") from None
+
+
 def load_graph_of_groups(text: str) -> GraphOfGroups:
     """Line format: `vertex <id> <type> [slots=n]` with type one of rigid,
     two-ended, hanging-fuchsian; `edge <id1> <id2> twoended=<bool>
@@ -602,7 +611,7 @@ def load_graph_of_groups(text: str) -> GraphOfGroups:
             for extra in parts[3:]:
                 k, _, val = extra.partition("=")
                 if k == "slots":
-                    slots = int(val)
+                    slots = _number(int, val, line_no)
                 else:
                     raise ValueError(f"line {line_no}: unknown option {extra!r}")
             vertices.append(GoGVertex(vid, types[vtype], slots=slots))
@@ -618,9 +627,9 @@ def load_graph_of_groups(text: str) -> GraphOfGroups:
                         raise ValueError(f"line {line_no}: twoended must be true/false")
                     two_ended = val == "true"
                 elif k == "slot":
-                    slot = int(val)
+                    slot = _number(int, val, line_no)
                 elif k == "slot2":
-                    slot2 = int(val)
+                    slot2 = _number(int, val, line_no)
                 else:
                     raise ValueError(f"line {line_no}: unknown option {extra!r}")
             slot_u = slot_v = None
@@ -666,7 +675,7 @@ def load_tree_system(text: str) -> TreeSystem:
     for line_no, line in lines:
         parts = line.split()
         if parts[0] == "space" and len(parts) == 3:
-            sid, n = parts[1], int(parts[2])
+            sid, n = parts[1], _number(int, parts[2], line_no)
             matrix = []
             # range(n) comes first, so a space of n <= 0 points takes no line.
             for _, (row_no, row_line) in zip(range(n), lines):
@@ -675,7 +684,7 @@ def load_tree_system(text: str) -> TreeSystem:
                     raise ValueError(
                         f"line {row_no}: space {sid}: expected 'row' with {n} entries"
                     )
-                matrix.append([Fraction(x) for x in row_parts[1:]])
+                matrix.append([_number(Fraction, x, row_no) for x in row_parts[1:]])
             if len(matrix) != n:
                 raise ValueError(f"line {line_no}: space {sid}: missing rows")
             spaces[sid] = FiniteMetricSpace([str(k) for k in range(n)], matrix)

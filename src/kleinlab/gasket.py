@@ -21,6 +21,7 @@ from operator import attrgetter
 
 from .groups import _format_lines
 from .mobius import (
+    _transport,
     _transport_coeffs,
     INFINITY,
     MoebiusMap,
@@ -467,9 +468,11 @@ class TangencyGraph:
 # exact one) is each within a few dozen ulps; tol enters the bound exactly
 # and needs no share of it.
 _SLACK = 4096.0 * sys.float_info.epsilon
-# Caps finer than this level share its grid, so the three cell coordinates
-# of every level pack into one int64 key.
+# Caps finer than this level share its grid.
 _MAX_LEVEL = 20
+# The finest cell of _near_pairs, that of level _MAX_LEVEL: its grid of
+# about 2 / _FINEST_CELL cells a side has under 2^63 cells, one int64 key each.
+_FINEST_CELL = math.sqrt(2.0 * 4.0 ** -_MAX_LEVEL)
 
 
 def _columns(circles: list[OrientedCircle]):
@@ -482,6 +485,40 @@ def _columns(circles: list[OrientedCircle]):
         for name, kind in (("A", float), ("B", complex), ("C", float))
     )
     return np.stack((A, B.real, B.imag, C))
+
+
+def _near_pairs(points, h: float, own):
+    """Int arrays (a, b) of every pair of the unit vectors `points` (x, y
+    and z arrays) closer than h, and of some farther apart, each once, a ==
+    b included; b is always a point the boolean array own selects.  Each
+    own point looks up the 27 cells around it in a grid of cell side h, or
+    _FINEST_CELL if that is larger (Bentley-Stanat-Williams, The complexity
+    of finding fixed-radius near neighbors, IPL 6, 1977)."""
+    import numpy as np
+
+    h = max(h, _FINEST_CELL)
+    side = 2 * int(1.0 / h) + 7
+    cx, cy, cz = (np.floor(x / h).astype(np.int64) + side // 2 for x in points)
+    keys = (cx * side + cy) * side + cz
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    # The own points, taken in key order: searchsorted runs faster on
+    # ascending needles.
+    own = order[own[order]]
+    own_keys = keys[own]
+    found = []
+    # One neighbour offset at a time, keeping the own points with a hit.
+    for dx in (-1, 0, 1):
+        for dy in (-1, 0, 1):
+            # The three cells along z are consecutive keys.
+            first = own_keys + ((dx * side + dy) * side - 1)
+            lo = np.searchsorted(sorted_keys, first, "left")
+            counts = np.searchsorted(sorted_keys, first + 2, "right") - lo
+            hit = counts.nonzero()[0]
+            found.append((lo[hit], counts[hit], own[hit]))
+    lo, counts, b = map(np.concatenate, zip(*found))
+    starts = np.repeat(np.cumsum(counts) - counts - lo, counts)
+    return order[np.arange(len(starts)) - starts], np.repeat(b, counts)
 
 
 def _cap_candidates(columns, tol: float):
@@ -505,10 +542,10 @@ def _cap_candidates(columns, tol: float):
 
     The chord 2 - 2 cos(phi) is then at most q_i + q_j, with
     q = 2(1 - c) + (4 + 2 tol) r^2, about 2 theta^2.  Caps with q < 4^-L form
-    level L.  For each level, the caps of that level and finer ones are
-    hashed into a grid of cell side sqrt(2 * 4^-L), and the level's own caps
-    look up their 27 neighbour cells, so the work grows with the circles
-    times the levels, not with the pairs.
+    level L.  For each level, _near_pairs pairs the level's own caps with
+    the caps of that level and finer ones less than about sqrt(2 * 4^-L)
+    apart, so the work grows with the circles times the levels, not with
+    the pairs.
     """
     import numpy as np
 
@@ -530,28 +567,9 @@ def _cap_candidates(columns, tol: float):
         # sqrt(2 * 4^-lev) apart, up to rounding.  Level 0 holds every large
         # cap; a cell wider than the sphere makes all of them neighbours.
         h = math.sqrt(2.0 * 4.0 ** -lev + 4.0 * _SLACK) if lev else 4.0
-        side = 2 * int(1.0 / h) + 7
         finer = np.flatnonzero(level >= lev)
-        cx, cy, cz = (np.floor(x[finer] / h).astype(np.int64) + side // 2 for x in centre)
-        keys = (cx * side + cy) * side + cz
-        order = np.argsort(keys)
-        sorted_keys = keys[order]
-        # The level's own caps, taken in key order: searchsorted runs faster
-        # on ascending needles.
-        is_own = order[level[finer[order]] == lev]
-        own, own_keys = finer[is_own], keys[is_own]
-        lo, hi = [], []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                # The three cells along z are consecutive keys.
-                first = own_keys + ((dx * side + dy) * side - 1)
-                lo.append(np.searchsorted(sorted_keys, first, "left"))
-                hi.append(np.searchsorted(sorted_keys, first + 2, "right"))
-        lo = np.concatenate(lo)
-        counts = np.concatenate(hi) - lo
-        b = np.repeat(np.tile(own, 9), counts)
-        starts = np.repeat(np.cumsum(counts) - counts - lo, counts)
-        a = finer[order[np.arange(len(b)) - starts]]
+        a, b = _near_pairs([x[finer] for x in centre], h, level[finer] == lev)
+        a, b = finer[a], finer[b]
         # A pair within one level is seen from both ends and kept once.
         keep = (level[a] > lev) | (a > b)
         a, b = a[keep], b[keep]
@@ -577,9 +595,13 @@ _ONE_LOCUS = 1e-9
 def _scan_products(packing: CirclePacking, tol: float):
     """(tangency graph, overlapping pairs, candidate pair count) from one
     pass over the pairs the cap index cannot rule out; the overlapping pairs
-    come sorted, and a circle listed with its complement is one of them."""
+    come sorted, and a circle listed with its complement is one of them.
+    Raises ValueError unless 0 < tol < 4: from 4 on, |p + 2| <= tol takes
+    every crossing pair, p in (-2, 2), for a tangent one."""
     import numpy as np
 
+    if not 0.0 < tol < 4.0:
+        raise ValueError(f"tangency tolerance must lie in (0, 4), got {tol}")
     columns = packing.columns
     i, j, p = _cap_candidates(columns, tol)
     near = np.flatnonzero(abs(p + 2.0) <= tol)
@@ -736,7 +758,11 @@ def bounded_gasket(generations: int) -> CirclePacking:
 
 
 def apply_to_packing(m: MoebiusMap, packing: CirclePacking) -> CirclePacking:
-    return CirclePacking([c.transform(m) for c in packing.circles])
+    """Every circle moved by m as OrientedCircle.transform moves it."""
+    t = _transport_coeffs(m)
+    return CirclePacking(
+        [OrientedCircle._from_unit_triple(*_transport(t, c.A, c.B, c.C)) for c in packing.circles]
+    )
 
 
 def normalize_to_standard_gasket(

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .gasket import CirclePacking, OrientedCircle, _TripleSet, _line_geometry
+from .gasket import CirclePacking, OrientedCircle, _TripleSet, _line_geometry, _near_pairs
 from .groups import MarkedGroup, reduced_word_count
 from .mobius import (
     _INFINITY_Z,
@@ -109,8 +109,8 @@ class LimitSetCloud:
         self.words: list[str] = []
 
     def try_add(self, point: SpherePoint, word: str) -> bool:
-        """extend by one point; True when it is kept.  Each call costs
-        O(len(self)), so pass a batch to extend instead."""
+        """extend by one point; True when it is kept.  Each call grids the
+        whole cloud again, so pass a batch to extend instead."""
         return bool(self.extend([point], [word])[0])
 
     def extend(self, points, words: list[str]):
@@ -118,14 +118,9 @@ class LimitSetCloud:
         rule above keeps, and return which ones as a boolean array.  points
         is a list of SpherePoints or a complex array in the layout of `z`.
 
-        The lifts are hashed into the 8 grids of _grid_keys.  Two lifts
-        within tol share a cell in at least one of the grids, so a point
-        alone in its cell of every grid, among the points already kept and
-        the new ones, is farther than tol from all of them: the greedy keeps
-        it whatever comes first, and it rejects nothing.  Every kept point
-        within tol of a crowded point is crowded too, so the crowded points
-        alone run the exact greedy, looking each other up through their own
-        8 cells.  A hash collision only adds work.
+        The exact greedy runs only on the pairs gasket._near_pairs finds:
+        each new lift with every lift closer than 2 tol, a margin that
+        covers the bulk lifts' rounding, taken in order of the new point.
         """
         import numpy as np
 
@@ -133,22 +128,19 @@ class LimitSetCloud:
         n = len(self)
         points = _plane(points)
         candidates = np.concatenate((self.z, points))
-        crowded = _crowded(candidates, tol).nonzero()[0].tolist()
-        rows = _grid_keys(candidates[crowded], tol)
-        cells: dict[int, list[tuple[float, float, float]]] = {}
-        keep = np.ones(len(points), dtype=bool)
-        t2 = tol * tol
-        for i, keys in zip(crowded, zip(*(row.tolist() for row in rows))):
-            x, y, z = lift = sphere_coords(_sphere_point(candidates[i]))
-            if i >= n and any(
-                (px - x) ** 2 + (py - y) ** 2 + (pz - z) ** 2 < t2
-                for key in keys
-                for (px, py, pz) in cells.get(key, ())
-            ):
-                keep[i - n] = False
-                continue
-            for key in keys:
-                cells.setdefault(key, []).append(lift)
+        infinite = np.isinf(candidates.real)
+        z = np.where(infinite, 0j, candidates)
+        w = np.where(infinite, 0.0, 2.0 / (1.0 + z.real * z.real + z.imag * z.imag))
+        lift = (z.real * w, z.imag * w, 1.0 - w)
+        a, b = _near_pairs(lift, 2.0 * tol, np.arange(len(candidates)) >= n)
+        pairs = sorted(zip(*np.compress(a < b, (b, a), axis=1).tolist()))
+        exact = {k: sphere_coords(_sphere_point(candidates[k])) for k in set().union(*pairs)}
+        keep = np.ones(len(candidates), dtype=bool)
+        for k, i in pairs:
+            (px, py, pz), (qx, qy, qz) = exact[i], exact[k]
+            if keep[i] and (px - qx) ** 2 + (py - qy) ** 2 + (pz - qz) ** 2 < tol * tol:
+                keep[k] = False
+        keep = keep[n:]
         self.z = np.concatenate((self.z, points[keep]))
         self.words += itertools.compress(words, keep.tolist())
         return keep
@@ -169,40 +161,6 @@ def _plane(points):
 
 def _sphere_point(z: complex) -> SpherePoint:
     return INFINITY if math.isinf(z.real) else complex(z)
-
-
-def _grid_keys(z, tol: float):
-    """Yield, for each of 8 grids over the lifts to the sphere, the int64
-    cell key of every point of the complex array z (the point at infinity
-    as inf + inf j).  The cells have side 4 max(tol, 1e-12), so the lifts'
-    rounding stays small against them, and each grid is shifted by 0 or
-    half a cell along each axis."""
-    import numpy as np
-
-    infinite = np.isinf(z.real)
-    z = np.where(infinite, 0j, z)
-    r2 = z.real * z.real + z.imag * z.imag
-    lift = np.stack([2.0 * z.real, 2.0 * z.imag, r2 - 1.0]) / (1.0 + r2)
-    lift[:, infinite] = [[0.0], [0.0], [1.0]]
-    scaled = lift / (4.0 * max(tol, 1e-12))
-    for shift in itertools.product((0.0, 0.5), repeat=3):
-        x, y, w = np.floor(scaled + np.array(shift)[:, None]).astype(np.int64)
-        # One int64 key per cell; it wraps, and a collision only adds work.
-        yield (x * 1_000_000_007 + y) * 998_244_353 + w
-
-
-def _crowded(z, tol: float):
-    """Boolean array: which points of the complex array z share a cell with
-    another point in one of the grids of _grid_keys."""
-    import numpy as np
-
-    crowded = np.zeros(len(z), dtype=bool)
-    for key in _grid_keys(z, tol):
-        order = np.argsort(key)
-        shared = np.flatnonzero(key[order[1:]] == key[order[:-1]])
-        crowded[order[shared]] = True
-        crowded[order[shared + 1]] = True
-    return crowded
 
 
 def limit_points_by_fixed_points(group: MarkedGroup, max_word_len: int) -> LimitSetCloud:

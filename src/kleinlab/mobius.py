@@ -445,7 +445,12 @@ def transform_hermitian(
     Descartes relations at high curvatures.  limit_set_dfs applies these
     products inline in this order, so its rows equal these folds bit for bit.
     """
-    dd, cc, bb, aa, cd, ad, bc, ac, ab, bd = _transport_coeffs(m)
+    return _transport(_transport_coeffs(m), A, B, C)
+
+
+def _transport(coeffs: tuple, A: float, B: complex, C: float) -> tuple[float, complex, float]:
+    """transform_hermitian from a map's _transport_coeffs table."""
+    dd, cc, bb, aa, cd, ad, bc, ac, ab, bd = coeffs
     return (
         A * dd + C * cc - 2.0 * (B * cd).real,
         -A * bd + B * ad + B.conjugate() * bc - C * ac,

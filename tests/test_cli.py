@@ -659,6 +659,15 @@ def test_tree_limit_of_two_segments(tmp_path):
     assert "3 quotient points" in r.stdout
 
 
+def test_tree_limit_names_the_line_of_a_zero_denominator(tmp_path):
+    ts = tmp_path / "ts.txt"
+    ts.write_text("space s 2\nrow 0 1/0\nrow 1/0 0\n")
+    r = run_cli("tree-limit", str(ts))
+    assert r.returncode == 2
+    assert "line 2: expected a rational, got '1/0'" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_cuts_report_on_square(tmp_path):
     graph = tmp_path / "c4.txt"
     graph.write_text("a b\nb c\nc d\nd a\n")
@@ -775,6 +784,32 @@ def test_config_errors_exit_2(tmp_path):
 
     r = run_cli("points", "--depth", "0")
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "extra, config, message",
+    [
+        (["--tol", "inf"], None, "tol must be positive and finite, got inf"),
+        (["--residual", "inf"], None, "residual must be positive and finite, got inf"),
+        ([], "tol=inf\n", "tol must be positive and finite, got inf"),
+        # Finite, but wide enough to take every crossing pair for tangent.
+        (["--tol", "1e6"], None, "tangency tolerance must lie in (0, 4), got 1000000.0"),
+        (["--tol", "4"], None, "tangency tolerance must lie in (0, 4), got 4.0"),
+    ],
+    ids=["tol-inf", "residual-inf", "config-tol-inf", "tol-1e6", "tol-4"],
+)
+def test_verify_gasket_refuses_a_tolerance_past_its_range(
+    extra, config, message, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "packing.txt").write_text(dump_packing(bounded_gasket(2)))
+    if config:
+        (tmp_path / "run.cfg").write_text(config)
+        extra = ["--config", "run.cfg"]
+    assert cli.main(["verify-gasket", "packing.txt", *extra]) == 2
+    out, err = capsys.readouterr()
+    assert message in err
+    assert out == ""
 
 
 # -- the knob table ----------------------------------------------------------------

@@ -69,8 +69,24 @@ def test_loader_skips_comments_and_names_first_bad_line(loader, good, bad, messa
             DegenerateMatrixError,
             "line 3: matrix entries must be finite",
         ),
+        # A bad integer or rational names its line too.
+        (load_tree_system, "space s 2\nrow 0 1/0\nrow 1/0 0\n", ValueError,
+         "line 2: expected a rational, got '1/0'"),
+        (load_tree_system, "# one space\nspace s x\n", ValueError,
+         "line 2: expected an integer, got 'x'"),
+        (load_graph_of_groups, "vertex a rigid slots=x\n", ValueError,
+         "line 1: expected an integer, got 'x'"),
+        (
+            load_graph_of_groups,
+            "vertex a rigid\nvertex h hanging-fuchsian slots=2\n\nedge a h twoended=false slot=x\n",
+            ValueError,
+            "line 4: expected an integer, got 'x'",
+        ),
     ],
-    ids=["zero-normal", "nan-radius", "packing-float", "marking-float", "singular-gen", "nan-gen"],
+    ids=[
+        "zero-normal", "nan-radius", "packing-float", "marking-float", "singular-gen", "nan-gen",
+        "tree-zero-denominator", "tree-space-size", "gog-slots", "gog-edge-slot",
+    ],
 )
 def test_packing_and_marking_errors_name_the_line(loader, text, error, message):
     with pytest.raises(error, match=re.escape(message)):

@@ -6,6 +6,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from kleinlab.gasket import (
     CirclePacking,
@@ -27,9 +28,11 @@ from kleinlab.gasket import (
     standard_gasket,
     tangency_point,
     tangent_quadruple_flip,
+    _FINEST_CELL,
     _cap_candidates,
     _columns,
     _moved_curvatures,
+    _near_pairs,
     _scan_products,
     _TripleSet,
 )
@@ -762,14 +765,16 @@ def test_cap_index_candidates_track_tangencies():
 
 
 def test_moved_curvatures_are_transform_curvatures_bit_for_bit():
-    # The verdict's bulk pass reads the one transport table; its curvatures
-    # must be OrientedCircle.transform's A exactly, so no copy drifts.
+    # The verdict's bulk pass and apply_to_packing read the one transport
+    # table; their triples must be OrientedCircle.transform's exactly, so no
+    # copy drifts.
     rng = random.Random(43)
     for packing in (bounded_gasket(3), hw_gasket_packing(2e-2)):
         for _ in range(4):
             m = random_map(rng)
-            expected = np.array([c.transform(m).A for c in packing.circles])
-            assert _moved_curvatures(packing.columns, m).tobytes() == expected.tobytes()
+            expected = _columns([c.transform(m) for c in packing.circles])
+            assert _moved_curvatures(packing.columns, m).tobytes() == expected[0].tobytes()
+            assert apply_to_packing(m, packing).columns.tobytes() == expected.tobytes()
 
 
 def test_verdict_counts_scan_work():
@@ -859,3 +864,68 @@ def test_edge_table_matches_union_find_and_edge_sets():
             for b in range(-1, n + 1):
                 assert graph.has_edge(a, b) is ((min(a, b), max(a, b)) in pairs)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("tol", [4.0, 1e6, math.inf, math.nan, 0.0])
+def test_tangency_tolerance_must_lie_below_4(tol):
+    # From 4 on, every crossing pair, inversive product in (-2, 2), would
+    # pass for tangent, and every pair of a packing would become an edge.
+    packing = bounded_gasket(2)
+    with pytest.raises(ValueError, match=re.escape("tangency tolerance must lie in (0, 4)")):
+        detect_tangencies(packing, tol=tol)
+    with pytest.raises(ValueError, match=re.escape("tangency tolerance must lie in (0, 4)")):
+        is_apollonian_like(packing, tangency_tol=tol)
+    assert len(detect_tangencies(packing, tol=3.99).i) == len(detect_tangencies(packing).i)
+
+
+def near_pairs_oracle(points, h):
+    """Every pair (a, b), a != b, of the rows of points within h, both ways
+    round, from a k-d tree."""
+    pairs = cKDTree(points).query_pairs(h)
+    return pairs | {(b, a) for a, b in pairs}
+
+
+def straddling_unit_vectors(h, rng):
+    """For each axis, unit vectors in pairs, 0.9 h and 1.1 h apart along
+    that axis, one on each side of a boundary of the grid of cell side h."""
+    out = []
+    for axis in range(3):
+        for chord in (0.9 * h, 1.1 * h):
+            edge = (round(rng.uniform(-0.9, 0.9) / h)) * h
+            phi = rng.uniform(0.0, 2.0 * math.pi)
+            ring = math.sqrt(1 - edge * edge) * np.array([math.cos(phi), math.sin(phi)])
+            u = np.insert(ring, axis, edge)
+            t = np.eye(3)[axis] - edge * u
+            t /= np.linalg.norm(t)
+            a = math.asin(chord / 2)
+            pair = [u * math.cos(a) + side * t * math.sin(a) for side in (-1, 1)]
+            assert pair[0][axis] < edge < pair[1][axis]
+            out += pair
+    return out
+
+
+@pytest.mark.parametrize("h", [3e-2, _FINEST_CELL])
+def test_near_pairs_finds_every_pair_closer_than_h(h):
+    rng = random.Random(97)
+    nrng = np.random.default_rng(97)
+    points = nrng.normal(size=(3000, 3))
+    # Clusters at the scale of h, so there are close pairs to find.
+    points[1000:2000] = points[:1000] + nrng.normal(scale=h, size=(1000, 3))
+    points /= np.linalg.norm(points, axis=1)[:, None]
+    points = np.concatenate(
+        (points, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.0, h / 2, math.sqrt(1 - h * h / 4)]],
+         straddling_unit_vectors(h, rng))
+    )
+    expected = near_pairs_oracle(points, h)
+    assert len(expected) > 100
+    own = np.zeros(len(points), dtype=bool)
+    own[::2] = True
+    own[-20:] = True
+    a, b = _near_pairs(points.T, h, own)
+    found = list(zip(a.tolist(), b.tolist()))
+    # Each pair comes once, its b side owned, and no close pair is missed.
+    assert len(set(found)) == len(found)
+    assert own[b].all()
+    assert {(x, y) for x, y in expected if own[y]} <= set(found)
+    # Every own point is paired with itself.
+    assert {x for x, y in found if x == y} == set(np.flatnonzero(own).tolist())

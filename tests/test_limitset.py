@@ -713,21 +713,22 @@ def test_cloud_extend_matches_try_add_on_planted_pairs():
 
 
 def test_cloud_extend_matches_oracle_on_planted_pairs_at_cell_floor():
-    # Below 1e-12 the cells keep their floor side 4e-12; a margin of 1e-6
-    # of 1e-13 would be lost in the lifts' rounding.
+    # At 1e-13 the grid keeps its floor cell gasket._FINEST_CELL, about
+    # 1.35e-6, far wider than the planted pairs; a margin of 1e-6 of 1e-13
+    # would be lost in the lifts' rounding.
     assert_planted_pairs_match_oracle(1e-13, 0.1)
 
 
 def test_cloud_extend_matches_try_add_across_cell_boundaries():
-    # Pairs straddling a cell boundary of each shifted grid (cell 4 tol,
-    # shift 0 or half a cell) along each axis, at 0.6 tol (duplicates)
-    # and 1.5 tol (distinct).
+    # Pairs straddling a cell boundary along each axis, at 0.6 tol
+    # (duplicates) and 1.5 tol (distinct): of the grid extend hashes into,
+    # cell 2 tol, and of grids of cell 4 tol shifted by 0 or half a cell.
     tol = 1e-6
     rng = random.Random(89)
     points = []
     for axis in range(3):
-        for shift in (0.0, 0.5):
-            b = (round(0.3 / (4 * tol)) - shift) * 4 * tol
+        for cell, shift in ((4 * tol, 0.0), (4 * tol, 0.5), (2 * tol, 0.0)):
+            b = (round(0.3 / cell) - shift) * cell
             for chord in (0.6 * tol, 1.5 * tol):
                 phi = rng.uniform(0.0, 2.0 * math.pi)
                 u = np.insert(math.sqrt(1 - b * b) * np.array([math.cos(phi), math.sin(phi)]), axis, b)
@@ -739,4 +740,4 @@ def test_cloud_extend_matches_try_add_across_cell_boundaries():
                 points += [plane_point(v) for v in pair]
     points += [INFINITY, 1 + 1j, INFINITY]
     kept = assert_extend_matches_oracle(points, tol)
-    assert len(kept) == len(points) - 6 - 1
+    assert len(kept) == len(points) - 9 - 1
