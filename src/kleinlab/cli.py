@@ -33,6 +33,8 @@ from . import __version__
 from .groups import _format_lines, load_marking, solve_parabolic_commutator
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable
+
     from .limitset import Rectangle
 
 __all__ = ["main", "RunConfig", "load_config", "ConfigError", "UnknownKeyError"]
@@ -47,9 +49,9 @@ _HANDLER_NAMES = {
         ("decomposition", "cut_pairs link_valency load_graph_of_groups load_simple_graph "
                           "load_tree_system local_cut_valency tree_system_limit "
                           "validate_bowditch"),
-        ("gasket", "dump_packing is_apollonian_like load_packing"),
-        ("limitset", "DfsConfig Rectangle _raster_size limit_points_by_fixed_points "
-                     "limit_set_dfs render"),
+        ("gasket", "_packing_rows is_apollonian_like load_packing"),
+        ("limitset", "DfsConfig Rectangle _raster_size _render limit_points_by_fixed_points "
+                     "limit_set_dfs"),
     )
     for name in names.split()
 }
@@ -222,10 +224,14 @@ def _commented(header: str, body: str) -> str:
     return "".join(f"# {line}\n" for line in header.splitlines()) + body
 
 
-def _write_atomic(path: str, data: str | bytes) -> None:
+def _write_atomic(path: str, data: str | bytes | Iterable[str]) -> None:
+    """Write data to a temp file beside path and rename it over path, so
+    path holds either its old bytes or all the new ones.  data is one str
+    or bytes, or an iterable of str chunks, each encoded and written as it
+    comes, so no whole copy of the artifact is held."""
     import tempfile
 
-    payload = data.encode() if isinstance(data, str) else data
+    chunks = [data] if isinstance(data, (str, bytes)) else data
     directory = os.path.dirname(os.path.abspath(path))
     # mkstemp creates the file 0600; give the artifact the mode open() would.
     umask = os.umask(0)
@@ -233,7 +239,8 @@ def _write_atomic(path: str, data: str | bytes) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".kleinlab-")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            for chunk in chunks:
+                fh.write(chunk.encode() if isinstance(chunk, str) else chunk)
             os.fchmod(fh.fileno(), 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
@@ -257,12 +264,16 @@ def _fmt_complex(z: complex, digits: int = 9) -> str:
     return f"{z.real:.{digits}f}{sign}{abs(z.imag):.{digits}f}i"
 
 
-def _cloud_text(xy, words: list[str]) -> str:
-    """One 'x y word_length word' row per cloud point, '-' for the empty
+def _cloud_rows(xy, words: list[str]) -> str:
+    """One 'x y word_length word' line per cloud point, '-' for the empty
     word.  xy holds each point's 'x y' already formatted, in %.17g, and
     'inf inf' for infinity."""
-    rows = map("%s %d %s".__mod__, zip(xy, map(len, words), [w or "-" for w in words]))
-    return "\n".join(rows) + "\n"
+    return "".join(map("%s %d %s\n".__mod__, zip(xy, map(len, words), [w or "-" for w in words])))
+
+
+def _cloud_text(xy, words: list[str]) -> str:
+    """The cloud rows as an artifact body: a lone newline when there are none."""
+    return _cloud_rows(xy, words) or "\n"
 
 
 def _load_marked_group(cfg: RunConfig):
@@ -302,8 +313,8 @@ def _cmd_points(cfg: RunConfig, argv: list[str]) -> int:
 def _cmd_dfs(cfg: RunConfig, argv: list[str]) -> int:
     import json
 
-    from .gasket import dump_packing, load_packing
-    from .limitset import DfsConfig, _raster_size, limit_set_dfs, render
+    from .gasket import _packing_rows, load_packing
+    from .limitset import DfsConfig, _raster_size, _render, limit_set_dfs
 
     if not cfg.out:
         raise _UsageError("dfs needs --out (artifact base path)")
@@ -320,25 +331,39 @@ def _cmd_dfs(cfg: RunConfig, argv: list[str]) -> int:
     )
     result = limit_set_dfs(group, dfs_config)
     header = _header_text(cfg, argv)
+    commented = _commented(header, "")
 
-    rows = dump_packing(result.packing).splitlines()
-    circle_lines = map(
-        "%s  # w=%s%s".__mod__,
-        zip(
-            rows,
-            [w or "-" for w in result.words],
-            ["  depth-exhausted" if f else "" for f in result.depth_exhausted],
-        ),
-    )
-    _write_atomic(cfg.out + ".circles.txt", _commented(header, "\n".join(circle_lines) + "\n"))
-    # The cloud is the centres it kept, which dump_packing has formatted.
-    xy = itertools.compress(result.packing.centre_text, result.in_cloud)
-    words = list(itertools.compress(result.words, result.in_cloud))
-    _write_atomic(cfg.out + ".cloud.txt", _commented(header, _cloud_text(xy, words)))
+    # The text artifacts go to the writer a block of rows at a time.  The
+    # cloud is the centres it kept, which the circles rows have formatted:
+    # each block's cloud rows wait here, as one string, for the cloud file.
+    cloud_blocks: list[str] = []
 
-    image = render(result.packing, result.in_cloud, cfg.window, cfg.resolution, comment=header)
-    _write_atomic(cfg.out + ".ppm", image.ppm)
-    _write_atomic(cfg.out + ".svg", image.svg)
+    def circle_blocks():
+        yield commented
+        lo = 0
+        for xy, rows in _packing_rows(result.packing):
+            hi = lo + len(rows)
+            words = result.words[lo:hi]
+            flags = ["  depth-exhausted" if f else "" for f in result.depth_exhausted[lo:hi]]
+            marks = [w or "-" for w in words]
+            yield "".join(map("%s  # w=%s%s\n".__mod__, zip(rows, marks, flags)))
+            keep = result.in_cloud[lo:hi]
+            cloud_blocks.append(
+                _cloud_rows(itertools.compress(xy, keep), list(itertools.compress(words, keep)))
+            )
+            lo = hi
+        if not lo:
+            yield "\n"
+
+    _write_atomic(cfg.out + ".circles.txt", circle_blocks())
+    cloud_body = cloud_blocks if any(cloud_blocks) else ["\n"]
+    _write_atomic(cfg.out + ".cloud.txt", [commented, *cloud_body])
+    cloud_blocks.clear()
+
+    ppm, svg = _render(result.packing, result.in_cloud, cfg.window, cfg.resolution, header)
+    _write_atomic(cfg.out + ".ppm", ppm)
+    del ppm  # freed before the SVG, which is formatted as it is written
+    _write_atomic(cfg.out + ".svg", svg)
 
     stats = result.stats
     counters = asdict(stats)

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
 import sys
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
@@ -299,13 +301,6 @@ class CirclePacking:
             z.imag = (ai - ar * ratio) / A
         z[self.lines] = complex(math.inf, math.inf)
         return z
-
-    @cached_property
-    def centre_text(self) -> list[str]:
-        """Every centre as 'x y' in %.17g, as dump_packing writes it, and
-        'inf inf' for a line: the cloud rows of `dfs` reuse the strings."""
-        z = self.centres
-        return list(map("%.17g %.17g".__mod__, zip(z.real.tolist(), z.imag.tolist())))
 
     def __len__(self) -> int:
         return self.columns.shape[1]
@@ -651,6 +646,20 @@ def standard_base_quadruple() -> list[OrientedCircle]:
     return standard_base_triple() + [OrientedCircle.from_center_radius(1.0 + 0.5j, 0.5)]
 
 
+# A rounded triple as 32 bytes, four little-endian int64s.
+_PACK_KEY = struct.Struct("<4q").pack
+
+
+def _triple_key(k0: int, k1: int, k2: int, k3: int) -> bytes | tuple[int, int, int, int]:
+    """_TripleSet's stored form of a rounded triple: packed, or the tuple
+    itself when a component does not fit in int64.  A bytes key never
+    equals a tuple, so the two forms never collide."""
+    try:
+        return _PACK_KEY(k0, k1, k2, k3)
+    except struct.error:
+        return (k0, k1, k2, k3)
+
+
 class _TripleSet:
     """Dedup set of discriminant-1 triples keyed on their rounded components.
 
@@ -658,14 +667,15 @@ class _TripleSet:
     can test a triple before building any object for it.  A triple and its
     negation are the same locus, so each is keyed by its sign-canonical form
     (first nonzero component positive); otherwise mixed-sign seeds would
-    shadow each other's orbits.
+    shadow each other's orbits.  Keys are stored as _triple_key packs them,
+    32 bytes each where a tuple of four ints takes about 200.
     """
 
     __slots__ = ("_seen",)
     GRID = 1e-8
 
     def __init__(self):
-        self._seen: set[tuple[int, int, int, int]] = set()
+        self._seen: set[bytes | tuple[int, int, int, int]] = set()
 
     def try_add(self, A: float, Bre: float, Bim: float, C: float) -> bool:
         """Record the triple; False when it, its negation, or one within
@@ -674,7 +684,8 @@ class _TripleSet:
             A, Bre, Bim, C = -A, -Bre, -Bim, -C
         g = self.GRID
         comps = q0, q1, q2, q3 = (A / g, Bre / g, Bim / g, C / g)
-        key = k0, k1, k2, k3 = (round(q0), round(q1), round(q2), round(q3))
+        k0, k1, k2, k3 = rounded = (round(q0), round(q1), round(q2), round(q3))
+        key = _triple_key(k0, k1, k2, k3)
         if key in self._seen:
             return False
         # Probe neighbor keys so equal triples straddling a rounding
@@ -688,9 +699,9 @@ class _TripleSet:
         ):
             options = [
                 (k, k + 1) if q - k > 0.49 else (k, k - 1) if q - k < -0.49 else (k,)
-                for q, k in zip(comps, key)
+                for q, k in zip(comps, rounded)
             ]
-            if any(probe in self._seen for probe in itertools.product(*options)):
+            if any(_triple_key(*probe) in self._seen for probe in itertools.product(*options)):
                 return False
         self._seen.add(key)
         return True
@@ -900,9 +911,10 @@ def load_packing(text: str) -> CirclePacking:
     an error too, found in one pass after the lines parse."""
     import numpy as np
 
-    # (x, y, radius or offset) of each row, which one bulk pass turns into
-    # the circles' triples; (row, B, C) of each line.
-    rows: list[tuple[float, float, float]] = []
+    # x, y and radius or offset of each row, three doubles to a row in one
+    # flat array, which one bulk pass turns into the circles' triples;
+    # (row, B, C) of each line.
+    rows = array("d")
     lines: list[tuple[int, complex, float]] = []
     for line_no, line in _format_lines(text):
         try:
@@ -916,13 +928,13 @@ def load_packing(text: str) -> CirclePacking:
                 if not abs(v) > 0.0:
                     raise ValueError(f"radius must be positive, got {abs(v)}")
             else:
-                lines.append((len(rows), *_line_triple(complex(x, y), v)))
-            rows.append((x, y, v))
+                lines.append((len(rows) // 3, *_line_triple(complex(x, y), v)))
+            rows.extend((x, y, v))
         except ValueError as exc:
             raise ValueError(f"line {line_no}: {exc}") from None
     if not rows:
         raise ValueError("packing file defines no circles")
-    x, y, v = np.array(rows).T
+    x, y, v = np.frombuffer(rows, dtype=float).reshape(-1, 3).T
     finite = np.isfinite(x) & np.isfinite(y) & np.isfinite(v)
     if not finite.all():
         line_no, line = next(itertools.islice(_format_lines(text), int(finite.argmin()), None))
@@ -943,13 +955,30 @@ def load_packing(text: str) -> CirclePacking:
 
 
 def dump_packing(packing: CirclePacking) -> str:
+    return "\n".join(row for _, rows in _packing_rows(packing) for row in rows) + "\n"
+
+
+# Circles per block that _packing_rows formats at a time.
+_ROW_BLOCK = 1 << 10
+
+
+def _packing_rows(packing: CirclePacking):
+    """dump_packing's rows, formatted a block of _ROW_BLOCK circles at a
+    time.  Each block is a pair of lists: the centres as 'x y' in %.17g,
+    'inf inf' for a line, which the cloud rows of `dfs` reuse, and the
+    rows."""
     import numpy as np
 
-    with np.errstate(divide="ignore"):  # lines are redone
-        radius = (1.0 / packing.columns[0]).tolist()
-    rows = list(map("C %s %.17g".__mod__, zip(packing.centre_text, radius)))
-    for k in np.flatnonzero(packing.lines).tolist():
-        _, Bre, Bim, C = packing.columns[:, k].tolist()
-        n, d = _line_geometry(complex(Bre, Bim), C)
-        rows[k] = "L %.17g %.17g %.17g" % (n.real, n.imag, d)
-    return "\n".join(rows) + "\n"
+    z = packing.centres
+    for lo in range(0, len(packing), _ROW_BLOCK):
+        block = slice(lo, lo + _ROW_BLOCK)
+        columns = packing.columns[:, block]
+        xy = list(map("%.17g %.17g".__mod__, zip(z.real[block].tolist(), z.imag[block].tolist())))
+        with np.errstate(divide="ignore"):  # lines are redone
+            radius = (1.0 / columns[0]).tolist()
+        rows = list(map("C %s %.17g".__mod__, zip(xy, radius)))
+        for k in np.flatnonzero(packing.lines[block]).tolist():
+            _, Bre, Bim, C = columns[:, k].tolist()
+            n, d = _line_geometry(complex(Bre, Bim), C)
+            rows[k] = "L %.17g %.17g %.17g" % (n.real, n.imag, d)
+        yield xy, rows

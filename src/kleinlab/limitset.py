@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -130,7 +131,8 @@ class LimitSetCloud:
         candidates = np.concatenate((self.z, points))
         infinite = np.isinf(candidates.real)
         z = np.where(infinite, 0j, candidates)
-        w = np.where(infinite, 0.0, 2.0 / (1.0 + z.real * z.real + z.imag * z.imag))
+        with np.errstate(over="ignore"):  # |z|^2 past DBL_MAX lifts to the pole
+            w = np.where(infinite, 0.0, 2.0 / (1.0 + z.real * z.real + z.imag * z.imag))
         lift = (z.real * w, z.imag * w, 1.0 - w)
         a, b = _near_pairs(lift, 2.0 * tol, np.arange(len(candidates)) >= n)
         pairs = sorted(zip(*np.compress(a < b, (b, a), axis=1).tolist()))
@@ -328,15 +330,35 @@ def limit_set_dfs(group: MarkedGroup, config: DfsConfig) -> DfsResult:
     the cloud dedup then run in bulk over all of them, in preorder, and the
     result keeps them as one table.
     """
+    import numpy as np
+
     t0 = time.perf_counter()
     stats = DfsStats()
+    # The dedup set and the stack go when the traversal returns.
+    coeffs, words, flags = _preorder(group, config, stats)
+    rows = np.frombuffer(coeffs, dtype=float).reshape(-1, 4)
+    if config.window is not None:
+        hits = np.flatnonzero(_meets_window(rows, config.window))
+        rows = rows[hits]
+        words = [words[k] for k in hits.tolist()]
+        flags = [flags[k] for k in hits.tolist()]
+    packing = CirclePacking.from_columns(np.ascontiguousarray(rows.T))
+    stats.circles_emitted = len(packing)
+    keep = LimitSetCloud(_CLOUD_TOLERANCE).extend(packing.centres, words)
+    stats.cloud_points = int(keep.sum())
+    stats.wall_time = time.perf_counter() - t0
+    return DfsResult(packing, words, flags, keep.tolist(), stats)
+
+
+def _preorder(group: MarkedGroup, config: DfsConfig, stats: DfsStats):
+    """limit_set_dfs's traversal, counted into stats: each new triple's four
+    coefficients in one flat array of doubles, its word, and whether it was
+    flagged depth-exhausted, in preorder."""
     seen = _TripleSet()
-    # Each new triple, four coefficients to a row, with its word
-    # and whether it was flagged depth-exhausted.
-    coeffs: list[float] = []
+    coeffs = array("d")
+    add_row = coeffs.extend
     words: list[str] = []
     flags: list[bool] = []
-    window = config.window
     eps2 = config.epsilon * config.epsilon
     max_depth = config.max_depth
 
@@ -370,7 +392,7 @@ def limit_set_dfs(group: MarkedGroup, config: DfsConfig) -> DfsResult:
             continue
         ac = A - C
         small = 16.0 * disc < eps2 * (4.0 * bb + ac * ac)
-        coeffs += (A, Bre, Bim, C)
+        add_row((A, Bre, Bim, C))
         words.append(word)
         flags.append(not small and depth >= max_depth)
         if small:
@@ -390,21 +412,7 @@ def limit_set_dfs(group: MarkedGroup, config: DfsConfig) -> DfsResult:
             B2 = -A * bd + Br * ad + Brc * bcc - C * acc
             C2 = A * bbc + C * aa - 2.0 * (Br * ab).real
             stack.append((A2, B2.real, B2.imag, C2, letters[rank] + word, rank, depth + 1))
-
-    import numpy as np
-
-    rows = np.array(coeffs).reshape(-1, 4)
-    if window is not None:
-        hits = np.flatnonzero(_meets_window(rows, window))
-        rows = rows[hits]
-        words = [words[k] for k in hits.tolist()]
-        flags = [flags[k] for k in hits.tolist()]
-    packing = CirclePacking.from_columns(np.ascontiguousarray(rows.T))
-    stats.circles_emitted = len(packing)
-    keep = LimitSetCloud(_CLOUD_TOLERANCE).extend(packing.centres, words)
-    stats.cloud_points = int(keep.sum())
-    stats.wall_time = time.perf_counter() - t0
-    return DfsResult(packing, words, flags, keep.tolist(), stats)
+    return coeffs, words, flags
 
 
 # Outline samples render paints per pass, which bounds its memory.
@@ -453,6 +461,19 @@ def render(
     window in red, where a sample (xf, yf) paints pixel (int(xf), int(yf)).
     The outline angles take math's cos and sin, as the samples always have.
     """
+    ppm, svg = _render(packing, in_cloud, window, resolution, comment)
+    return RenderResult(ppm, "".join(svg))
+
+
+def _render(
+    packing: CirclePacking,
+    in_cloud: list[bool],
+    window: Rectangle,
+    resolution: int,
+    comment: str | None = None,
+):
+    """render's pixmap, painted in full, and its SVG as an iterator of text
+    blocks of whole lines, each formatted as it is read."""
     import numpy as np
 
     width, height = _raster_size(window, resolution)
@@ -464,15 +485,6 @@ def render(
         # int() truncates toward zero, so a sample in (-1, 0) lands on 0.
         on = (xf > -1.0) & (xf < width) & (yf > -1.0) & (yf < height)
         raster[yf[on].astype(np.int64) * width + xf[on].astype(np.int64)] = rgb
-
-    svg_parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">'
-    ]
-    if comment is not None:
-        # "--" is not allowed inside an XML comment.
-        svg_parts.insert(0, "<!-- " + comment.replace("--", "- -") + " -->")
-    svg_parts.append(f'<rect width="{width}" height="{height}" fill="#ffffff"/>')
 
     black = (0, 0, 0)
     z = packing.centres
@@ -504,11 +516,8 @@ def render(
         px = cx[owner] + rpx[owner] * cos_t[sample]
         paint(px, cy[owner] + rpx[owner] * sin_t[sample], black)
 
-    # Each centre's x and y are formatted once, for its circle and its
-    # cloud point alike.
-    xs, ys = (list(map("%.4f".__mod__, v.tolist())) for v in (cx, cy))
-    circle = '<circle cx="%s" cy="%s" r="%.4f" fill="none" stroke="#000000" stroke-width="1"/>'
-    elements = list(map(circle.__mod__, zip(xs, ys, rpx.tolist())))
+    # Each line's SVG line, "" for a line that misses the window.
+    line_elements: dict[int, str] = {}
     for k in np.flatnonzero(lines).tolist():
         _, Bre, Bim, C = packing.columns[:, k].tolist()
         n, d = _line_geometry(complex(Bre, Bim), C)
@@ -530,7 +539,7 @@ def render(
                     if other_lo - 1e-9 <= o <= other_hi + 1e-9:
                         ts.append(t)
         if len(ts) < 2:
-            elements[k] = ""
+            line_elements[k] = ""
             continue
         t_lo, t_hi = min(ts), max(ts)
         q0, q1 = p0 + t_lo * direction, p0 + t_hi * direction
@@ -539,24 +548,58 @@ def render(
         steps = 2 * max(width, height)
         f = np.arange(steps + 1) / steps
         paint(x0 + f * (x1 - x0), y0 + f * (y1 - y0), black)
-        elements[k] = (
+        line_elements[k] = (
             f'<line x1="{x0:.4f}" y1="{y0:.4f}" x2="{x1:.4f}" y2="{y1:.4f}" '
-            f'stroke="#000000" stroke-width="1"/>'
+            f'stroke="#000000" stroke-width="1"/>\n'
         )
-    svg_parts += filter(None, elements)
 
     x, y = z.real, z.imag
     inside = (window.x0 <= x) & (x <= window.x1) & (window.y0 <= y) & (y <= window.y1)
     dots = np.asarray(in_cloud, dtype=bool) & inside
     paint(cx[dots], cy[dots], (200, 0, 0))
-    rect = '<rect x="%s" y="%s" width="1" height="1" fill="#c80000"/>'
-    svg_parts += map(rect.__mod__, itertools.compress(zip(xs, ys), dots.tolist()))
 
-    svg_parts.append("</svg>")
     header = b"P6\n"
     if comment is not None:
         for line in comment.splitlines():
             header += b"# " + line.encode("ascii", "replace") + b"\n"
     header += f"{width} {height}\n255\n".encode("ascii")
-    return RenderResult(header + raster.tobytes(), "\n".join(svg_parts) + "\n")
 
+    head = (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">\n'
+        f'<rect width="{width}" height="{height}" fill="#ffffff"/>\n'
+    )
+    if comment is not None:
+        # "--" is not allowed inside an XML comment.
+        head = "<!-- " + comment.replace("--", "- -") + " -->\n" + head
+    # One copy of the raster, not a tobytes() copy and then a second one.
+    ppm = b"".join((header, raster))
+    return ppm, _svg_blocks(head, cx, cy, rpx, line_elements, dots)
+
+
+# Circles per block of SVG elements that _render formats at a time.
+_SVG_BLOCK = 1 << 10
+
+
+def _svg_blocks(head: str, cx, cy, rpx, line_elements: dict[int, str], dots):
+    """The SVG text in blocks: the head, one circle or line element per
+    circle, a red square per cloud point that `dots` selects, and the
+    closing tag.  Each centre's x and y are formatted once, for its circle
+    and its cloud point alike; the squares of each block wait, as one
+    string, for the elements to end."""
+    yield head
+    circle = '<circle cx="%s" cy="%s" r="%.4f" fill="none" stroke="#000000" stroke-width="1"/>\n'
+    rect = '<rect x="%s" y="%s" width="1" height="1" fill="#c80000"/>\n'
+    squares = []
+    for lo in range(0, len(cx), _SVG_BLOCK):
+        hi = lo + _SVG_BLOCK
+        xs, ys = (list(map("%.4f".__mod__, v[lo:hi].tolist())) for v in (cx, cy))
+        elements = list(map(circle.__mod__, zip(xs, ys, rpx[lo:hi].tolist())))
+        for k, text in line_elements.items():
+            if lo <= k < hi:
+                elements[k - lo] = text
+        yield "".join(elements)
+        kept = itertools.compress(zip(xs, ys), dots[lo:hi].tolist())
+        squares.append("".join(map(rect.__mod__, kept)))
+    yield from squares
+    yield "</svg>\n"

@@ -94,11 +94,18 @@ def chordal_distance(p: SpherePoint, q: SpherePoint) -> float:
 
 def sphere_coords(p: SpherePoint) -> tuple[float, float, float]:
     """Stereographic lift of a sphere point to unit-sphere coordinates,
-    with infinity at the north pole (0, 0, 1)."""
+    with infinity at the north pole (0, 0, 1).  A point whose |p|^2
+    overflows is lifted through w = 1/p instead, as
+    (2 Re conj(w), 2 Im conj(w), 1 - |w|^2) / (1 + |w|^2)."""
     if isinstance(p, _Infinity):
         return (0.0, 0.0, 1.0)
     p = complex(p)
-    n = math.hypot(1.0, abs(p)) ** 2
+    try:
+        n = math.hypot(1.0, abs(p)) ** 2
+    except OverflowError:
+        w = (1.0 / p).conjugate()
+        n = 1.0 + abs(w) ** 2
+        return (2.0 * w.real / n, 2.0 * w.imag / n, (1.0 - abs(w) ** 2) / n)
     return (2.0 * p.real / n, 2.0 * p.imag / n, (abs(p) ** 2 - 1.0) / n)
 
 

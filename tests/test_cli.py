@@ -9,6 +9,7 @@ import re
 import stat
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -224,6 +225,19 @@ def test_dfs_artifacts_match_golden_digests(tmp_path):
         assert hashlib.sha256(data).hexdigest() == digest, f"run{suffix} changed"
 
 
+@pytest.mark.parametrize("block", [1, 7])
+def test_dfs_artifacts_do_not_depend_on_the_block_size(block, tmp_path, monkeypatch, capsys):
+    # The text artifacts reach the writer a block of rows at a time.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(gasket, "_ROW_BLOCK", block)
+    monkeypatch.setattr(limitset, "_SVG_BLOCK", block)
+    assert cli.main(["dfs", "--preset", "hw-gasket", "--epsilon", "1e-2", "--out", "run"]) == 0
+    capsys.readouterr()
+    for suffix, digest in GOLDEN_DFS_1E2.items():
+        data = (tmp_path / f"run{suffix}").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, f"run{suffix} changed"
+
+
 # The same four artifacts at eps 1e-3, from the per-circle formatting and
 # render (an EmittedCircle, OrientedCircle and CloudPoint per circle).
 GOLDEN_DFS_1E3 = {
@@ -305,8 +319,9 @@ def test_cloud_rows_match_per_row_oracle():
     kept = cloud.extend(packing.centres, words)
     expected = cloud_text_oracle(cloud)
     assert points_rows(cloud) == expected
+    centre_text = [xy for block, _ in gasket._packing_rows(packing) for xy in block]
     dfs_rows = cli._cloud_text(
-        itertools.compress(packing.centre_text, kept), list(itertools.compress(words, kept))
+        itertools.compress(centre_text, kept), list(itertools.compress(words, kept))
     )
     assert dfs_rows == expected
     assert expected.splitlines()[:3] == ["-0 -0.25 0 -", "-0 -0.5 1 a", "-0.25 0 2 bA"]
@@ -514,6 +529,107 @@ def test_artifacts_get_the_mode_open_gives(tmp_path, monkeypatch, capsys):
                 assert mode == expected, (oct(umask), suffix, oct(mode))
     finally:
         os.umask(previous)
+
+
+def failing_chunks():
+    yield "# header\n"
+    yield "C 0 0 1\n"
+    raise RuntimeError("formatting failed")
+
+
+def failing_replace(src, dst):
+    raise OSError("rename failed")
+
+
+@pytest.mark.parametrize(
+    "make_data, error, patch",
+    [
+        (lambda: "C 0 0 1\n\ud800\n", UnicodeEncodeError, None),
+        (lambda: b"C 0 0 1\n", OSError, failing_replace),
+        (failing_chunks, RuntimeError, None),
+        (lambda: iter(["C 0 0 1\n", "\ud800"]), UnicodeEncodeError, None),
+    ],
+    ids=["str", "bytes", "chunks", "chunk-encoding"],
+)
+def test_write_atomic_keeps_the_old_artifact_when_a_write_fails(
+    make_data, error, patch, tmp_path, monkeypatch
+):
+    # A failure after some of the new bytes are written leaves the artifact
+    # as it was and no .kleinlab-* temp file beside it.
+    path = tmp_path / "run.circles.txt"
+    path.write_bytes(b"old artifact\n")
+    if patch is not None:
+        monkeypatch.setattr(os, "replace", patch)
+    with pytest.raises(error):
+        cli._write_atomic(str(path), make_data())
+    assert path.read_bytes() == b"old artifact\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.circles.txt"]
+
+
+def test_write_atomic_chunks_give_the_bytes_of_one_string(tmp_path):
+    chunks = ["# kleinlab\n", "", "C 0 0 1\n", "C 1 1 0.5 \u00e9\n"]
+    cli._write_atomic(str(tmp_path / "whole"), "".join(chunks))
+    cli._write_atomic(str(tmp_path / "chunked"), iter(chunks))
+    assert (tmp_path / "chunked").read_bytes() == (tmp_path / "whole").read_bytes()
+
+
+# tracemalloc peaks of an in-process `dfs` at eps 3e-3, in bytes per
+# circle, with the raster cut to 64 pixels wide so that the circles, not
+# the pixmap, decide them.  Measured with the traversal's flat coefficient
+# array and packed dedup keys, and the artifacts streamed to the writer a
+# block at a time:
+# - the traversal, per row it records (8,444): 236 above its start, against
+#   453 with a list of floats and tuple keys;
+# - the writes, per emitted circle (6,519): 170 above what limit_set_dfs
+#   returned, against 323 with the circles and SVG text each joined whole,
+#   and 1,010 with every artifact built whole as a str and encoded again;
+# - the whole run, per emitted circle: 458, the cloud dedup's peak.
+# Each bound is about 1.5 times the measured figure.
+TRAVERSAL_PEAK_BYTES_PER_ROW = 350
+DFS_WRITE_PEAK_BYTES_PER_CIRCLE = 255
+DFS_PEAK_BYTES_PER_CIRCLE = 690
+
+
+def test_dfs_peak_memory_per_circle(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["dfs", "--preset", "hw-gasket", "--resolution", "64", "--out", "run"]
+    # A first small run, so that imports and caches are not counted.
+    assert cli.main(argv + ["--epsilon", "1e-2"]) == 0
+    # Per stage: traced bytes at its start, its peak and what it leaves held.
+    stages = {}
+    peaks = []
+
+    def measured(stage):
+        def run(*args):
+            start, peak = tracemalloc.get_traced_memory()
+            peaks.append(peak)
+            tracemalloc.reset_peak()
+            result = stage(*args)
+            held, peak = tracemalloc.get_traced_memory()
+            peaks.append(peak)
+            tracemalloc.reset_peak()
+            stages[stage.__name__] = (start, peak, held, result)
+            return result
+        return run
+
+    for name in ("_preorder", "limit_set_dfs"):
+        monkeypatch.setattr(limitset, name, measured(getattr(limitset, name)))
+    tracemalloc.start()
+    try:
+        assert cli.main(argv + ["--epsilon", "3e-3"]) == 0
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    circles = json.loads((tmp_path / "run.stats.json").read_text())["stats"]["circles_emitted"]
+    assert circles == 6519
+    start, peak, _, (_, rows, _) = stages["_preorder"]
+    traversal = (peak - start) / len(rows)
+    writes = (peaks[-1] - stages["limit_set_dfs"][2]) / circles
+    whole = max(peaks) / circles
+    assert traversal < TRAVERSAL_PEAK_BYTES_PER_ROW, f"traversal: {traversal:.0f} bytes per row"
+    assert writes < DFS_WRITE_PEAK_BYTES_PER_CIRCLE, f"writes: {writes:.0f} bytes per circle"
+    assert whole < DFS_PEAK_BYTES_PER_CIRCLE, f"whole run: {whole:.0f} bytes per circle"
 
 
 def test_verify_gasket_passes_bounded_truncation(tmp_path):

@@ -2,12 +2,14 @@ import itertools
 import math
 import random
 import re
+import struct
 from importlib import resources
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from kleinlab import gasket
 from kleinlab.gasket import (
     CirclePacking,
     NoTangentTripleError,
@@ -35,6 +37,7 @@ from kleinlab.gasket import (
     _near_pairs,
     _scan_products,
     _TripleSet,
+    _triple_key,
 )
 from kleinlab.groups import _format_lines, load_marking
 from kleinlab.limitset import DfsConfig, Rectangle, limit_set_dfs
@@ -163,8 +166,30 @@ def test_triple_set_fast_path_matches_full_probe():
     fast, reference = _TripleSet(), set()
     decisions = [fast.try_add(*t) for t in triples]
     assert decisions == [full_probe_try_add(reference, grid, *t) for t in triples]
-    assert fast._seen == reference
+    assert fast._seen == {_triple_key(*key) for key in reference}
     assert 0 < sum(decisions) < len(decisions)
+
+
+def test_triple_set_keys_past_int64_stay_tuples():
+    # Every component of a key that fits in int64 is packed into 32 bytes;
+    # a key with one that does not is kept as its tuple.
+    assert _triple_key(1, -2, 3, -4) == struct.pack("<4q", 1, -2, 3, -4)
+    assert type(_triple_key(2**63 - 1, -(2**63), 0, 0)) is bytes
+    assert _triple_key(2**63, 0, 0, 0) == (2**63, 0, 0, 0)
+    assert _triple_key(0, 0, 0, -(2**63) - 1) == (0, 0, 0, -(2**63) - 1)
+    big = 2.0**64 * _TripleSet.GRID
+    small = (0.5, 0.3, -0.7, 0.25)
+    seen = _TripleSet()
+    assert seen.try_add(big, *small[1:])
+    assert seen.try_add(*small)
+    assert sorted(type(key).__name__ for key in seen._seen) == ["bytes", "tuple"]
+    # Both forms dedup exactly, the negation included, and never collide.
+    assert not seen.try_add(big, *small[1:])
+    assert not seen.try_add(-big, *(-q for q in small[1:]))
+    assert not seen.try_add(*small)
+    assert seen.try_add(big, 0.3, -0.7, 0.5)
+    assert seen.try_add(0.5, 0.3, -0.7, big)
+    assert len(seen._seen) == 4
 
 
 def test_tangency_point_of_touching_circles():
@@ -450,10 +475,13 @@ def crafted_circles():
     return circles + [c.transform(m) for c in bounded_gasket(2).circles]
 
 
-def test_dump_packing_matches_per_row_oracle():
+def test_dump_packing_matches_per_row_oracle(monkeypatch):
     circles = crafted_circles()
     text = dump_packing(CirclePacking(circles))
     assert text == dump_oracle(circles)
+    # Rows formatted a few at a time, the lines in later blocks.
+    monkeypatch.setattr(gasket, "_ROW_BLOCK", 4)
+    assert dump_packing(CirclePacking(circles)) == text
     rows = text.splitlines()
     assert {row.split()[1] for row in rows[:27]} >= {"0", "-0"}
     assert {row.split()[2] for row in rows[:27]} >= {"0", "-0"}

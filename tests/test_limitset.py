@@ -114,6 +114,13 @@ def test_render_rejects_a_raster_over_the_pixel_cap():
         render(empty, [], Rectangle(0.0, 0.0, 1.0, 1.0), 10**400)
 
 
+def test_cloud_dedups_points_past_the_square_overflow():
+    # 1e200 and 2e200 lift within 1e-200 of the north pole: one point.
+    cloud = LimitSetCloud(1e-9)
+    assert cloud.extend([1e200, 2e200, 1 + 1j], ["a", "b", "c"]).tolist() == [True, False, True]
+    assert cloud.words == ["a", "c"]
+
+
 def test_fixed_point_cloud_of_diagonal_map():
     diag = MarkedGroup(Alphabet(["a"]), {"a": MoebiusMap(2, 0, 0, 0.5)})
     cloud = limit_points_by_fixed_points(diag, 3)
@@ -515,8 +522,10 @@ def test_render_matches_per_pixel_oracle_on_edge_cases(monkeypatch):
     assert_render_matches_oracle(circles, in_cloud, Rectangle(-1.0, -0.5, 2.0, 1.0), 90, comment)
     no_cloud = [False] * len(circles)
     assert_render_matches_oracle(circles[::-1], no_cloud, Rectangle(-0.5, 0.0, 1.5, 0.75), 37)
-    # Outlines split over many passes.
+    # Outlines split over many passes, and SVG elements formatted a few
+    # circles at a time, the lines and cloud squares in later blocks.
     monkeypatch.setattr(limitset, "_SAMPLES_PER_PASS", 100)
+    monkeypatch.setattr(limitset, "_SVG_BLOCK", 3)
     assert_render_matches_oracle(circles, in_cloud, window, 64, comment)
 
 

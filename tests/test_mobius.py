@@ -160,6 +160,21 @@ def test_chordal_distance():
         assert chordal_distance(p, q) == pytest.approx(d)
 
 
+def test_sphere_coords_lifts_points_past_the_square_overflow():
+    # |z|^2 overflows past about 1.3e154; such a point is lifted through
+    # w = 1/z, and its lift mirrors that of 1/conj(z) across the equator.
+    for z in (1e200, 2e200 - 3e199j, -1.5e308 + 1.5e308j, 1e155j, 1.4e154 + 1e153j):
+        x, y, h = sphere_coords(z)
+        xi, yi, hi = sphere_coords(1.0 / z.conjugate())
+        assert (x, y, h) == pytest.approx((xi, yi, -hi), rel=1e-15, abs=1e-300)
+        assert x * x + y * y + h * h == pytest.approx(1.0)
+    assert sphere_coords(1e200) == (2e-200, -0.0, 1.0)
+    # Below the overflow every lift keeps the bits of the one formula.
+    for z in (1e150 + 3e149j, 1.3e154, -7e153j, 0.3 - 2j):
+        n = math.hypot(1.0, abs(z)) ** 2
+        assert sphere_coords(z) == (2.0 * z.real / n, 2.0 * z.imag / n, (abs(z) ** 2 - 1.0) / n)
+
+
 def test_circline_center_radius_roundtrip():
     c = OrientedCircle.from_center_radius(1 + 2j, 0.75)
     assert not c.is_line
