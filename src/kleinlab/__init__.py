@@ -24,8 +24,8 @@ _EXPORTS = {
         ("limitset", "DfsConfig LimitSetCloud Rectangle limit_points_by_fixed_points "
                      "limit_set_dfs render"),
         ("decomposition", "FiniteMetricSpace GraphOfGroups SimpleGraph TreeSystem abc_example "
-                          "cut_pairs link_valency local_cut_valency tree_system_limit "
-                          "validate_bowditch"),
+                          "cut_pairs link_valency local_cut_valencies local_cut_valency "
+                          "tree_system_limit validate_bowditch"),
     )
     for name in names.split()
 }

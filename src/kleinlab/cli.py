@@ -26,8 +26,7 @@ import importlib
 import itertools
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
 from .groups import _format_lines, load_marking, solve_parabolic_commutator
@@ -47,7 +46,7 @@ _HANDLER_NAMES = {
     name: module
     for module, names in (
         ("decomposition", "cut_pairs link_valency load_graph_of_groups load_simple_graph "
-                          "load_tree_system local_cut_valency tree_system_limit "
+                          "load_tree_system local_cut_valencies tree_system_limit "
                           "validate_bowditch"),
         ("gasket", "_packing_rows is_apollonian_like load_packing"),
         ("limitset", "DfsConfig Rectangle _raster_size _render limit_points_by_fixed_points "
@@ -82,8 +81,7 @@ class _Parser(argparse.ArgumentParser):
 
 # -- configuration --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """The effective settings of one run.  Every field after `command` is a
     knob: its name is the config key and the flag, its default the built-in
     default, and the field order is the order artifact headers echo it in.
@@ -106,22 +104,21 @@ class RunConfig:
     def echo_pairs(self) -> list[tuple[str, str]]:
         """Deterministic key=value listing of every set knob."""
         pairs: list[tuple[str, str]] = []
-        for f in fields(self)[1:]:
-            val = getattr(self, f.name)
-            if val is None or (f.name == "preset" and not val):
+        for name, val in zip(self._fields[1:], self[1:]):
+            if val is None or (name == "preset" and not val):
                 continue
             if isinstance(val, bool):
                 text = "true" if val else "false"
-            elif f.name == "window":
+            elif name == "window":
                 text = f"{val.x0!r},{val.y0!r},{val.x1!r},{val.y1!r}"
             else:
                 text = str(val)
-            pairs.append((f.name, text))
+            pairs.append((name, text))
         return pairs
 
 
 # Config-file keys: every knob but `preset`.
-_KNOBS = tuple(f.name for f in fields(RunConfig)[1:-1])
+_KNOBS = RunConfig._fields[1:-1]
 _DEPTH_DEFAULTS = {"points": 8, "dfs": 64}
 # Help placeholders; a flag without one shows its name in capitals.
 _METAVARS = {
@@ -312,6 +309,7 @@ def _cmd_points(cfg: RunConfig, argv: list[str]) -> int:
 
 def _cmd_dfs(cfg: RunConfig, argv: list[str]) -> int:
     import json
+    from dataclasses import asdict
 
     from .gasket import _packing_rows, load_packing
     from .limitset import DfsConfig, _raster_size, _render, limit_set_dfs
@@ -390,6 +388,7 @@ def _cmd_dfs(cfg: RunConfig, argv: list[str]) -> int:
 
 def _cmd_verify_gasket(cfg: RunConfig, argv: list[str]) -> int:
     import json
+    from dataclasses import asdict, replace
 
     from .gasket import is_apollonian_like, load_packing
 
@@ -461,15 +460,16 @@ def _cmd_tree_limit(cfg: RunConfig, argv: list[str]) -> int:
 
 
 def _cmd_cuts(cfg: RunConfig, argv: list[str]) -> int:
-    from .decomposition import cut_pairs, link_valency, load_simple_graph, local_cut_valency
+    from .decomposition import cut_pairs, link_valency, load_simple_graph, local_cut_valencies
 
     if cfg.input is None:
         raise _UsageError("cuts needs an input graph edge-list file")
     graph = load_simple_graph(_resolve_input(cfg.input))
+    valency = local_cut_valencies(graph)
     lines = []
     for v in sorted(graph.vertices):
         lines.append(
-            f"vertex {v} local_cut_valency={local_cut_valency(graph, v)} "
+            f"vertex {v} local_cut_valency={valency[v]} "
             f"link_valency={link_valency(graph, v)}"
         )
     if len(graph.vertices) >= 4 and graph.is_connected():
@@ -503,9 +503,9 @@ def _make_parser() -> _Parser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("input", nargs="?", default=None, help="input file where applicable")
-        for f in fields(RunConfig)[1:]:
-            if f.name not in ("input", "normalize"):
-                p.add_argument("--" + f.name, metavar=_METAVARS.get(f.name))
+        for name in RunConfig._fields[1:]:
+            if name not in ("input", "normalize"):
+                p.add_argument("--" + name, metavar=_METAVARS.get(name))
         p.add_argument("--config", metavar="PATH")
         p.add_argument("--normalize", action="store_true")
     return parser

@@ -8,17 +8,16 @@ compared to oracles with equality rather than tolerances.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from importlib import resources
 from itertools import accumulate, combinations
 from math import gcd, lcm
 from operator import add
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .groups import _format_lines
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "UnknownVertexError",
@@ -37,6 +36,7 @@ __all__ = [
     "tree_system_limit",
     "SimpleGraph",
     "local_cut_valency",
+    "local_cut_valencies",
     "link_valency",
     "CutPair",
     "cut_pairs",
@@ -87,15 +87,13 @@ class VertexType(Enum):
     RIGID = "rigid"
 
 
-@dataclass(frozen=True)
-class GoGVertex:
+class GoGVertex(NamedTuple):
     id: str
     type: VertexType
     slots: int = 0
 
 
-@dataclass(frozen=True)
-class GoGEdge:
+class GoGEdge(NamedTuple):
     """Undirected edge with an edge-group two-endedness flag.
 
     slot_u / slot_v give the peripheral slot the edge occupies at the
@@ -138,15 +136,13 @@ class GraphOfGroups:
         return len(self.edges) == len(self.vertices) - 1
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     clause: str  # "i" = edge not two-ended, "ii" = same-type adjacency, "iii" = slots
     message: str
     subjects: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...]
 
     @property
@@ -209,22 +205,27 @@ def abc_example() -> GraphOfGroups:
     """The star-shaped splitting with one rigid hub, three two-ended curve
     vertices, and three single-slot hanging-Fuchsian leaves: the bundled
     presets/abc-example.gog."""
+    from importlib import resources
+
     gog = resources.files("kleinlab").joinpath("presets", "abc-example.gog")
     return load_graph_of_groups(gog.read_text())
 
 
 # -- finite metric spaces and tree systems -------------------------------------
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)
-    raise TypeError(f"distance entries must be rational, got {type(x).__name__}")
+def _as_fractions(matrix, n: int) -> list[list[Fraction]]:
+    """matrix[i][j] for i, j < n as Fractions, each entry a Fraction, an
+    int, a str or a float."""
+    from fractions import Fraction
+
+    def as_fraction(x) -> Fraction:
+        if isinstance(x, Fraction):
+            return x
+        if isinstance(x, (int, str, float)):
+            return Fraction(x)
+        raise TypeError(f"distance entries must be rational, got {type(x).__name__}")
+
+    return [[as_fraction(matrix[i][j]) for j in range(n)] for i in range(n)]
 
 
 class FiniteMetricSpace:
@@ -238,7 +239,7 @@ class FiniteMetricSpace:
 
     def __init__(self, points: Iterable[str], matrix):
         n = self._set_points(points)
-        m = [[_as_fraction(matrix[i][j]) for j in range(n)] for i in range(n)]
+        m = _as_fractions(matrix, n)
         den = lcm(*(x.denominator for row in m for x in row))
         self._set_metric([[x.numerator * (den // x.denominator) for x in row] for row in m], den)
 
@@ -297,9 +298,13 @@ class FiniteMetricSpace:
             raise UnknownPointError(f"point {p!r} not in space") from None
 
     def distance(self, p: str, q: str) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self._scaled[self.index(p)][self.index(q)], self._den)
 
     def matrix(self) -> list[list[Fraction]]:
+        from fractions import Fraction
+
         den = self._den
         return [[Fraction(x, den) for x in row] for row in self._scaled]
 
@@ -361,6 +366,8 @@ def tree_system_limit(system: TreeSystem) -> FiniteMetricSpace:
     Quotient points are named t:p after the lexicographically smallest
     member of their class.
     """
+    import heapq
+
     glued: dict[tuple[str, str], list[tuple[str, str]]] = {
         (t, p): [] for t in sorted(system.spaces) for p in system.spaces[t].points
     }
@@ -463,9 +470,24 @@ def local_cut_valency(g: SimpleGraph, v: str) -> int:
     """Number of connected components of G - v that contain a neighbor of v
     (for connected G, every component does)."""
     _require_vertex(g, v)
-    nbrs = g.adjacency[v]
-    rest = g.adjacency.keys() - {v}
-    return sum(1 for comp in _components(rest, g.adjacency.__getitem__) if comp & nbrs)
+    return local_cut_valencies(g)[v]
+
+
+def local_cut_valencies(g: SimpleGraph) -> dict[str, int]:
+    """`local_cut_valency` of every vertex, from one lowpoint pass over G.
+
+    The components of G - v that touch v are the subtrees of the DFS
+    children c of v with low[c] >= disc[v], which no back edge joins to the
+    rest, and, unless v is a root, the side of v's parent.  Every child of
+    a root passes that test, since nothing in its component is discovered
+    before the root."""
+    names, adj = _indexed(g)
+    _, disc, low, _, parent = _lowpoint_forest(adj, -1)
+    count = [int(p >= 0) for p in parent]
+    for c, p in enumerate(parent):
+        if p >= 0 and low[c] >= disc[p]:
+            count[p] += 1
+    return dict(zip(names, count))
 
 
 def link_valency(g: SimpleGraph, v: str) -> int:
@@ -480,15 +502,22 @@ def link_valency(g: SimpleGraph, v: str) -> int:
     return len(_components(g.adjacency[v], g.adjacency.__getitem__))
 
 
-@dataclass(frozen=True)
-class CutPair:
+class CutPair(NamedTuple):
     pair: tuple[str, str]
     components: int
     flagged: bool
 
 
+def _indexed(g: SimpleGraph) -> tuple[list[str], list[list[int]]]:
+    """The vertex names in sorted order, and each one's neighbours by index."""
+    names = sorted(g.vertices)
+    index = {v: i for i, v in enumerate(names)}
+    return names, [[index[u] for u in g.adjacency[v]] for v in names]
+
+
 def _lowpoint_forest(adj: list[list[int]], x: int):
-    """One iterative Hopcroft-Tarjan pass over the graph without vertex x.
+    """One iterative Hopcroft-Tarjan pass over the graph without vertex x
+    (over the whole graph when x is -1).
 
     Returns the vertices in discovery order, and per vertex its discovery
     index, low point, subtree size and DFS parent (-1 for the roots, one
@@ -547,9 +576,7 @@ def cut_pairs(g: SimpleGraph) -> list[CutPair]:
         raise ValueError("graph must be connected")
     if len(g.vertices) < 4:
         raise ValueError("need at least 4 vertices")
-    names = sorted(g.vertices)
-    index = {v: i for i, v in enumerate(names)}
-    adj = [[index[u] for u in g.adjacency[v]] for v in names]
+    names, adj = _indexed(g)
     n = len(names)
     out: list[CutPair] = []
     for x in range(n):
@@ -668,6 +695,8 @@ def load_tree_system(text: str) -> TreeSystem:
         glue <t1> <t2> <p> <q>   identify point p of t1 with point q of t2
 
     Points are named 0..n-1 per space; entries accept fractions like 3/2."""
+    from fractions import Fraction
+
     spaces: dict[str, FiniteMetricSpace] = {}
     tree_edges: list[tuple[str, str]] = []
     gluings: dict[tuple[str, str], list[tuple[str, str]]] = {}

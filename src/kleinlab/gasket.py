@@ -945,10 +945,10 @@ def load_packing(text: str) -> CirclePacking:
         k = 1.0 / radius
         # -center * k is a complex product with (k, 0), as CPython takes it.
         ar, ai = -x, -y
-        circle = np.stack(
+        columns = np.stack(
             (k, ar * k - ai * 0.0, ar * 0.0 + ai * k, (x * x + y * y - radius * radius) * k)
         )
-    columns = np.where(v < 0.0, -circle, circle)
+    np.negative(columns, out=columns, where=v < 0.0)  # in place: no second table
     for row, B, C in lines:
         columns[:, row] = (0.0, B.real, B.imag, C)
     return CirclePacking.from_columns(columns)

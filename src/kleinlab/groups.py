@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import cmath
 import re
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .mobius import MoebiusMap
@@ -241,22 +240,24 @@ def _evaluate_letters(letter_maps: dict[str, MoebiusMap], word: str, alphabet: A
     return acc
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
-    """An alphabet plus relator words (stored freely reduced)."""
-
+class _Presentation(NamedTuple):
     alphabet: Alphabet
     relators: tuple[str, ...]
 
-    def __init__(self, alphabet: Alphabet, relators):
+
+class GroupPresentation(_Presentation):
+    """An alphabet plus relator words (stored freely reduced)."""
+
+    __slots__ = ()
+
+    def __new__(cls, alphabet: Alphabet, relators):
         reduced = []
         for r in relators:
             w = free_reduce(parse_word(r, alphabet))
             if not w:
                 raise EmptyPresentationError(f"relator {r!r} reduces to the empty word")
             reduced.append(w)
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "relators", tuple(reduced))
+        return super().__new__(cls, alphabet, tuple(reduced))
 
 
 def identity_distance(m: MoebiusMap) -> float:
@@ -267,8 +268,7 @@ def identity_distance(m: MoebiusMap) -> float:
     return min(plus, minus)
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(NamedTuple):
     relators: tuple[str, ...]
     distances: tuple[float, ...]
     tol: float
@@ -340,13 +340,28 @@ def _parse_entry(text: str) -> complex:
     return complex(float(parts[0]), float(parts[1]))
 
 
+# Characters of text that `_format_lines` splits at once, rounded up to the
+# end of a line.
+_LINE_CHUNK = 1 << 16
+
+
 def _format_lines(text: str):
     """(line number, text) of each line of a kleinlab text format, with the
-    `#` comment cut off and blank lines skipped."""
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield i, line
+    `#` comment cut off and blank lines skipped.
+
+    The text is split a chunk at a time, so no list of every line is held.
+    Each chunk ends just after a "\n", which always ends a line and is never
+    cut from the "\r" of a "\r\n", so the lines and their numbers are those
+    of `text.splitlines()`."""
+    i = start = 0
+    while start < len(text):
+        end = text.find("\n", start + _LINE_CHUNK) + 1 or len(text)
+        for raw in text[start:end].splitlines():
+            i += 1
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                yield i, line
+        start = end
 
 
 def load_marking(text: str) -> MarkedGroup:

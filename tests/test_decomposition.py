@@ -23,6 +23,7 @@ from kleinlab.decomposition import (
     load_graph_of_groups,
     load_simple_graph,
     load_tree_system,
+    local_cut_valencies,
     local_cut_valency,
     tree_system_limit,
     validate_bowditch,
@@ -758,6 +759,66 @@ def test_cut_pairs_match_all_pairs_search():
     assert found > 3000 and flagged > 300
     # x a cut vertex and y alone in its component of G - x
     assert lonely > 300
+
+
+def brute_local_cut_valency(g, v):
+    """One component search over G - v: the components that hold a
+    neighbour of v."""
+    return sum(1 for c in components_without(g, {v}) if c & g.adjacency[v])
+
+
+def labelled(rng, n, edges):
+    """The graph on vertices 0..n-1, isolated ones included, renamed at
+    random so that sorted order does not follow the construction."""
+    label = [f"v{k}" for k in rng.sample(range(10 * n), n)]
+    return SimpleGraph(label, [(label[a], label[b]) for a, b in edges])
+
+
+def disjoint_union(*parts):
+    """(vertex count, edges) of the disjoint union of (n, edges) parts."""
+    n, edges = 0, []
+    for size, part in parts:
+        edges += [(a + n, b + n) for a, b in part]
+        n += size
+    return n, edges
+
+
+def test_local_cut_valencies_match_a_component_search_per_vertex():
+    rng = random.Random(20261020)
+
+    def tree():
+        n = rng.randint(1, 14)
+        return n, random_tree_edges(rng, n)
+
+    def cycle():
+        n = rng.randint(3, 12)
+        return n, cycle_with_chords_edges(rng, n)
+
+    def connected():
+        n = rng.randint(2, 14)
+        return n, connected_edges(rng, n)
+
+    def theta():
+        edges = theta_edges(rng)
+        return max(max(e) for e in edges) + 1, edges
+
+    def disconnected():
+        builders = (tree, cycle, connected, theta, lambda: (1, []))
+        return disjoint_union(*(rng.choice(builders)() for _ in range(rng.randint(2, 4))))
+
+    builders = (tree, cycle, connected, theta, disconnected, lambda: (rng.randint(1, 5), []))
+    graphs = [labelled(rng, *builders[k % len(builders)]()) for k in range(600)]
+    graphs += [relabelled(rng, subdivided_gasket_edges(2)), relabelled(rng, subdivided_gasket_edges(3))]
+    seen = set()
+    for g in graphs:
+        expected = {v: brute_local_cut_valency(g, v) for v in g.vertices}
+        assert local_cut_valencies(g) == expected
+        v = rng.choice(g.vertices)
+        assert local_cut_valency(g, v) == expected[v]
+        seen.update(expected.values())
+    # isolated vertices, leaves and cycle vertices, and cut vertices of
+    # every valency up to a star's
+    assert set(range(6)) <= seen
 
 
 def test_cut_pairs_input_validation():

@@ -1,14 +1,17 @@
 """The text formats share one line reader: `#` comments and blank lines are
 skipped, and errors name the line number of the first bad line."""
 
+import random
 import re
+import tracemalloc
 
 import pytest
 
+from kleinlab import groups
 from kleinlab.cli import load_config
 from kleinlab.decomposition import load_graph_of_groups, load_simple_graph, load_tree_system
 from kleinlab.gasket import load_packing
-from kleinlab.groups import load_marking
+from kleinlab.groups import _format_lines, load_marking
 from kleinlab.mobius import DegenerateMatrixError
 
 # loader, one good line, one bad line, the error for a bad line 5, a check on
@@ -118,3 +121,63 @@ def test_tree_system_errors_name_the_line():
         load_tree_system(header + "space B 2\n# first row\nrow 0 1 2\nrow 1 0\n")
     with pytest.raises(ValueError, match=re.escape("line 6: space B: missing rows")):
         load_tree_system(header + "space B 2\nrow 0 1\n")
+
+
+# Every line boundary of str.splitlines.
+BOUNDARIES = ("\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+def numbered_lines(text):
+    """The reference reader: one splitlines() of the whole text."""
+    out = []
+    for i, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            out.append((i, line))
+    return out
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, groups._LINE_CHUNK])
+def test_format_lines_keeps_the_lines_and_numbers_of_splitlines(chunk, monkeypatch):
+    # Small chunks put every boundary, and each half of a "\r\n", at a chunk
+    # edge somewhere.
+    monkeypatch.setattr(groups, "_LINE_CHUNK", chunk)
+    texts = ["", "\n", "x", "x\n"]
+    for b in BOUNDARIES:
+        texts += [b, b * 3, f"a{b}b", f"a{b}{b}b #c{b}", f"{b}a{b}", f"a\r{b}b", f"a{b}\nb"]
+    rng = random.Random(20261020)
+    pieces = ("x", "y z", " # c", "#", "  ", "abcdef", *BOUNDARIES)
+    texts += ["".join(rng.choices(pieces, k=rng.randrange(40))) for _ in range(400)]
+    for text in texts:
+        assert list(_format_lines(text)) == numbered_lines(text), repr(text)
+
+
+# tracemalloc peak of load_packing, in bytes per row, on the generated
+# packing below (30,000 rows with `# w=` comments as dfs writes them, about
+# 2.8 MB): 113, set by the parsed doubles and the triples' temporaries.  It
+# was 174 when the whole text was split into a list of lines first, and 155
+# with that list gone but a negated copy of the table made.  The bound is
+# about 1.25 times the measured figure.
+LOAD_PACKING_PEAK_BYTES_PER_ROW = 140
+
+
+def test_load_packing_peak_memory_per_row():
+    rng = random.Random(5)
+    rows = 30_000
+    text = "# generated\n" + "".join(
+        "C %.17g %.17g %.17g  # w=%s\n" % (
+            rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(1e-3, 1e-1),
+            "".join(rng.choices("aAbB", k=rng.randrange(8, 40))),
+        )
+        for _ in range(rows)
+    )
+    load_packing("C 0 0 1\n")  # imports and caches are not counted
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        packing = load_packing(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(packing) == rows
+    assert (peak - start) / rows < LOAD_PACKING_PEAK_BYTES_PER_ROW
