@@ -29,7 +29,7 @@ _EXPORTS = {
     )
     for name in names.split()
 }
-_SUBMODULES = frozenset(_EXPORTS.values()) | {"cli"}
+_SUBMODULES = frozenset(_EXPORTS.values()) | {"cli", "wordtree"}
 
 __all__ = ["__version__", *_EXPORTS]
 

@@ -663,19 +663,22 @@ def _triple_key(k0: int, k1: int, k2: int, k3: int) -> bytes | tuple[int, int, i
 class _TripleSet:
     """Dedup set of discriminant-1 triples keyed on their rounded components.
 
-    Takes the four real components rather than a circle so the DFS hot loop
-    can test a triple before building any object for it.  A triple and its
+    Takes the four real components rather than a circle so the DFS can test
+    a triple before building any object for it; wordtree._rounded_keys is
+    the same rounding rule over arrays, for the DFS's level builder.  A
+    triple and its
     negation are the same locus, so each is keyed by its sign-canonical form
     (first nonzero component positive); otherwise mixed-sign seeds would
     shadow each other's orbits.  Keys are stored as _triple_key packs them,
-    32 bytes each where a tuple of four ints takes about 200.
+    32 bytes each where a tuple of four ints takes about 200.  The store is
+    a set unless the caller passes another container with `in` and `add`.
     """
 
     __slots__ = ("_seen",)
     GRID = 1e-8
 
-    def __init__(self):
-        self._seen: set[bytes | tuple[int, int, int, int]] = set()
+    def __init__(self, seen=None):
+        self._seen = set() if seen is None else seen
 
     def try_add(self, A: float, Bre: float, Bim: float, C: float) -> bool:
         """Record the triple; False when it, its negation, or one within
@@ -770,10 +773,10 @@ def bounded_gasket(generations: int) -> CirclePacking:
 
 def apply_to_packing(m: MoebiusMap, packing: CirclePacking) -> CirclePacking:
     """Every circle moved by m as OrientedCircle.transform moves it."""
-    t = _transport_coeffs(m)
-    return CirclePacking(
-        [OrientedCircle._from_unit_triple(*_transport(t, c.A, c.B, c.C)) for c in packing.circles]
-    )
+    import numpy as np
+
+    with np.errstate(all="ignore"):  # Python floats overflow without a word too
+        return CirclePacking.from_columns(np.array(_transport(_transport_coeffs(m), *packing.columns)))
 
 
 def normalize_to_standard_gasket(
@@ -805,11 +808,11 @@ def _anchor_map(graph: TangencyGraph) -> MoebiusMap:
 
 
 def _moved_curvatures(columns, m: MoebiusMap):
-    """The curvature of every circle moved by m: transform_hermitian's A,
-    A dd + C cc - 2 Re(B cd), in its operation order in real arithmetic."""
-    A, Bre, Bim, C = columns
-    dd, cc, _, _, cd = _transport_coeffs(m)[:5]
-    return A * dd + C * cc - 2.0 * (Bre * cd.real - Bim * cd.imag)
+    """The curvature of every circle moved by m: transform_hermitian's A."""
+    import numpy as np
+
+    with np.errstate(all="ignore"):
+        return _transport(_transport_coeffs(m), *columns)[0]
 
 
 @dataclass(frozen=True)
@@ -934,21 +937,33 @@ def load_packing(text: str) -> CirclePacking:
             raise ValueError(f"line {line_no}: {exc}") from None
     if not rows:
         raise ValueError("packing file defines no circles")
-    x, y, v = np.frombuffer(rows, dtype=float).reshape(-1, 3).T
-    finite = np.isfinite(x) & np.isfinite(y) & np.isfinite(v)
+    # The table is filled in place: x, y and v go to rows 1-3, the parse
+    # buffer is dropped, and each row is then overwritten by its component.
+    columns = np.empty((4, len(rows) // 3))
+    columns[1:] = np.frombuffer(rows, dtype=float).reshape(-1, 3).T
+    del rows
+    x, y, radius = columns[1:]
+    finite = np.isfinite(columns[1:]).all(axis=0)
     if not finite.all():
         line_no, line = next(itertools.islice(_format_lines(text), int(finite.argmin()), None))
         raise ValueError(f"line {line_no}: numbers must be finite, got {line!r}")
-    radius = abs(v)
+    del finite
+    flip = radius < 0.0
     # Python floats overflow to inf and nan without a word; so do these.
     with np.errstate(all="ignore"):
-        k = 1.0 / radius
-        # -center * k is a complex product with (k, 0), as CPython takes it.
-        ar, ai = -x, -y
-        columns = np.stack(
-            (k, ar * k - ai * 0.0, ar * 0.0 + ai * k, (x * x + y * y - radius * radius) * k)
-        )
-    np.negative(columns, out=columns, where=v < 0.0)  # in place: no second table
+        np.abs(radius, out=radius)
+        k = np.divide(1.0, radius, out=columns[0])
+        t, u = x * x, y * y
+        t += u
+        t -= np.multiply(radius, radius, out=u)
+        np.multiply(t, k, out=radius)  # C = (|centre|^2 - radius^2) k
+        # B = -centre * k is a complex product with (k, 0), as CPython takes it.
+        ar, ai = np.negative(x, out=x), np.negative(y, out=y)
+        np.subtract(np.multiply(ar, k, out=t), np.multiply(ai, 0.0, out=u), out=t)
+        np.add(np.multiply(ar, 0.0, out=u), np.multiply(ai, k, out=ai), out=ai)
+        ar[:] = t
+    del t, u
+    np.negative(columns, out=columns, where=flip)  # in place: no second table
     for row, B, C in lines:
         columns[:, row] = (0.0, B.real, B.imag, C)
     return CirclePacking.from_columns(columns)

@@ -10,15 +10,13 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .gasket import CirclePacking, OrientedCircle, _TripleSet, _line_geometry, _near_pairs
+from .gasket import CirclePacking, OrientedCircle, _line_geometry, _near_pairs
 from .groups import MarkedGroup, reduced_word_count
 from .mobius import (
     _INFINITY_Z,
-    _transport_coeffs,
     INFINITY,
     MoebiusMap,
     SpherePoint,
@@ -334,9 +332,8 @@ def limit_set_dfs(group: MarkedGroup, config: DfsConfig) -> DfsResult:
 
     t0 = time.perf_counter()
     stats = DfsStats()
-    # The dedup set and the stack go when the traversal returns.
-    coeffs, words, flags = _preorder(group, config, stats)
-    rows = np.frombuffer(coeffs, dtype=float).reshape(-1, 4)
+    # The word tree goes when the traversal returns.
+    rows, words, flags = _preorder(group, config, stats)
     if config.window is not None:
         hits = np.flatnonzero(_meets_window(rows, config.window))
         rows = rows[hits]
@@ -352,66 +349,59 @@ def limit_set_dfs(group: MarkedGroup, config: DfsConfig) -> DfsResult:
 
 def _preorder(group: MarkedGroup, config: DfsConfig, stats: DfsStats):
     """limit_set_dfs's traversal, counted into stats: each new triple's four
-    coefficients in one flat array of doubles, its word, and whether it was
-    flagged depth-exhausted, in preorder."""
-    seen = _TripleSet()
-    coeffs = array("d")
-    add_row = coeffs.extend
-    words: list[str] = []
-    flags: list[bool] = []
-    eps2 = config.epsilon * config.epsilon
-    max_depth = config.max_depth
+    coefficients as the rows of an (n, 4) array, its word, and whether it
+    was flagged depth-exhausted, in preorder.
 
-    letters = group.alphabet.letters
-    nletters = len(letters)
-    inverse_rank = [group.alphabet.letter_rank(x.swapcase()) for x in letters]
+    The rule is a preorder over the seeds' reduced-word tree, seeds first
+    in their order and each node's children in rank order.  A node with
+    disc <= 0 is pruned, and so is one that _TripleSet already holds;
+    otherwise it is recorded, and then pruned when it is small or at
+    max_depth (flagged), or else its children follow: every letter but the
+    inverse of its last, prepended, through _transport.
 
-    # Per-letter transform_hermitian products; constant for the whole run,
-    # so a child costs about a dozen real multiplications.
-    gen_coeffs = [_transport_coeffs(group.letter_map(x)) for x in letters]
+    _WordTree grows that tree's levels in bulk and replays the rule over
+    its node ids, so every decision, row and counter is the rule's own.
+    The rows are gathered from the tree, and each word is its letter
+    prepended to its parent's word.
+    """
+    import numpy as np
 
-    # Explicit stack, preorder; children pushed in reverse rank order so the
-    # traversal matches the natural recursive order letter by letter.
-    stack: list[tuple[float, float, float, float, str, int, int]] = []
-    for seed in reversed(config.seeds):
-        stack.append((seed.A, seed.B.real, seed.B.imag, seed.C, "", -1, 0))
-    while stack:
-        A, Bre, Bim, C, word, last_rank, depth = stack.pop()
-        stats.words_visited += 1
-        if depth > stats.max_depth_reached:
-            stats.max_depth_reached = depth
-        bb = Bre * Bre + Bim * Bim
-        disc = bb - A * C
-        if not disc > 0.0:
-            stats.branches_pruned += 1
-            continue
-        # The emitted circle keeps the sign it arrived with, preserving the
-        # seeds' disk orientations in the output; the dedup ignores it.
-        if not seen.try_add(A, Bre, Bim, C):
-            stats.branches_pruned += 1
-            continue
-        ac = A - C
-        small = 16.0 * disc < eps2 * (4.0 * bb + ac * ac)
-        add_row((A, Bre, Bim, C))
-        words.append(word)
-        flags.append(not small and depth >= max_depth)
-        if small:
-            stats.branches_pruned += 1
-            continue
-        if depth >= max_depth:
-            stats.depth_exhausted_branches += 1
-            continue
-        skip = inverse_rank[last_rank] if last_rank >= 0 else -1
-        Br = complex(Bre, Bim)
-        Brc = Br.conjugate()
-        for rank in range(nletters - 1, -1, -1):
-            if rank == skip:
-                continue
-            dd, cc, bbc, aa, cd, ad, bcc, acc, ab, bd = gen_coeffs[rank]
-            A2 = A * dd + C * cc - 2.0 * (Br * cd).real
-            B2 = -A * bd + Br * ad + Brc * bcc - C * acc
-            C2 = A * bbc + C * aa - 2.0 * (Br * ab).real
-            stack.append((A2, B2.real, B2.imag, C2, letters[rank] + word, rank, depth + 1))
+    from .wordtree import _WordTree
+
+    tree = _WordTree(group, config)
+    order = np.frombuffer(tree.replay(), dtype=np.int32)
+    cols, parent, rank, depth = tree.columns()
+    del tree
+    coeffs = cols[:, order].T
+    depth, parent, rank = depth[order], parent[order], rank[order]
+    # Each row's parent as 1 + its index among the rows; 0 for a seed.
+    where = np.zeros(cols.shape[1], dtype=np.int32)
+    where[order] = np.arange(1, len(order) + 1, dtype=np.int32)
+    up = np.where(parent < 0, 0, where[parent])
+    del cols, where, order, parent
+
+    A, Bre, Bim, C = coeffs.T
+    bb = Bre * Bre + Bim * Bim
+    disc = bb - A * C
+    ac = A - C
+    small = 16.0 * disc < (config.epsilon * config.epsilon) * (4.0 * bb + ac * ac)
+    capped = depth >= config.max_depth
+    grown = ~small & ~capped
+    nletters = len(group.alphabet.letters)
+    visited = len(config.seeds) + int(np.where(depth == 0, nletters, nletters - 1)[grown].sum())
+    stats.words_visited += visited
+    stats.branches_pruned += visited - len(coeffs) + int(small.sum())
+    stats.depth_exhausted_branches += int((capped & ~small).sum())
+    if grown.any():
+        stats.max_depth_reached = max(stats.max_depth_reached, int(depth[grown].max()) + 1)
+    flags = (capped & ~small).tolist()
+
+    names = [*group.alphabet.letters, ""]  # rank -1, a seed, adds no letter
+    words = [""]
+    append = words.append
+    for p, r in zip(memoryview(up), memoryview(rank)):
+        append(names[r] + words[p])
+    del words[0]
     return coeffs, words, flags
 
 

@@ -428,13 +428,20 @@ def _attracting_fixed_points(rows):
 def _transport_coeffs(m: MoebiusMap) -> tuple:
     """The ten products transform_hermitian reads off m, in its order:
     |d|^2, |c|^2, |b|^2, |a|^2, c conj(d), a conj(d), b conj(c), a conj(c),
-    a conj(b) and b conj(d).  The DFS keeps one such table per letter."""
+    a conj(b) and b conj(d), the last six as Re and Im.  The DFS keeps one
+    such table per letter."""
     a, b, c, d = m.a, m.b, m.c, m.d
     return (
         (d * d.conjugate()).real, (c * c.conjugate()).real,
         (b * b.conjugate()).real, (a * a.conjugate()).real,
-        c * d.conjugate(), a * d.conjugate(), b * c.conjugate(),
-        a * c.conjugate(), a * b.conjugate(), b * d.conjugate(),
+        *(
+            x
+            for z in (
+                c * d.conjugate(), a * d.conjugate(), b * c.conjugate(),
+                a * c.conjugate(), a * b.conjugate(), b * d.conjugate(),
+            )
+            for x in (z.real, z.imag)
+        ),
     )
 
 
@@ -449,19 +456,33 @@ def transform_hermitian(
     1, so it keeps the discriminant |B|^2 - A C exactly, and nothing
     renormalizes the result: recomputing the discriminant subtracts two
     large near-equal products, and dividing by that noise spoils exact
-    Descartes relations at high curvatures.  limit_set_dfs applies these
-    products inline in this order, so its rows equal these folds bit for bit.
+    Descartes relations at high curvatures.  limit_set_dfs and the bulk
+    passes call the same _transport, so their rows equal these bit for bit.
     """
-    return _transport(_transport_coeffs(m), A, B, C)
+    A2, Bre, Bim, C2 = _transport(_transport_coeffs(m), A, B.real, B.imag, C)
+    return A2, complex(Bre, Bim), C2
 
 
-def _transport(coeffs: tuple, A: float, B: complex, C: float) -> tuple[float, complex, float]:
-    """transform_hermitian from a map's _transport_coeffs table."""
-    dd, cc, bb, aa, cd, ad, bc, ac, ab, bd = coeffs
+def _transport(coeffs: tuple, A, Bre, Bim, C):
+    """transform_hermitian from a map's _transport_coeffs table, in real
+    arithmetic on (A, Re B, Im B, C): floats, or float arrays of one shape.
+
+    The operations are those of the complex expression
+        A dd + C cc - 2 Re(B cd),
+        -A bd + B ad + conj(B) bc - C ac,
+        A bb + C aa - 2 Re(B ab)
+    as CPython evaluates it, where a float times a complex is taken as
+    complex(x, 0.0) times it: the 0.0 * terms keep its signed zeros.
+    """
+    dd, cc, bb, aa, cdr, cdi, adr, adi, bcr, bci, acr, aci, abr, abi, bdr, bdi = coeffs
+    nA, nBim = -A, -Bim
     return (
-        A * dd + C * cc - 2.0 * (B * cd).real,
-        -A * bd + B * ad + B.conjugate() * bc - C * ac,
-        A * bb + C * aa - 2.0 * (B * ab).real,
+        A * dd + C * cc - 2.0 * (Bre * cdr - Bim * cdi),
+        (nA * bdr - 0.0 * bdi) + (Bre * adr - Bim * adi) + (Bre * bcr - nBim * bci)
+        - (C * acr - 0.0 * aci),
+        (nA * bdi + 0.0 * bdr) + (Bre * adi + Bim * adr) + (Bre * bci + nBim * bcr)
+        - (C * aci + 0.0 * acr),
+        A * bb + C * aa - 2.0 * (Bre * abr - Bim * abi),
     )
 
 

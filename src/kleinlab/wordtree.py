@@ -1,0 +1,506 @@
+"""The orbit DFS's reduced-word tree: `limitset._preorder`'s traversal.
+
+`_WordTree` grows the seeds' reduced-word tree a level at a time in numpy
+and replays the stack preorder over its node ids, so that its decisions
+are the preorder's own.  `_KeyTable` numbers the bulk nodes' rounded keys
+exactly, and `_TreeKeys` joins its flags to the set that try_add fills.
+"""
+
+from __future__ import annotations
+
+import bisect
+import struct
+from array import array
+from typing import TYPE_CHECKING
+
+from .gasket import _TripleSet
+from .mobius import _transport, _transport_coeffs
+
+if TYPE_CHECKING:
+    from .groups import MarkedGroup
+    from .limitset import DfsConfig
+
+__all__: list[str] = []
+
+
+# The narrowest level _WordTree grows in bulk, counted in nodes.  A narrower
+# level and everything below it is left to the replay, which expands each
+# node it accepts there on the spot: a numpy pass over a handful of nodes
+# costs more than the scalar step.
+_BULK_WIDTH = 8
+# The odd multipliers of _key_hashes: one per component, then the two of
+# the 64-bit finalizer of MurmurHash3.
+_KEY_MIX = (0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9, 0x27D4EB2F165667C5)
+_FMIX = (0xFF51AFD7ED558CCD, 0xC4CEB9FE1A85EC53)
+_MASK64 = (1 << 64) - 1
+_UNPACK_KEY = struct.Struct("<4Q").unpack
+# A node's code in _WordTree.code when the replay cannot decide it from
+# its key id: disc <= 0, or a triple that try_add decides.
+_PRUNED = -1
+_SCALAR = -2
+# The most bulk keys a tree replays through a plain _TripleSet, every
+# node by try_add, as a chain of one node per level does.
+_SCALAR_KEYS = 64
+# Slots _KeyTable.enter looks at in one round of probing.
+_PROBE_WINDOW = 4
+_INT32_MAX = (1 << 31) - 1
+
+
+def _key_hashes(keys):
+    """A 63-bit hash, plus 1, of each row of an (n, 4) int64 key array, as
+    uint64s: the xor of the components times odd constants, mixed by
+    MurmurHash3's finalizer, so that keys on a lattice, as integral orbits
+    make them, spread out.  Never 0."""
+    import numpy as np
+
+    u = keys.view(np.uint64)
+    h = u[:, 0] * np.uint64(_KEY_MIX[0])
+    for j in (1, 2, 3):
+        h ^= u[:, j] * np.uint64(_KEY_MIX[j])
+    s33 = np.uint64(33)
+    for m in _FMIX:
+        h ^= h >> s33
+        h *= np.uint64(m)
+    h ^= h >> s33
+    return (h >> np.uint64(1)) + np.uint64(1)
+
+
+def _key_hash(key: bytes) -> int:
+    """_key_hashes of one key packed by _triple_key."""
+    h = 0
+    for k, m in zip(_UNPACK_KEY(key), _KEY_MIX):
+        h ^= k * m & _MASK64
+    for m in _FMIX:
+        h = (h ^ h >> 33) * m & _MASK64
+    return ((h ^ h >> 33) >> 1) + 1
+
+
+def _rounded_keys(A, Bre, Bim, C):
+    """_TripleSet.try_add's rounding rule over float arrays of one length:
+    each row's sign-canonical rounded components as an (n, 4) int64 array,
+    whether try_add would probe a neighbour key for it, and whether its key
+    is packed.  A row that is not packed, non-finite or with a component
+    past int64, is try_add's own to decide: its key row is 0.
+    """
+    import numpy as np
+
+    # try_add's tuple comparison: the first component that differs from
+    # 0.0, NaN included, decides the sign.
+    neg = (A < 0.0) | (A == 0.0) & (
+        (Bre < 0.0) | (Bre == 0.0) & ((Bim < 0.0) | (Bim == 0.0) & (C < 0.0))
+    )
+    q = np.stack((A, Bre, Bim, C), axis=1)
+    np.negative(q, out=q, where=neg[:, None])
+    q /= _TripleSet.GRID
+    k = np.rint(q)  # round() rounds half to even too
+    packed = ((k >= -(2.0**63)) & (k < 2.0**63)).all(axis=1)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        near = (np.abs(q - k) > 0.49).any(axis=1)
+    k[~packed] = 0.0
+    return k.astype(np.int64), near, packed
+
+
+class _WordTree:
+    """The seeds' reduced-word tree of _preorder, over node ids.
+
+    Bulk nodes come level by level, each level in preorder: the seeds,
+    then the children of the level before's grown nodes, parents in order
+    and letters in rank order.  One numpy pass per level transports the
+    children, tests disc and smallness, and takes _TripleSet's keys
+    (_rounded_keys).  A
+    level narrower than _BULK_WIDTH nodes is not grown.
+
+    The bulk dedup is speculative.  When a key recurs, the node earlier in
+    preorder keeps it, found by comparing the two nodes' ancestors at the
+    shallower level, and only keepers that neither are small nor sit at
+    max_depth grow children.  That stops stabilizer loops such as a L = L.
+    A keeper that loses its key later is demoted, and its subtree stops
+    growing.  The guesses can be wrong, since the builder does not know
+    which nodes the preorder reaches, so replay decides every node again.
+
+    `code[v]` is 2 * (v's key id) + whether v stops (small or at
+    max_depth), or _PRUNED, or _SCALAR for the nodes try_add decides: a
+    key next to a rounding boundary, or one that is not packed.  `keys`
+    numbers the distinct keys of the bulk nodes.  `first[v]` is v's first
+    child, or -1.  The nodes that replay records below a node that was not
+    grown follow the bulk ones, in `extra`.
+    """
+
+    def __init__(self, group: MarkedGroup, config: DfsConfig):
+        import numpy as np
+
+        letters = group.alphabet.letters
+        self.inverse = [group.alphabet.letter_rank(x.swapcase()) for x in letters]
+        self.gen = [_transport_coeffs(group.letter_map(x)) for x in letters]
+        self.eps2 = config.epsilon * config.epsilon
+        self.max_depth = config.max_depth
+        self.seeds = len(config.seeds)
+        # The rows replay records on demand: A, Re B, Im B and C of each,
+        # and its parent, rank and depth.
+        self.extra = array("d")
+        self.extra_links = array("q")
+        self.keys = _KeyTable()
+        seeds = np.array([(c.A, c.B.real, c.B.imag, c.C) for c in config.seeds]).T
+        with np.errstate(all="ignore"):  # as with Python floats, overflow is silent
+            self._grow(seeds.reshape(4, -1))
+        self.keys.finish()
+
+    def _grow(self, cols):
+        import numpy as np
+
+        nletters = len(self.gen)
+        coeffs = np.array(self.gen).T
+        inverse = np.array([*self.inverse, -1])
+        parent = np.full(cols.shape[1], -1, dtype=np.int32)
+        rank = np.full(cols.shape[1], -1, dtype=np.int8)
+        starts = [0]
+        levels = {name: [] for name in ("cols", "parent", "rank", "first", "code", "out")}
+        keys = self.keys
+        while True:
+            depth, base, n = len(starts) - 1, starts[-1], cols.shape[1]
+            A, Bre, Bim, C = cols
+            bb = Bre * Bre + Bim * Bim
+            disc = bb - A * C
+            ac = A - C
+            stop = (16.0 * disc < self.eps2 * (4.0 * bb + ac * ac)) | (depth >= self.max_depth)
+            rounded, near, packed = _rounded_keys(A, Bre, Bim, C)
+            keyed = np.flatnonzero((disc > 0.0) & packed)
+            node = base + keyed
+            ids, keep = keys.enter(rounded[keyed], node, depth)
+            del rounded
+            code = np.where(disc > 0.0, _SCALAR, _PRUNED).astype(np.int32)
+            fast = ~near[keyed]
+            code[keyed[fast]] = 2 * ids[fast] + stop[keyed[fast]]
+            first = np.full(n, -1, dtype=np.int32)
+            out = np.zeros(n, dtype=bool)  # demoted: it lost its key to a node before it
+            for name, value in zip(levels, (cols, parent, rank, first, code, out)):
+                levels[name].append(value)
+            starts.append(base + n)
+
+            # A key's first node in this level keeps it, unless the node of
+            # an earlier level that holds it comes first in preorder.
+            hit = np.flatnonzero(~keep)
+            owner, owner_depth = keys.node[ids[hit]], keys.depth[ids[hit]]
+            earlier = owner_depth < depth
+            hit, owner, owner_depth = hit[earlier], owner[earlier], owner_depth[earlier]
+            beat = np.zeros(0, dtype=bool)
+            if len(hit):
+                ancestor = node[hit]
+                for d in range(depth, int(owner_depth.min()), -1):
+                    up = owner_depth < d
+                    ancestor[up] = levels["parent"][d][ancestor[up] - starts[d]]
+                # Each level is in preorder, and an owner that is the
+                # ancestor itself comes first.  An owner below a demoted
+                # node is never reached, so it loses too.
+                beat = (ancestor < owner) | _below(levels, starts, owner, owner_depth)
+                # Of equal keys in this level, the first takes it.
+                taken, at = np.unique(ids[hit[beat]], return_index=True)
+                keep[hit[beat][at]] = True
+                keys.node[taken] = node[hit[beat][at]]
+                keys.depth[taken] = depth
+                owner, owner_depth = owner[beat][at], owner_depth[beat][at]
+
+            grown = keyed[keep]
+            grown = grown[~stop[grown]]
+            if beat.any():
+                # A demoted owner's subtree stops growing: it lost to a node
+                # before it, so the preorder never reaches that subtree.
+                for d in np.unique(owner_depth).tolist():
+                    levels["out"][d][owner[owner_depth == d] - starts[d]] = True
+                grown = grown[~_below(levels, starts, base + grown, depth, int(owner_depth.min()))]
+            kids = nletters if depth == 0 else nletters - 1
+            if not len(grown) or len(grown) * kids < _BULK_WIDTH:
+                break
+            first[grown] = starts[-1] + kids * np.arange(len(grown), dtype=np.int32)
+            row, letter = np.nonzero(np.arange(nletters) != inverse[rank[grown]][:, None])
+            at_parent = grown[row]
+            cols = np.array(
+                _transport(coeffs[:, letter], A[at_parent], Bre[at_parent], Bim[at_parent], C[at_parent])
+            )
+            parent = (base + at_parent).astype(np.int32)
+            rank = letter.astype(np.int8)
+
+        # The columns, one level at a time, so that no second copy is held.
+        self.cols = np.empty((4, starts[-1]))
+        for k, level in enumerate(levels["cols"]):
+            self.cols[:, starts[k] : starts[k + 1]] = level
+            levels["cols"][k] = None
+        join = np.concatenate
+        self.code = array("i", join(levels.pop("code")).tobytes())
+        self.first = array("i", join(levels.pop("first")).tobytes())
+        self.parent = join(levels.pop("parent"))
+        self.rank = join(levels.pop("rank"))
+        self.starts = starts[:-1]
+
+    def replay(self):
+        """The node ids _preorder records, in its order.  A node with a
+        key id is decided by that id's flag in `seen`, any other by try_add;
+        below an accepted node that was not grown, _descend runs the rule."""
+        code, first, seeds = self.code, self.first, self.seeds
+        more = len(self.gen) - 2  # children past the first, a seed's less one
+        seen = bytearray(self.keys.count)
+        if len(seen) > _SCALAR_KEYS:
+            triples = _TripleSet(_TreeKeys(self, seen))
+        else:
+            # So few keys cost less in a plain set, which each node then
+            # reaches through try_add.
+            code = array("i", (_SCALAR if c >= 0 else c for c in code))
+            triples = _TripleSet()
+        accept, descend = self._accept, self._descend
+        order = array("i")
+        record = order.append
+        stack = [-1, *range(seeds - 1, -1, -1)]  # the -1 under the seeds ends the walk
+        pop, push = stack.pop, stack.extend
+        for v in iter(pop, -1):
+            c = code[v]
+            if c >= 0:
+                k = c >> 1
+                if seen[k]:
+                    continue
+                seen[k] = 1
+                record(v)
+                if c & 1:
+                    continue
+            elif c == _PRUNED or not accept(v, triples, record):
+                continue
+            f = first[v]
+            if f < 0:
+                descend(v, triples, record)
+            else:
+                push(range(f + more + (v < seeds), f - 1, -1))
+        return order
+
+    def _accept(self, v, triples, record) -> bool:
+        """The rule for bulk node v through try_add; whether its children
+        follow."""
+        A, Bre, Bim, C = self.cols[:, v].tolist()
+        bb = Bre * Bre + Bim * Bim
+        disc = bb - A * C
+        if not disc > 0.0 or not triples.try_add(A, Bre, Bim, C):
+            return False
+        record(v)
+        ac = A - C
+        if 16.0 * disc < self.eps2 * (4.0 * bb + ac * ac):
+            return False
+        return bisect.bisect_right(self.starts, v) - 1 < self.max_depth
+
+    def _descend(self, v, triples, record) -> None:
+        """The rule over the subtree of accepted bulk node v, which was not
+        grown, one node at a time in scalar arithmetic.  Each row it
+        records is appended to `extra`, its id following the bulk ones."""
+        gen, inverse, eps2, max_depth = self.gen, self.inverse, self.eps2, self.max_depth
+        try_add, extend, link = triples.try_add, self.extra.extend, self.extra_links.extend
+        letters = range(len(gen) - 1, -1, -1)
+        node = self.cols.shape[1] + len(self.extra) // 4  # the next row's id
+        A, Bre, Bim, C = self.cols[:, v].tolist()
+        skip = self.inverse[self.rank[v]] if v >= self.seeds else -1
+        depth = bisect.bisect_right(self.starts, v)  # its children's
+        stack = [(_transport(gen[x], A, Bre, Bim, C), v, x, depth) for x in letters if x != skip]
+        pop, push = stack.pop, stack.append
+        while stack:
+            row, parent, rank, depth = pop()
+            A, Bre, Bim, C = row
+            bb = Bre * Bre + Bim * Bim
+            disc = bb - A * C
+            if not disc > 0.0 or not try_add(A, Bre, Bim, C):
+                continue
+            extend(row)
+            link((parent, rank, depth))
+            record(node)
+            ac = A - C
+            if not (16.0 * disc < eps2 * (4.0 * bb + ac * ac) or depth >= max_depth):
+                skip = inverse[rank]
+                for x in letters:
+                    if x != skip:
+                        push((_transport(gen[x], A, Bre, Bim, C), node, x, depth + 1))
+            node += 1
+
+    def columns(self):
+        """Every node's row (as a (4, n) array), parent, rank and depth,
+        bulk then recorded on demand."""
+        import numpy as np
+
+        bulk = self.cols.shape[1]
+        depth = np.repeat(np.arange(len(self.starts), dtype=np.int32), np.diff(self.starts, append=bulk))
+        if not self.extra:
+            return self.cols, self.parent, self.rank, depth
+        parent, rank, extra_depth = np.frombuffer(self.extra_links, dtype=np.int64).reshape(-1, 3).T
+        return (
+            np.concatenate((self.cols, np.frombuffer(self.extra).reshape(-1, 4).T), axis=1),
+            np.concatenate((self.parent, parent.astype(np.int32))),
+            np.concatenate((self.rank, rank.astype(np.int8))),
+            np.concatenate((depth, extra_depth.astype(np.int32))),
+        )
+
+
+def _below(levels, starts, nodes, depth, lowest=0):
+    """Which nodes, at the given depths, have a demoted ancestor at depth
+    lowest or deeper, themselves included."""
+    import numpy as np
+
+    depth = np.broadcast_to(depth, nodes.shape)
+    dead = np.zeros(len(nodes), dtype=bool)
+    if not len(nodes):
+        return dead
+    nodes = nodes.copy()
+    for d in range(int(depth.max()), lowest - 1, -1):
+        at = np.flatnonzero(depth >= d)
+        local = nodes[at] - starts[d]
+        dead[at] |= levels["out"][d][local]
+        if d:
+            nodes[at] = levels["parent"][d][local]
+    return dead
+
+
+class _KeyTable:
+    """The bulk nodes' keys, numbered in order of arrival: open addressing
+    on _key_hashes, probing on to the next slot, and exact on the keys
+    themselves, so that two keys with one hash take two slots.  While the
+    levels grow, `node[k]` and `depth[k]` are the node that keeps key k."""
+
+    def __init__(self):
+        import numpy as np
+
+        self.count = 0
+        self._slots(1 << 12)
+        self.keys = np.zeros((1 << 11, 4), dtype=np.int64)
+        self.node = np.zeros(1 << 11, dtype=np.int32)
+        self.depth = np.zeros(1 << 11, dtype=np.int32)
+
+    def _slots(self, size: int) -> None:
+        import numpy as np
+
+        self.tags = np.zeros(size, dtype=np.uint64)  # 0 for a free slot
+        self.ids = np.zeros(size, dtype=np.int32)
+
+    def enter(self, keys, node, depth: int):
+        """The id of each key row, in order; a key not held yet enters with
+        the first of its rows as its node, at depth.  Also returns which
+        rows entered."""
+        import numpy as np
+
+        need = self.count + len(keys)
+        if 5 * need > 3 * len(self.tags):  # past a load of 0.6, double at least
+            self._slots(1 << (2 * need).bit_length())
+            self._place(_key_hashes(self.keys[: self.count]), np.arange(self.count))
+        if need > len(self.keys):
+            size = need + need // 4
+            self.keys = np.resize(self.keys, (size, 4))
+            self.node, self.depth = np.resize(self.node, size), np.resize(self.depth, size)
+        ids = np.full(len(keys), -1, dtype=np.int64)
+        entered = np.zeros(len(keys), dtype=bool)
+        tags = _key_hashes(keys)
+        mask = len(self.tags) - 1
+        pos = (tags & np.uint64(mask)).astype(np.int64)
+        todo = np.arange(len(keys))
+        window = np.arange(_PROBE_WINDOW)
+        while len(todo):
+            # Each row stops at the first slot of its window that is free
+            # or holds its tag, as probing one slot at a time would.
+            cells = (pos[todo, None] + window) & mask
+            held = self.tags[cells]
+            want = tags[todo]
+            row = np.arange(len(todo))
+            first = ((held == 0) | (held == want[:, None])).argmax(axis=1)
+            at, held = cells[row, first], held[row, first]
+            free, same = held == 0, held == want
+            past = ~(free | same)
+            pos[todo[past]] = (pos[todo[past]] + _PROBE_WINDOW) & mask
+            if free.any():
+                rows = self._claim(todo[free], at[free])
+                new = np.arange(self.count, self.count + len(rows))
+                slots = at[np.searchsorted(todo, rows)]
+                self.tags[slots], self.ids[slots] = tags[rows], new
+                self.keys[new], self.node[new], self.depth[new] = keys[rows], node[rows], depth
+                ids[rows] = new
+                self.count += len(rows)
+                entered[rows] = True
+            # A row that lost its free slot looks at it again.
+            pos[todo[free]] = at[free]
+            same = np.flatnonzero(same)
+            k = self.ids[at[same]]
+            match = (self.keys[k] == keys[todo[same]]).all(axis=1)
+            ids[todo[same[match]]] = k[match]
+            # Another key with the same tag: go on past it.
+            pos[todo[same[~match]]] = (at[same[~match]] + 1) & mask
+            todo = todo[ids[todo] < 0]
+        return ids, entered
+
+    def _claim(self, rows, at):
+        """Of the rows on each free slot, the first: the rows that take
+        their slots.  A free slot's id is scratch until its row takes it."""
+        import numpy as np
+
+        self.ids[at] = _INT32_MAX
+        np.minimum.at(self.ids, at, rows.astype(np.int32))  # one dtype: the fast loop
+        return rows[self.ids[at] == rows]
+
+    def _place(self, tags, ids) -> None:
+        """Put ids, whose keys are distinct, in the slots for their tags."""
+        import numpy as np
+
+        mask = len(self.tags) - 1
+        pos = (tags & np.uint64(mask)).astype(np.int64)
+        todo = np.arange(len(ids))
+        while len(todo):
+            at = pos[todo]
+            free = np.flatnonzero(self.tags[at] == 0)
+            rows = self._claim(todo[free], at[free])
+            self.tags[pos[rows]], self.ids[pos[rows]] = tags[rows], ids[rows]
+            on = np.ones(len(todo), dtype=bool)
+            on[np.searchsorted(todo, rows)] = False
+            pos[todo[on]] = (at[on] + 1) & mask
+            todo = todo[on]
+
+    def finish(self) -> None:
+        """Drop what only growing needs; keep each key packed as
+        _triple_key packs it, for find."""
+        import numpy as np
+
+        keys = self.keys[: self.count]
+        del self.keys, self.node, self.depth
+        self.packed = np.ascontiguousarray(keys, dtype="<i8").tobytes()
+
+    def find(self, key) -> int | None:
+        """The id of a _triple_key key, if it is held."""
+        if type(key) is not bytes:
+            return None
+        tag = _key_hash(key)
+        mask = len(self.tags) - 1
+        i = tag & mask
+        while True:
+            held = int(self.tags[i])
+            if not held:
+                return None
+            if held == tag:
+                k = int(self.ids[i])
+                if self.packed[32 * k : 32 * k + 32] == key:
+                    return k
+            i = (i + 1) & mask
+
+
+class _TreeKeys:
+    """The store a replay's _TripleSet reads and fills: a bulk key is the
+    flag of its id in `seen`, and any other key sits in a set."""
+
+    __slots__ = ("find", "seen", "other", "key", "id")
+
+    def __init__(self, tree: _WordTree, seen: bytearray):
+        self.seen, self.other = seen, set()
+        self.key = self.id = None
+        self.find = tree.keys.find
+
+    def __contains__(self, key) -> bool:
+        # try_add hands the same key to `in` and then to `add`.
+        if key is not self.key:
+            self.key, self.id = key, self.find(key)
+        i = self.id
+        return key in self.other if i is None else bool(self.seen[i])
+
+    def add(self, key) -> None:
+        if key is not self.key:
+            self.key, self.id = key, self.find(key)
+        if self.id is None:
+            self.other.add(key)
+        else:
+            self.seen[self.id] = 1

@@ -91,7 +91,8 @@ def test_no_command_needs_scipy(tmp_path):
     for args, loaded, may_load in (
         (["solve"], CLI_MODULES, ()),
         (["points", "--depth", "3"], limit_set, DATACLASS_MODULES),
-        (["dfs", "--preset", "hw-gasket", "--epsilon", "1e-2"], limit_set, DATACLASS_MODULES),
+        (["dfs", "--preset", "hw-gasket", "--epsilon", "1e-2"], sorted(limit_set + ["wordtree"]),
+         DATACLASS_MODULES),
         (["verify-gasket", "--normalize", "hw-gasket.circles.txt"],
          sorted(CLI_MODULES + ["gasket", "numpy"]), DATACLASS_MODULES),
         (["validate-gog", "abc-example"], splitting, ()),

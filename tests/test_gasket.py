@@ -42,6 +42,7 @@ from kleinlab.gasket import (
 from kleinlab.groups import _format_lines, load_marking
 from kleinlab.limitset import DfsConfig, Rectangle, limit_set_dfs
 from kleinlab.mobius import INFINITY, MoebiusMap, chordal_distance
+from kleinlab.wordtree import _rounded_keys
 
 from randommap import random_map
 
@@ -190,6 +191,48 @@ def test_triple_set_keys_past_int64_stay_tuples():
     assert seen.try_add(big, 0.3, -0.7, 0.5)
     assert seen.try_add(0.5, 0.3, -0.7, big)
     assert len(seen._seen) == 4
+
+
+def test_rounded_keys_match_try_add():
+    # The array form of try_add's rule: the same sign-canonical rounded key,
+    # a near flag exactly where try_add probes a neighbour key, and the rows
+    # it cannot pack, non-finite or past int64, left to try_add.
+    grid = _TripleSet.GRID
+    rng = random.Random(29)
+    rows = [tuple(rng.gauss(0, 1) * rng.choice((1e-9, 1e-6, 1.0, 1e4)) for _ in range(4)) for _ in range(400)]
+    # Components planted within 0.01 grid step of a rounding boundary.
+    for _ in range(400):
+        row = [rng.gauss(0, 1) for _ in range(4)]
+        for i in rng.sample(range(4), rng.randint(1, 3)):
+            row[i] = (rng.randrange(-50, 50) + 0.5 + rng.uniform(-0.012, 0.012)) * grid
+        rows.append(tuple(row))
+    rows += [tuple(-x for x in row) for row in rows[:200]]
+    rows += [(-0.0, 0.0, -0.0, -3.0), (0.0, -0.0, 2.0, -1.0), (-0.0, -0.0, -0.0, -0.0), (0.0, -2.5 * grid, 1.0, 0.0)]
+    big = 2.0**64 * grid
+    rows += [(big, 0.3, -0.7, 0.25), (-big, 0.3, 0.7, 0.25), (0.5, 0.3, -0.7, big), (2.0**62 * grid, 1.0, 2.0, 3.0)]
+    rows += [(math.inf, 0.0, 0.0, 1.0), (0.0, -math.inf, 1.0, 1.0), (math.nan, 1.0, 0.0, 0.0)]
+    keys, near, packed = _rounded_keys(*np.array(rows).T)
+    assert near.sum() > 300 and 0 < (~packed).sum() < 10
+    for row, key, is_near, is_packed in zip(rows, keys.tolist(), near.tolist(), packed.tolist()):
+        seen = _TripleSet()
+        if not all(map(math.isfinite, row)):
+            assert not is_packed
+            with pytest.raises((OverflowError, ValueError)):
+                seen.try_add(*row)
+            continue
+        assert seen.try_add(*row)
+        (stored,) = seen._seen
+        if not is_packed:
+            assert type(stored) is tuple
+            continue
+        assert stored == _triple_key(*key)
+        neighbours = _TripleSet()
+        for i in range(4):
+            for step in (-1, 1):
+                probe = list(key)
+                probe[i] += step
+                neighbours._seen.add(_triple_key(*probe))
+        assert neighbours.try_add(*row) is not is_near
 
 
 def test_tangency_point_of_touching_circles():

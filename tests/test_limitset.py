@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from kleinlab.gasket import CirclePacking, OrientedCircle, is_apollonian_like, load_packing
+from kleinlab.gasket import CirclePacking, OrientedCircle, _TripleSet, is_apollonian_like, load_packing
 from kleinlab.groups import (
     Alphabet,
     MarkedGroup,
@@ -17,9 +17,10 @@ from kleinlab.groups import (
     reduced_word_count,
     solve_parabolic_commutator,
 )
-from kleinlab import limitset, mobius
+from kleinlab import limitset, mobius, wordtree
 from kleinlab.limitset import (
     DfsConfig,
+    DfsStats,
     EllipticOnlyError,
     LimitSetCloud,
     Rectangle,
@@ -32,6 +33,7 @@ from kleinlab.limitset import (
 )
 from kleinlab.mobius import INFINITY, MapClass, MoebiusMap, chordal_distance, sphere_coords
 
+from dfsoracle import preorder_oracle
 from hausdorff import hausdorff_distance
 from randommap import random_map
 from renderoracle import render_oracle
@@ -750,3 +752,125 @@ def test_cloud_extend_matches_try_add_across_cell_boundaries():
     points += [INFINITY, 1 + 1j, INFINITY]
     kept = assert_extend_matches_oracle(points, tol)
     assert len(kept) == len(points) - 9 - 1
+
+
+# One generator, a translation, and one seed: each level of the word tree
+# holds at most two nodes, so every node below the seed is expanded on
+# demand, one level after another down to depth 1000.
+PARABOLIC_CHAIN = ("gen a = [[1,0],[1,0];[0,0],[1,0]]\n", "C 0 0.5 0.25\n")
+G1 = MoebiusMap(1 + 0.3j, 0.37, 0.21 - 0.1j, 1.13)
+
+
+def preorder_case(name):
+    """(group, config) of a named traversal that _preorder must replay
+    exactly as the oracle runs it."""
+    kind, _, eps = name.partition("@")
+    max_depth = 64
+    if kind == "chain":
+        group = load_marking(PARABOLIC_CHAIN[0])
+        seeds = tuple(load_packing(PARABOLIC_CHAIN[1]).circles)
+        return group, DfsConfig(epsilon=1e-6, max_depth=4096, seeds=seeds)
+    if kind == "hw" or kind == "hw-depth6":
+        group, seeds = hw_marking_and_seeds()
+        max_depth = 6 if kind == "hw-depth6" else 64
+    elif kind == "g1":
+        group, seeds = conjugated_hw(G1)
+    else:  # random<k>
+        group, seeds = conjugated_hw(random_map(random.Random(int(kind[len("random"):]))))
+    return group, DfsConfig(epsilon=float(eps), max_depth=max_depth, seeds=seeds)
+
+
+def assert_preorder_matches_oracle(group, config):
+    expected_stats, stats = DfsStats(), DfsStats()
+    coeffs, words, flags = preorder_oracle(group, config, expected_stats)
+    rows, got_words, got_flags = limitset._preorder(group, config, stats)
+    assert rows.shape == (len(words), 4)
+    assert rows.tobytes() == coeffs.tobytes()
+    assert got_words == words
+    assert got_flags == flags
+    assert stats == expected_stats
+    return expected_stats
+
+
+ORACLE_CASES = [
+    "hw@1e-2", "hw@3e-3", "hw@1e-3", "hw-depth6@1e-3",
+    "g1@1e-2", "g1@3e-3",
+    *(f"random{k}@{eps}" for k in (1, 2, 3) for eps in ("1e-2", "3e-3")),
+    "chain",
+]
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_preorder_matches_the_scalar_oracle(name):
+    stats = assert_preorder_matches_oracle(*preorder_case(name))
+    if name == "hw-depth6@1e-3":
+        assert stats.depth_exhausted_branches > 0
+    if name == "chain":
+        assert stats.max_depth_reached == 1000
+
+
+def test_conjugated_markings_reach_the_near_boundary_probe(monkeypatch):
+    # The conjugates' triples are not integral, so some of their keys lie
+    # next to a rounding boundary; replay hands those nodes to try_add.
+    near = []
+    keys = wordtree._rounded_keys
+
+    def counted(*columns):
+        out = keys(*columns)
+        near.append(int(out[1].sum()))
+        return out
+
+    monkeypatch.setattr(wordtree, "_rounded_keys", counted)
+    assert_preorder_matches_oracle(*preorder_case("g1@3e-3"))
+    assert sum(near) > 100
+
+
+def test_preorder_matches_the_oracle_in_every_seed_order():
+    group, seeds = hw_marking_and_seeds()
+    for order in itertools.permutations(seeds):
+        assert_preorder_matches_oracle(group, DfsConfig(epsilon=1e-2, max_depth=64, seeds=order))
+
+
+@pytest.mark.parametrize(
+    "width, scalar_keys",
+    [(0, None), (1 << 40, None), (1 << 40, 0)],
+    ids=["all-bulk", "all-on-demand", "all-on-demand-id-store"],
+)
+@pytest.mark.parametrize("name", ["hw@1e-2", "hw-depth6@1e-3", "g1@3e-3", "random2@1e-2", "chain"])
+def test_both_replay_paths_match_the_oracle(name, width, scalar_keys, monkeypatch):
+    # Width 0 grows every level in bulk; a huge width grows only the seeds,
+    # so that replay expands every other node on demand, through a plain
+    # set or, with no scalar-key allowance, through the key-id store.
+    monkeypatch.setattr(wordtree, "_BULK_WIDTH", width)
+    if scalar_keys is not None:
+        monkeypatch.setattr(wordtree, "_SCALAR_KEYS", scalar_keys)
+    assert_preorder_matches_oracle(*preorder_case(name))
+
+
+@pytest.mark.parametrize("name", ["hw@1e-2", "g1@1e-2"])
+def test_preorder_is_exact_when_key_hashes_collide(name, monkeypatch):
+    # With a hash of 16 values nearly every key shares its hash with
+    # others: the speculative dedup then guesses wrong all the time, the
+    # key ids must order on the keys themselves, and key_id must walk the
+    # runs of equal hashes.  The result may not change.
+    # Like _key_hashes, it is never 0, which marks a free slot.
+    monkeypatch.setattr(wordtree, "_key_hashes", lambda keys: (keys[:, 0] & 15).astype(np.uint64) + 1)
+    monkeypatch.setattr(wordtree, "_key_hash", lambda key: (int.from_bytes(key[:8], "little") & 15) + 1)
+    assert_preorder_matches_oracle(*preorder_case(name))
+
+
+def test_preorder_keeps_try_adds_tuple_keys_and_overflow():
+    # A triple with a component past int64 has a tuple key, which replay
+    # leaves to try_add; its negation is the same locus.  An infinite
+    # component raises OverflowError from round(), as the oracle does.
+    group, seeds = hw_marking_and_seeds()
+    far = OrientedCircle.from_center_radius(3e12, 1e11)
+    config = DfsConfig(epsilon=1e-2, max_depth=64, seeds=(far, *seeds, far.reversed()))
+    assert assert_preorder_matches_oracle(group, config).words_visited > 1000
+    assert abs(far.C) / _TripleSet.GRID > 2.0**63
+    broken = OrientedCircle._from_unit_triple(0.0, complex(math.inf, 0.0), 1.0)
+    config = DfsConfig(epsilon=1e-2, max_depth=64, seeds=(*seeds, broken))
+    with pytest.raises(OverflowError):
+        preorder_oracle(group, config, DfsStats())
+    with pytest.raises(OverflowError):
+        limitset._preorder(group, config, DfsStats())

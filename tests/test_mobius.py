@@ -1,11 +1,16 @@
 import cmath
+import itertools
 import math
 import random
+import struct
 
+import numpy as np
 import pytest
 
 from kleinlab.gasket import OrientedCircle
 from kleinlab.mobius import (
+    _transport,
+    _transport_coeffs,
     DegenerateMatrixError,
     IdentityMapError,
     INFINITY,
@@ -18,6 +23,7 @@ from kleinlab.mobius import (
     transform_hermitian,
 )
 
+from dfsoracle import letter_products
 from randommap import random_map
 
 A_MAT = MoebiusMap(1, 1, 0, 1)
@@ -265,3 +271,41 @@ def test_moebius_mapping_three_point_pairs():
             assert image is INFINITY
         else:
             assert image == pytest.approx(t)
+
+
+def test_transport_real_form_matches_the_complex_expression():
+    # _transport writes CPython's complex products out in real arithmetic,
+    # the 0.0 * terms of a float times a complex included, for floats and
+    # for arrays alike; every bit must agree, the signs of zeros too.
+    rng = random.Random(17)
+    maps = [MoebiusMap(1, 1, 0, 1), MoebiusMap(1, 0, 2j, 1), MoebiusMap(1j, 0, 0, -1j), MoebiusMap(0, 1j, 1j, 0)]
+    maps += [random_map(rng) for _ in range(40)]
+
+    def component():
+        return rng.choice((0.0, -0.0, 1.0, -2.0, rng.gauss(0, 1), rng.gauss(0, 1) * 1e6))
+
+    rows = [tuple(component() for _ in range(4)) for _ in range(60)]
+    # Every sign of zero, alone and beside one nonzero component, so that
+    # each 0.0 * term decides the sign of some zero.
+    zeros = list(itertools.product((0.0, -0.0), repeat=4))
+    rows += zeros + [z[:i] + (x,) + z[i + 1 :] for z in zeros for i in range(4) for x in (1.5, -0.75)]
+    columns = np.array(rows).T
+    negative_zeros = 0
+    for m in maps:
+        dd, cc, bb, aa, cd, ad, bc, ac, ab, bd = letter_products(m)
+        expected = []
+        for A, Bre, Bim, C in rows:
+            B = complex(Bre, Bim)
+            B2 = complex(-A, 0.0) * bd + B * ad + B.conjugate() * bc - complex(C, 0.0) * ac
+            expected.append((
+                A * dd + C * cc - 2.0 * (B * cd).real,
+                B2.real,
+                B2.imag,
+                A * bb + C * aa - 2.0 * (B * ab).real,
+            ))
+        coeffs = _transport_coeffs(m)
+        packed = b"".join(struct.pack("<4d", *row) for row in expected)
+        assert b"".join(struct.pack("<4d", *_transport(coeffs, *row)) for row in rows) == packed
+        assert np.array(_transport(coeffs, *columns)).T.astype("<f8").tobytes() == packed
+        negative_zeros += sum(math.copysign(1.0, x) < 0 for row in expected for x in row if x == 0.0)
+    assert negative_zeros > 0
