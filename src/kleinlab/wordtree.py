@@ -3,7 +3,8 @@
 `_WordTree` grows the seeds' reduced-word tree a level at a time in numpy
 and replays the stack preorder over its node ids, so that its decisions
 are the preorder's own.  `_KeyTable` numbers the bulk nodes' rounded keys
-exactly, and `_TreeKeys` joins its flags to the set that try_add fills.
+exactly, in one sorted column of their hashes, and is the store that the
+replay's try_add reads and fills.
 """
 
 from __future__ import annotations
@@ -38,19 +39,13 @@ _UNPACK_KEY = struct.Struct("<4Q").unpack
 # its key id: disc <= 0, or a triple that try_add decides.
 _PRUNED = -1
 _SCALAR = -2
-# The most bulk keys a tree replays through a plain _TripleSet, every
-# node by try_add, as a chain of one node per level does.
-_SCALAR_KEYS = 64
-# Slots _KeyTable.enter looks at in one round of probing.
-_PROBE_WINDOW = 4
-_INT32_MAX = (1 << 31) - 1
 
 
 def _key_hashes(keys):
-    """A 63-bit hash, plus 1, of each row of an (n, 4) int64 key array, as
-    uint64s: the xor of the components times odd constants, mixed by
-    MurmurHash3's finalizer, so that keys on a lattice, as integral orbits
-    make them, spread out.  Never 0."""
+    """A 64-bit hash of each row of an (n, 4) int64 key array, as uint64s:
+    the xor of the components times odd constants, mixed by MurmurHash3's
+    finalizer, so that keys on a lattice, as integral orbits make them,
+    spread out."""
     import numpy as np
 
     u = keys.view(np.uint64)
@@ -62,7 +57,7 @@ def _key_hashes(keys):
         h ^= h >> s33
         h *= np.uint64(m)
     h ^= h >> s33
-    return (h >> np.uint64(1)) + np.uint64(1)
+    return h
 
 
 def _key_hash(key: bytes) -> int:
@@ -72,7 +67,7 @@ def _key_hash(key: bytes) -> int:
         h ^= k * m & _MASK64
     for m in _FMIX:
         h = (h ^ h >> 33) * m & _MASK64
-    return ((h ^ h >> 33) >> 1) + 1
+    return h ^ h >> 33
 
 
 def _rounded_keys(A, Bre, Bim, C):
@@ -120,10 +115,11 @@ class _WordTree:
 
     `code[v]` is 2 * (v's key id) + whether v stops (small or at
     max_depth), or _PRUNED, or _SCALAR for the nodes try_add decides: a
-    key next to a rounding boundary, or one that is not packed.  `keys`
-    numbers the distinct keys of the bulk nodes.  `first[v]` is v's first
-    child, or -1.  The nodes that replay records below a node that was not
-    grown follow the bulk ones, in `extra`.
+    key next to a rounding boundary, one that is not packed, or one whose
+    hash a different key holds, so that it has no id and neither keeps
+    its key nor grows.  `keys` numbers the bulk nodes' keys.  `first[v]`
+    is v's first child, or -1.  The nodes that replay records below a node
+    that was not grown follow the bulk ones, in `extra`.
     """
 
     def __init__(self, group: MarkedGroup, config: DfsConfig):
@@ -169,7 +165,7 @@ class _WordTree:
             ids, keep = keys.enter(rounded[keyed], node, depth)
             del rounded
             code = np.where(disc > 0.0, _SCALAR, _PRUNED).astype(np.int32)
-            fast = ~near[keyed]
+            fast = ~near[keyed] & (ids >= 0)
             code[keyed[fast]] = 2 * ids[fast] + stop[keyed[fast]]
             first = np.full(n, -1, dtype=np.int32)
             out = np.zeros(n, dtype=bool)  # demoted: it lost its key to a node before it
@@ -179,7 +175,7 @@ class _WordTree:
 
             # A key's first node in this level keeps it, unless the node of
             # an earlier level that holds it comes first in preorder.
-            hit = np.flatnonzero(~keep)
+            hit = np.flatnonzero(~keep & (ids >= 0))
             owner, owner_depth = keys.node[ids[hit]], keys.depth[ids[hit]]
             earlier = owner_depth < depth
             hit, owner, owner_depth = hit[earlier], owner[earlier], owner_depth[earlier]
@@ -234,18 +230,13 @@ class _WordTree:
 
     def replay(self):
         """The node ids _preorder records, in its order.  A node with a
-        key id is decided by that id's flag in `seen`, any other by try_add;
-        below an accepted node that was not grown, _descend runs the rule."""
+        key id is decided by that id's flag in `keys.seen`, any other by
+        try_add; below an accepted node that was not grown, _descend runs
+        the rule."""
         code, first, seeds = self.code, self.first, self.seeds
         more = len(self.gen) - 2  # children past the first, a seed's less one
-        seen = bytearray(self.keys.count)
-        if len(seen) > _SCALAR_KEYS:
-            triples = _TripleSet(_TreeKeys(self, seen))
-        else:
-            # So few keys cost less in a plain set, which each node then
-            # reaches through try_add.
-            code = array("i", (_SCALAR if c >= 0 else c for c in code))
-            triples = _TripleSet()
+        seen = self.keys.seen
+        triples = _TripleSet(self.keys)
         accept, descend = self._accept, self._descend
         order = array("i")
         record = order.append
@@ -353,142 +344,83 @@ def _below(levels, starts, nodes, depth, lowest=0):
 
 
 class _KeyTable:
-    """The bulk nodes' keys, numbered in order of arrival: open addressing
-    on _key_hashes, probing on to the next slot, and exact on the keys
-    themselves, so that two keys with one hash take two slots.  While the
-    levels grow, `node[k]` and `depth[k]` are the node that keeps key k."""
+    """The bulk nodes' keys, numbered exactly: one sorted column of
+    _key_hashes tags, each tag's id beside it, and each id's key, so that a
+    row whose tag a different key holds gets no id.  Ids do not follow
+    arrival order.  While the levels grow, `node[k]` and `depth[k]` are the
+    node that keeps key k.  After finish, it is the store the replay's
+    _TripleSet reads and fills: a key with an id is that id's flag in
+    `seen`, any other key sits in a set."""
 
     def __init__(self):
         import numpy as np
 
         self.count = 0
-        self._slots(1 << 12)
+        self.tags = np.zeros(0, dtype=np.uint64)
+        self.ids = np.zeros(0, dtype=np.int32)
         self.keys = np.zeros((1 << 11, 4), dtype=np.int64)
         self.node = np.zeros(1 << 11, dtype=np.int32)
         self.depth = np.zeros(1 << 11, dtype=np.int32)
 
-    def _slots(self, size: int) -> None:
-        import numpy as np
-
-        self.tags = np.zeros(size, dtype=np.uint64)  # 0 for a free slot
-        self.ids = np.zeros(size, dtype=np.int32)
-
     def enter(self, keys, node, depth: int):
-        """The id of each key row, in order; a key not held yet enters with
-        the first of its rows as its node, at depth.  Also returns which
-        rows entered."""
+        """The id of each key row, in order, or -1 when a different key
+        holds its tag; a key whose tag is not held yet enters with the
+        first of its rows as its node, at depth.  Also returns which rows
+        entered."""
         import numpy as np
 
-        need = self.count + len(keys)
-        if 5 * need > 3 * len(self.tags):  # past a load of 0.6, double at least
-            self._slots(1 << (2 * need).bit_length())
-            self._place(_key_hashes(self.keys[: self.count]), np.arange(self.count))
-        if need > len(self.keys):
-            size = need + need // 4
-            self.keys = np.resize(self.keys, (size, 4))
-            self.node, self.depth = np.resize(self.node, size), np.resize(self.depth, size)
-        ids = np.full(len(keys), -1, dtype=np.int64)
+        tags, inverse = np.unique(_key_hashes(keys), return_inverse=True)
+        # Each tag's first row; return_index would sort stably, 4x slower.
+        first = np.full(len(tags), len(keys))
+        np.minimum.at(first, inverse, np.arange(len(keys)))
+        at = np.searchsorted(self.tags, tags)
+        fresh = at == len(self.tags)
+        fresh[~fresh] = self.tags[at[~fresh]] != tags[~fresh]
+        ids = np.empty(len(tags), dtype=np.int32)
+        ids[~fresh] = self.ids[at[~fresh]]
+        start, self.count = self.count, self.count + int(fresh.sum())
+        new = np.arange(start, self.count, dtype=np.int32)
+        ids[fresh] = new
+        if self.count > len(self.keys):
+            more = self.count + self.count // 4 - len(self.keys)
+            self.keys = np.pad(self.keys, ((0, more), (0, 0)))
+            self.node, self.depth = np.pad(self.node, (0, more)), np.pad(self.depth, (0, more))
+        rows = first[fresh]
+        held = slice(start, self.count)
+        self.keys[held], self.node[held], self.depth[held] = keys[rows], node[rows], depth
+        self.tags = np.insert(self.tags, at[fresh], tags[fresh])
+        self.ids = np.insert(self.ids, at[fresh], new)
         entered = np.zeros(len(keys), dtype=bool)
-        tags = _key_hashes(keys)
-        mask = len(self.tags) - 1
-        pos = (tags & np.uint64(mask)).astype(np.int64)
-        todo = np.arange(len(keys))
-        window = np.arange(_PROBE_WINDOW)
-        while len(todo):
-            # Each row stops at the first slot of its window that is free
-            # or holds its tag, as probing one slot at a time would.
-            cells = (pos[todo, None] + window) & mask
-            held = self.tags[cells]
-            want = tags[todo]
-            row = np.arange(len(todo))
-            first = ((held == 0) | (held == want[:, None])).argmax(axis=1)
-            at, held = cells[row, first], held[row, first]
-            free, same = held == 0, held == want
-            past = ~(free | same)
-            pos[todo[past]] = (pos[todo[past]] + _PROBE_WINDOW) & mask
-            if free.any():
-                rows = self._claim(todo[free], at[free])
-                new = np.arange(self.count, self.count + len(rows))
-                slots = at[np.searchsorted(todo, rows)]
-                self.tags[slots], self.ids[slots] = tags[rows], new
-                self.keys[new], self.node[new], self.depth[new] = keys[rows], node[rows], depth
-                ids[rows] = new
-                self.count += len(rows)
-                entered[rows] = True
-            # A row that lost its free slot looks at it again.
-            pos[todo[free]] = at[free]
-            same = np.flatnonzero(same)
-            k = self.ids[at[same]]
-            match = (self.keys[k] == keys[todo[same]]).all(axis=1)
-            ids[todo[same[match]]] = k[match]
-            # Another key with the same tag: go on past it.
-            pos[todo[same[~match]]] = (at[same[~match]] + 1) & mask
-            todo = todo[ids[todo] < 0]
+        entered[rows] = True
+        ids = ids[inverse]
+        # A row that did not enter may hold another key with its tag.
+        other = np.flatnonzero(~entered)
+        ids[other[(self.keys[ids[other]] != keys[other]).any(axis=1)]] = -1
         return ids, entered
-
-    def _claim(self, rows, at):
-        """Of the rows on each free slot, the first: the rows that take
-        their slots.  A free slot's id is scratch until its row takes it."""
-        import numpy as np
-
-        self.ids[at] = _INT32_MAX
-        np.minimum.at(self.ids, at, rows.astype(np.int32))  # one dtype: the fast loop
-        return rows[self.ids[at] == rows]
-
-    def _place(self, tags, ids) -> None:
-        """Put ids, whose keys are distinct, in the slots for their tags."""
-        import numpy as np
-
-        mask = len(self.tags) - 1
-        pos = (tags & np.uint64(mask)).astype(np.int64)
-        todo = np.arange(len(ids))
-        while len(todo):
-            at = pos[todo]
-            free = np.flatnonzero(self.tags[at] == 0)
-            rows = self._claim(todo[free], at[free])
-            self.tags[pos[rows]], self.ids[pos[rows]] = tags[rows], ids[rows]
-            on = np.ones(len(todo), dtype=bool)
-            on[np.searchsorted(todo, rows)] = False
-            pos[todo[on]] = (at[on] + 1) & mask
-            todo = todo[on]
 
     def finish(self) -> None:
         """Drop what only growing needs; keep each key packed as
-        _triple_key packs it, for find."""
+        _triple_key packs it, for find, and a clear flag per id."""
         import numpy as np
 
         keys = self.keys[: self.count]
         del self.keys, self.node, self.depth
         self.packed = np.ascontiguousarray(keys, dtype="<i8").tobytes()
+        self.tags, self.ids = array("Q", self.tags.tobytes()), array("i", self.ids.tobytes())
+        self.seen, self.other = bytearray(self.count), set()
+        self.key = self.id = None
 
     def find(self, key) -> int | None:
-        """The id of a _triple_key key, if it is held."""
+        """The id of a _triple_key key, if it has one."""
         if type(key) is not bytes:
             return None
         tag = _key_hash(key)
-        mask = len(self.tags) - 1
-        i = tag & mask
-        while True:
-            held = int(self.tags[i])
-            if not held:
-                return None
-            if held == tag:
-                k = int(self.ids[i])
-                if self.packed[32 * k : 32 * k + 32] == key:
-                    return k
-            i = (i + 1) & mask
-
-
-class _TreeKeys:
-    """The store a replay's _TripleSet reads and fills: a bulk key is the
-    flag of its id in `seen`, and any other key sits in a set."""
-
-    __slots__ = ("find", "seen", "other", "key", "id")
-
-    def __init__(self, tree: _WordTree, seen: bytearray):
-        self.seen, self.other = seen, set()
-        self.key = self.id = None
-        self.find = tree.keys.find
+        i = bisect.bisect_left(self.tags, tag)
+        if i < len(self.tags) and self.tags[i] == tag:
+            k = self.ids[i]
+            if self.packed[32 * k : 32 * k + 32] == key:
+                return k
+        return None
 
     def __contains__(self, key) -> bool:
         # try_add hands the same key to `in` and then to `add`.

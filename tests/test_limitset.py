@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from kleinlab.gasket import CirclePacking, OrientedCircle, _TripleSet, is_apollonian_like, load_packing
+from kleinlab.gasket import (
+    CirclePacking,
+    OrientedCircle,
+    _TripleSet,
+    _triple_key,
+    is_apollonian_like,
+    load_packing,
+)
 from kleinlab.groups import (
     Alphabet,
     MarkedGroup,
@@ -831,32 +838,118 @@ def test_preorder_matches_the_oracle_in_every_seed_order():
         assert_preorder_matches_oracle(group, DfsConfig(epsilon=1e-2, max_depth=64, seeds=order))
 
 
-@pytest.mark.parametrize(
-    "width, scalar_keys",
-    [(0, None), (1 << 40, None), (1 << 40, 0)],
-    ids=["all-bulk", "all-on-demand", "all-on-demand-id-store"],
-)
+@pytest.mark.parametrize("width", [0, 1 << 40], ids=["all-bulk", "all-on-demand"])
 @pytest.mark.parametrize("name", ["hw@1e-2", "hw-depth6@1e-3", "g1@3e-3", "random2@1e-2", "chain"])
-def test_both_replay_paths_match_the_oracle(name, width, scalar_keys, monkeypatch):
+def test_both_replay_paths_match_the_oracle(name, width, monkeypatch):
     # Width 0 grows every level in bulk; a huge width grows only the seeds,
-    # so that replay expands every other node on demand, through a plain
-    # set or, with no scalar-key allowance, through the key-id store.
+    # so that replay expands every other node on demand through the key
+    # store, whose ids then cover only the seeds' keys.
     monkeypatch.setattr(wordtree, "_BULK_WIDTH", width)
-    if scalar_keys is not None:
-        monkeypatch.setattr(wordtree, "_SCALAR_KEYS", scalar_keys)
     assert_preorder_matches_oracle(*preorder_case(name))
+
+
+def stand_in_hashes(keys):
+    """A hash of 16 values in place of _key_hashes: most keys share one."""
+    return (keys[:, 0] & 15).astype(np.uint64)
+
+
+def stand_in_hash(key):
+    """stand_in_hashes of one key packed by _triple_key."""
+    return int.from_bytes(key[:8], "little") & 15
+
+
+INT64_MAX = (1 << 63) - 1
+
+
+def test_key_hash_of_one_key_is_key_hashes_of_its_row():
+    # find hashes a packed key with _key_hash, enter a row with
+    # _key_hashes: the two must agree on every int64 key.
+    rng = np.random.default_rng(3)
+    edges = np.array([0, 1, -1, INT64_MAX, -INT64_MAX, -INT64_MAX - 1], dtype=np.int64)
+    rows = np.concatenate((
+        rng.integers(-INT64_MAX - 1, INT64_MAX, size=(200, 4), endpoint=True),
+        rng.integers(-5, 5, size=(100, 4)),
+        rng.choice(edges, size=(100, 4)),
+    ))
+    hashes = wordtree._key_hashes(rows).tolist()
+    assert [wordtree._key_hash(_triple_key(*row)) for row in rows.tolist()] == hashes
+
+
+@pytest.mark.parametrize("stand_in", [False, True], ids=["key-hashes", "16-value-hash"])
+def test_key_table_numbers_keys_as_unique_does(stand_in, monkeypatch):
+    if stand_in:
+        monkeypatch.setattr(wordtree, "_key_hashes", stand_in_hashes)
+        monkeypatch.setattr(wordtree, "_key_hash", stand_in_hash)
+    rng = np.random.default_rng(11)
+    pool = rng.integers(-INT64_MAX - 1, INT64_MAX, size=(300, 4), endpoint=True)
+    table = wordtree._KeyTable()
+    depths, got_keys, got_ids, got_entered = [], [], [], []
+    for depth in range(6):
+        # Fresh keys, keys of earlier levels and repeats within the level.
+        n = int(rng.integers(1, 400))
+        keys = pool[rng.integers(0, len(pool), size=n)]
+        fresh = rng.random(n) < 0.3
+        keys[fresh] = rng.integers(-INT64_MAX - 1, INT64_MAX, size=(int(fresh.sum()), 4), endpoint=True)
+        node = sum(map(len, got_keys)) + np.arange(n, dtype=np.int32)
+        ids, entered = table.enter(keys, node, depth)
+        depths.append(np.full(n, depth))
+        got_keys.append(keys)
+        got_ids.append(ids)
+        got_entered.append(entered)
+    rows, ids, entered = np.concatenate(got_keys), np.concatenate(got_ids), np.concatenate(got_entered)
+    depth = np.concatenate(depths)
+    _, first, same = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    same = same.ravel()
+    # A tag's holder is the first key that came with it; a row of any
+    # other key with that tag gets no id.
+    tags = wordtree._key_hashes(rows).tolist()
+    holder = {}
+    for i, tag in enumerate(tags):
+        holder.setdefault(tag, same[i])
+    keyed = np.array([holder[tag] == k for tag, k in zip(tags, same.tolist())])
+    if stand_in:
+        assert 0 < keyed.sum() < len(rows)
+    else:
+        assert keyed.all()
+    assert ((ids >= 0) == keyed).all()
+    # Ids are equal exactly when the keys are.
+    pairs = np.unique(np.stack((same[keyed], ids[keyed])), axis=1)
+    assert pairs.shape[1] == len(np.unique(same[keyed])) == len(np.unique(ids[keyed]))
+    # Each new key enters with its first row as its node, at its depth.
+    is_first = np.zeros(len(rows), dtype=bool)
+    is_first[first] = True
+    assert (entered == (is_first & keyed)).all()
+    assert (table.node[ids[entered]] == np.flatnonzero(entered)).all()
+    assert (table.depth[ids[entered]] == depth[entered]).all()
+    table.finish()
+    assert [table.find(_triple_key(*row)) for row in rows.tolist()] == [
+        i if i >= 0 else None for i in ids.tolist()
+    ]
+    assert table.find((1 << 63, 0, 0, 0)) is None
+    absent = rng.integers(-INT64_MAX - 1, INT64_MAX, size=(50, 4), endpoint=True)
+    assert not (absent[:, None] == rows[None]).all(axis=2).any()
+    assert all(table.find(_triple_key(*row)) is None for row in absent.tolist())
 
 
 @pytest.mark.parametrize("name", ["hw@1e-2", "g1@1e-2"])
 def test_preorder_is_exact_when_key_hashes_collide(name, monkeypatch):
     # With a hash of 16 values nearly every key shares its hash with
-    # others: the speculative dedup then guesses wrong all the time, the
-    # key ids must order on the keys themselves, and key_id must walk the
-    # runs of equal hashes.  The result may not change.
-    # Like _key_hashes, it is never 0, which marks a free slot.
-    monkeypatch.setattr(wordtree, "_key_hashes", lambda keys: (keys[:, 0] & 15).astype(np.uint64) + 1)
-    monkeypatch.setattr(wordtree, "_key_hash", lambda key: (int.from_bytes(key[:8], "little") & 15) + 1)
+    # others: at most 16 keys get an id, and every row whose hash a
+    # different key holds gets none, so that replay hands it to try_add.
+    # The result may not change.
+    monkeypatch.setattr(wordtree, "_key_hashes", stand_in_hashes)
+    monkeypatch.setattr(wordtree, "_key_hash", stand_in_hash)
+    unkeyed = []
+    enter = wordtree._KeyTable.enter
+
+    def counted(self, keys, node, depth):
+        ids, entered = enter(self, keys, node, depth)
+        unkeyed.append(int((ids < 0).sum()))
+        return ids, entered
+
+    monkeypatch.setattr(wordtree._KeyTable, "enter", counted)
     assert_preorder_matches_oracle(*preorder_case(name))
+    assert sum(unkeyed) > 0
 
 
 def test_preorder_keeps_try_adds_tuple_keys_and_overflow():
