@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import struct
 import sys
 from array import array
 from dataclasses import dataclass
@@ -519,7 +518,8 @@ def _near_pairs(points, h: float, own):
 def _cap_candidates(columns, tol: float):
     """Every pair (i, j), i < j, whose inversive product p may reach -2 - tol:
     int arrays in lexicographic order, and p of each pair.  columns holds
-    the circles as CirclePacking.columns does.
+    the circles as CirclePacking.columns does.  Raises ValueError for the
+    first circle whose |w| below is not finite in floats.
 
     The disk of (A, B, C) is the spherical cap {u : s + w.u <= 0} with
     w = (2 Re B, 2 Im B, A - C) and s = A + C, centred at -w/|w| (the Lorentz
@@ -548,7 +548,14 @@ def _cap_candidates(columns, tol: float):
     empty = np.zeros(0, dtype=np.int64)
     if len(A) < 2:
         return empty, empty, np.zeros(0)
-    norm = np.sqrt(4.0 * (Bre * Bre + Bim * Bim) + (A - C) * (A - C))
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.sqrt(4.0 * (Bre * Bre + Bim * Bim) + (A - C) * (A - C))
+    if not np.isfinite(norm).all():
+        k = int(np.argmin(np.isfinite(norm)))
+        raise ValueError(
+            f"circle {k} lies outside the tangency scan's float range: (A, Re B, Im B, C) = "
+            f"{tuple(columns[:, k].tolist())}"
+        )
     centre = (-2.0 * Bre / norm, -2.0 * Bim / norm, (C - A) / norm)
     c = (A + C) / norm
     r = 1.0 / norm
@@ -646,71 +653,9 @@ def standard_base_quadruple() -> list[OrientedCircle]:
     return standard_base_triple() + [OrientedCircle.from_center_radius(1.0 + 0.5j, 0.5)]
 
 
-# A rounded triple as 32 bytes, four little-endian int64s.
-_PACK_KEY = struct.Struct("<4q").pack
-
-
-def _triple_key(k0: int, k1: int, k2: int, k3: int) -> bytes | tuple[int, int, int, int]:
-    """_TripleSet's stored form of a rounded triple: packed, or the tuple
-    itself when a component does not fit in int64.  A bytes key never
-    equals a tuple, so the two forms never collide."""
-    try:
-        return _PACK_KEY(k0, k1, k2, k3)
-    except struct.error:
-        return (k0, k1, k2, k3)
-
-
-class _TripleSet:
-    """Dedup set of discriminant-1 triples keyed on their rounded components.
-
-    Takes the four real components rather than a circle so the DFS can test
-    a triple before building any object for it; wordtree._rounded_keys is
-    the same rounding rule over arrays, for the DFS's level builder.  A
-    triple and its
-    negation are the same locus, so each is keyed by its sign-canonical form
-    (first nonzero component positive); otherwise mixed-sign seeds would
-    shadow each other's orbits.  Keys are stored as _triple_key packs them,
-    32 bytes each where a tuple of four ints takes about 200.  The store is
-    a set unless the caller passes another container with `in` and `add`.
-    """
-
-    __slots__ = ("_seen",)
-    GRID = 1e-8
-
-    def __init__(self, seen=None):
-        self._seen = set() if seen is None else seen
-
-    def try_add(self, A: float, Bre: float, Bim: float, C: float) -> bool:
-        """Record the triple; False when it, its negation, or one within
-        rounding of either was seen."""
-        if (A, Bre, Bim, C) < (0.0, 0.0, 0.0, 0.0):
-            A, Bre, Bim, C = -A, -Bre, -Bim, -C
-        g = self.GRID
-        comps = q0, q1, q2, q3 = (A / g, Bre / g, Bim / g, C / g)
-        k0, k1, k2, k3 = rounded = (round(q0), round(q1), round(q2), round(q3))
-        key = _triple_key(k0, k1, k2, k3)
-        if key in self._seen:
-            return False
-        # Probe neighbor keys so equal triples straddling a rounding
-        # boundary still collide.  Only a component within 0.01 of a
-        # boundary has a neighbor key, so most triples take one lookup.
-        if (
-            abs(q0 - k0) > 0.49
-            or abs(q1 - k1) > 0.49
-            or abs(q2 - k2) > 0.49
-            or abs(q3 - k3) > 0.49
-        ):
-            options = [
-                (k, k + 1) if q - k > 0.49 else (k, k - 1) if q - k < -0.49 else (k,)
-                for q, k in zip(comps, rounded)
-            ]
-            if any(_triple_key(*probe) in self._seen for probe in itertools.product(*options)):
-                return False
-        self._seen.add(key)
-        return True
-
-
 def _expand_quadruples(seed_quadruples, generations: int) -> list[OrientedCircle]:
+    from .wordtree import _TripleSet
+
     seen = _TripleSet()
     circles: list[OrientedCircle] = []
 
@@ -807,14 +752,6 @@ def _anchor_map(graph: TangencyGraph) -> MoebiusMap:
     return moebius_mapping(src, STANDARD_TANGENCY_POINTS)
 
 
-def _moved_curvatures(columns, m: MoebiusMap):
-    """The curvature of every circle moved by m: transform_hermitian's A."""
-    import numpy as np
-
-    with np.errstate(all="ignore"):
-        return _transport(_transport_coeffs(m), *columns)[0]
-
-
 @dataclass(frozen=True)
 class GasketVerdict:
     passed: bool
@@ -855,7 +792,7 @@ def is_apollonian_like(
     if normalize:
         if overlap:
             raise OverlappingCirclesError(overlap)
-        curv = _moved_curvatures(graph.columns, _anchor_map(graph))
+        curv = apply_to_packing(_anchor_map(graph), packing).columns[0]
     if len(packing) < 4:
         raise ValueError(f"need at least 4 circles, got {len(packing)}")
     connected = graph.is_connected()

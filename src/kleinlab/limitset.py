@@ -366,7 +366,7 @@ def _preorder(group: MarkedGroup, config: DfsConfig, stats: DfsStats):
     """
     import numpy as np
 
-    from .wordtree import _WordTree
+    from .wordtree import _small, _WordTree
 
     tree = _WordTree(group, config)
     order = np.frombuffer(tree.replay(), dtype=np.int32)
@@ -380,11 +380,7 @@ def _preorder(group: MarkedGroup, config: DfsConfig, stats: DfsStats):
     up = np.where(parent < 0, 0, where[parent])
     del cols, where, order, parent
 
-    A, Bre, Bim, C = coeffs.T
-    bb = Bre * Bre + Bim * Bim
-    disc = bb - A * C
-    ac = A - C
-    small = 16.0 * disc < (config.epsilon * config.epsilon) * (4.0 * bb + ac * ac)
+    _, small = _small(*coeffs.T, config.epsilon * config.epsilon)
     capped = depth >= config.max_depth
     grown = ~small & ~capped
     nletters = len(group.alphabet.letters)

@@ -289,10 +289,7 @@ class MoebiusMap:
         parabolic map its unique fixed point.  Elliptic maps and the
         identity have no such point and raise.
         """
-        return self._attracting_fixed_point(self.classify())
-
-    def _attracting_fixed_point(self, kind: MapClass) -> SpherePoint:
-        """attracting_fixed_point of this map, already classified as kind."""
+        kind = self.classify()
         if kind is MapClass.IDENTITY:
             raise IdentityMapError("the identity has no distinguished fixed point")
         if kind is MapClass.ELLIPTIC:

@@ -1,20 +1,20 @@
-"""The orbit DFS's reduced-word tree: `limitset._preorder`'s traversal.
+"""The orbit DFS's word tree and triple set: `limitset._preorder`'s traversal.
 
 `_WordTree` grows the seeds' reduced-word tree a level at a time in numpy
 and replays the stack preorder over its node ids, so that its decisions
 are the preorder's own.  `_KeyTable` numbers the bulk nodes' rounded keys
-exactly, in one sorted column of their hashes, and is the store that the
-replay's try_add reads and fills.
+exactly, in one sorted column of their hashes, and its finish hands them
+to the `_TripleSet` that the replay decides in.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import struct
 from array import array
 from typing import TYPE_CHECKING
 
-from .gasket import _TripleSet
 from .mobius import _transport, _transport_coeffs
 
 if TYPE_CHECKING:
@@ -34,11 +34,22 @@ _BULK_WIDTH = 8
 _KEY_MIX = (0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9, 0x27D4EB2F165667C5)
 _FMIX = (0xFF51AFD7ED558CCD, 0xC4CEB9FE1A85EC53)
 _MASK64 = (1 << 64) - 1
-_UNPACK_KEY = struct.Struct("<4Q").unpack
+# A rounded triple as 32 bytes, four little-endian int64s.
+_KEY = struct.Struct("<4q")
 # A node's code in _WordTree.code when the replay cannot decide it from
 # its key id: disc <= 0, or a triple that try_add decides.
 _PRUNED = -1
 _SCALAR = -2
+
+
+def _small(A, Bre, Bim, C, eps2):
+    """The prune rule's two tests of triples, floats or arrays alike: disc
+    = |B|^2 - AC, and whether each is small, 16 disc < eps^2 (4|B|^2 +
+    (A - C)^2): a chordal diameter below eps."""
+    bb = Bre * Bre + Bim * Bim
+    disc = bb - A * C
+    ac = A - C
+    return disc, 16.0 * disc < eps2 * (4.0 * bb + ac * ac)
 
 
 def _key_hashes(keys):
@@ -63,7 +74,7 @@ def _key_hashes(keys):
 def _key_hash(key: bytes) -> int:
     """_key_hashes of one key packed by _triple_key."""
     h = 0
-    for k, m in zip(_UNPACK_KEY(key), _KEY_MIX):
+    for k, m in zip(_KEY.unpack(key), _KEY_MIX):
         h ^= k * m & _MASK64
     for m in _FMIX:
         h = (h ^ h >> 33) * m & _MASK64
@@ -101,9 +112,9 @@ class _WordTree:
     Bulk nodes come level by level, each level in preorder: the seeds,
     then the children of the level before's grown nodes, parents in order
     and letters in rank order.  One numpy pass per level transports the
-    children, tests disc and smallness, and takes _TripleSet's keys
-    (_rounded_keys).  A
-    level narrower than _BULK_WIDTH nodes is not grown.
+    children, tests disc and smallness (_small), and takes _TripleSet's
+    keys (_rounded_keys).  A level narrower than _BULK_WIDTH nodes is not
+    grown.
 
     The bulk dedup is speculative.  When a key recurs, the node earlier in
     preorder keeps it, found by comparing the two nodes' ancestors at the
@@ -117,9 +128,10 @@ class _WordTree:
     max_depth), or _PRUNED, or _SCALAR for the nodes try_add decides: a
     key next to a rounding boundary, one that is not packed, or one whose
     hash a different key holds, so that it has no id and neither keeps
-    its key nor grows.  `keys` numbers the bulk nodes' keys.  `first[v]`
-    is v's first child, or -1.  The nodes that replay records below a node
-    that was not grown follow the bulk ones, in `extra`.
+    its key nor grows.  `triples` holds the bulk nodes' keys, numbered by
+    _KeyTable, and is the set replay decides in.  `first[v]` is v's first
+    child, or -1.  The nodes that replay records below a node that was not
+    grown follow the bulk ones, in `extra`.
     """
 
     def __init__(self, group: MarkedGroup, config: DfsConfig):
@@ -135,13 +147,13 @@ class _WordTree:
         # and its parent, rank and depth.
         self.extra = array("d")
         self.extra_links = array("q")
-        self.keys = _KeyTable()
+        keys = _KeyTable()
         seeds = np.array([(c.A, c.B.real, c.B.imag, c.C) for c in config.seeds]).T
         with np.errstate(all="ignore"):  # as with Python floats, overflow is silent
-            self._grow(seeds.reshape(4, -1))
-        self.keys.finish()
+            self._grow(seeds.reshape(4, -1), keys)
+        self.triples = keys.finish()
 
-    def _grow(self, cols):
+    def _grow(self, cols, keys):
         import numpy as np
 
         nletters = len(self.gen)
@@ -151,14 +163,11 @@ class _WordTree:
         rank = np.full(cols.shape[1], -1, dtype=np.int8)
         starts = [0]
         levels = {name: [] for name in ("cols", "parent", "rank", "first", "code", "out")}
-        keys = self.keys
         while True:
             depth, base, n = len(starts) - 1, starts[-1], cols.shape[1]
             A, Bre, Bim, C = cols
-            bb = Bre * Bre + Bim * Bim
-            disc = bb - A * C
-            ac = A - C
-            stop = (16.0 * disc < self.eps2 * (4.0 * bb + ac * ac)) | (depth >= self.max_depth)
+            disc, small = _small(A, Bre, Bim, C, self.eps2)
+            stop = small | (depth >= self.max_depth)
             rounded, near, packed = _rounded_keys(A, Bre, Bim, C)
             keyed = np.flatnonzero((disc > 0.0) & packed)
             node = base + keyed
@@ -230,13 +239,13 @@ class _WordTree:
 
     def replay(self):
         """The node ids _preorder records, in its order.  A node with a
-        key id is decided by that id's flag in `keys.seen`, any other by
+        key id is decided by that id's flag in `triples.seen`, any other by
         try_add; below an accepted node that was not grown, _descend runs
         the rule."""
         code, first, seeds = self.code, self.first, self.seeds
         more = len(self.gen) - 2  # children past the first, a seed's less one
-        seen = self.keys.seen
-        triples = _TripleSet(self.keys)
+        triples = self.triples
+        seen = triples.seen
         accept, descend = self._accept, self._descend
         order = array("i")
         record = order.append
@@ -262,16 +271,13 @@ class _WordTree:
         return order
 
     def _accept(self, v, triples, record) -> bool:
-        """The rule for bulk node v through try_add; whether its children
-        follow."""
+        """The rule for bulk node v, coded _SCALAR and so with disc > 0,
+        through try_add; whether its children follow."""
         A, Bre, Bim, C = self.cols[:, v].tolist()
-        bb = Bre * Bre + Bim * Bim
-        disc = bb - A * C
-        if not disc > 0.0 or not triples.try_add(A, Bre, Bim, C):
+        if not triples.try_add(A, Bre, Bim, C):
             return False
         record(v)
-        ac = A - C
-        if 16.0 * disc < self.eps2 * (4.0 * bb + ac * ac):
+        if _small(A, Bre, Bim, C, self.eps2)[1]:
             return False
         return bisect.bisect_right(self.starts, v) - 1 < self.max_depth
 
@@ -291,15 +297,13 @@ class _WordTree:
         while stack:
             row, parent, rank, depth = pop()
             A, Bre, Bim, C = row
-            bb = Bre * Bre + Bim * Bim
-            disc = bb - A * C
+            disc, small = _small(A, Bre, Bim, C, eps2)
             if not disc > 0.0 or not try_add(A, Bre, Bim, C):
                 continue
             extend(row)
             link((parent, rank, depth))
             record(node)
-            ac = A - C
-            if not (16.0 * disc < eps2 * (4.0 * bb + ac * ac) or depth >= max_depth):
+            if not (small or depth >= max_depth):
                 skip = inverse[rank]
                 for x in letters:
                     if x != skip:
@@ -348,9 +352,7 @@ class _KeyTable:
     _key_hashes tags, each tag's id beside it, and each id's key, so that a
     row whose tag a different key holds gets no id.  Ids do not follow
     arrival order.  While the levels grow, `node[k]` and `depth[k]` are the
-    node that keeps key k.  After finish, it is the store the replay's
-    _TripleSet reads and fills: a key with an id is that id's flag in
-    `seen`, any other key sits in a set."""
+    node that keeps key k."""
 
     def __init__(self):
         import numpy as np
@@ -398,17 +400,51 @@ class _KeyTable:
         ids[other[(self.keys[ids[other]] != keys[other]).any(axis=1)]] = -1
         return ids, entered
 
-    def finish(self) -> None:
-        """Drop what only growing needs; keep each key packed as
-        _triple_key packs it, for find, and a clear flag per id."""
+    def finish(self) -> _TripleSet:
+        """The keys entered as a _TripleSet, each key's flag clear."""
         import numpy as np
 
-        keys = self.keys[: self.count]
+        # _KEY's layout, so that a key's slice of packed is its _triple_key.
+        packed = np.ascontiguousarray(self.keys[: self.count], dtype="<i8").tobytes()
+        # The traversal peaks here: drop the growing columns before the copies.
         del self.keys, self.node, self.depth
-        self.packed = np.ascontiguousarray(keys, dtype="<i8").tobytes()
-        self.tags, self.ids = array("Q", self.tags.tobytes()), array("i", self.ids.tobytes())
-        self.seen, self.other = bytearray(self.count), set()
-        self.key = self.id = None
+        return _TripleSet(array("Q", self.tags.tobytes()), array("i", self.ids.tobytes()), packed)
+
+
+def _triple_key(k0: int, k1: int, k2: int, k3: int) -> bytes | tuple[int, int, int, int]:
+    """_TripleSet's stored form of a rounded triple: packed as _KEY, or the
+    tuple itself when a component does not fit in int64.  A bytes key never
+    equals a tuple, so the two forms never collide."""
+    try:
+        return _KEY.pack(k0, k1, k2, k3)
+    except struct.error:
+        return (k0, k1, k2, k3)
+
+
+class _TripleSet:
+    """Dedup set of discriminant-1 triples keyed on their rounded components.
+
+    Takes the four real components rather than a circle so the DFS can test
+    a triple before building any object for it; _rounded_keys is the same
+    rounding rule over arrays.  A triple and its negation are the same
+    locus, so each is keyed by its sign-canonical form (first nonzero
+    component positive); otherwise mixed-sign seeds would shadow each
+    other's orbits.
+
+    A key that _KeyTable numbered is its id's flag in `seen`: find looks
+    its hash up in the sorted column `tags`, takes the id beside it from
+    `ids`, and compares the key with that id's 32 bytes of `packed`.  Any
+    other key sits in the set `other` as _triple_key packs it, 32 bytes
+    where a tuple of four ints takes about 200.  Called with no arguments,
+    _TripleSet is a plain set.
+    """
+
+    __slots__ = ("tags", "ids", "packed", "seen", "other")
+    GRID = 1e-8
+
+    def __init__(self, tags=(), ids=(), packed=b""):
+        self.tags, self.ids, self.packed = tags, ids, packed
+        self.seen, self.other = bytearray(len(ids)), set()
 
     def find(self, key) -> int | None:
         """The id of a _triple_key key, if it has one."""
@@ -422,17 +458,38 @@ class _KeyTable:
                 return k
         return None
 
-    def __contains__(self, key) -> bool:
-        # try_add hands the same key to `in` and then to `add`.
-        if key is not self.key:
-            self.key, self.id = key, self.find(key)
-        i = self.id
-        return key in self.other if i is None else bool(self.seen[i])
-
-    def add(self, key) -> None:
-        if key is not self.key:
-            self.key, self.id = key, self.find(key)
-        if self.id is None:
+    def try_add(self, A: float, Bre: float, Bim: float, C: float) -> bool:
+        """Record the triple; False when it, its negation, or one within
+        rounding of either was seen."""
+        if (A, Bre, Bim, C) < (0.0, 0.0, 0.0, 0.0):
+            A, Bre, Bim, C = -A, -Bre, -Bim, -C
+        g = self.GRID
+        comps = q0, q1, q2, q3 = (A / g, Bre / g, Bim / g, C / g)
+        k0, k1, k2, k3 = rounded = (round(q0), round(q1), round(q2), round(q3))
+        key = _triple_key(k0, k1, k2, k3)
+        i = self.find(key)
+        if key in self.other if i is None else self.seen[i]:
+            return False
+        # Probe neighbor keys so equal triples straddling a rounding
+        # boundary still collide.  Only a component within 0.01 of a
+        # boundary has a neighbor key, so most triples take one lookup.
+        if (
+            abs(q0 - k0) > 0.49
+            or abs(q1 - k1) > 0.49
+            or abs(q2 - k2) > 0.49
+            or abs(q3 - k3) > 0.49
+        ):
+            options = [
+                (k, k + 1) if q - k > 0.49 else (k, k - 1) if q - k < -0.49 else (k,)
+                for q, k in zip(comps, rounded)
+            ]
+            for probe in itertools.product(*options):
+                probe = _triple_key(*probe)
+                j = self.find(probe)
+                if probe in self.other if j is None else self.seen[j]:
+                    return False
+        if i is None:
             self.other.add(key)
         else:
-            self.seen[self.id] = 1
+            self.seen[i] = 1
+        return True

@@ -13,7 +13,7 @@ made there up to 3.13, so that the oracle means the same on any version.
 
 from array import array
 
-from kleinlab.gasket import _TripleSet
+from kleinlab.wordtree import _TripleSet
 
 
 def letter_products(m):

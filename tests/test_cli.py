@@ -706,6 +706,15 @@ def test_verify_gasket_normalize_needs_a_triangle(tmp_path):
     assert r.stdout == ""
 
 
+def test_verify_gasket_names_a_circle_out_of_the_scans_range(tmp_path):
+    packing_file = tmp_path / "huge.txt"
+    packing_file.write_text("C 1e154 0 1\n" + CHAIN)
+    r = run_cli("verify-gasket", str(packing_file))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("input error: circle 0 lies outside the tangency scan's float range")
+    assert r.stdout == ""
+
+
 def test_verify_gasket_reports_overlap_without_normalize(tmp_path):
     packing_file = tmp_path / "overlap.txt"
     packing_file.write_text(OVERLAPPING)

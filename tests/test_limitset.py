@@ -11,8 +11,6 @@ from scipy.spatial import cKDTree
 from kleinlab.gasket import (
     CirclePacking,
     OrientedCircle,
-    _TripleSet,
-    _triple_key,
     is_apollonian_like,
     load_packing,
 )
@@ -39,6 +37,7 @@ from kleinlab.limitset import (
     _sphere_point,
 )
 from kleinlab.mobius import INFINITY, MapClass, MoebiusMap, chordal_distance, sphere_coords
+from kleinlab.wordtree import _TripleSet, _triple_key
 
 from dfsoracle import preorder_oracle
 from hausdorff import hausdorff_distance
@@ -921,14 +920,47 @@ def test_key_table_numbers_keys_as_unique_does(stand_in, monkeypatch):
     assert (entered == (is_first & keyed)).all()
     assert (table.node[ids[entered]] == np.flatnonzero(entered)).all()
     assert (table.depth[ids[entered]] == depth[entered]).all()
-    table.finish()
-    assert [table.find(_triple_key(*row)) for row in rows.tolist()] == [
+    triples = table.finish()
+    assert [triples.find(_triple_key(*row)) for row in rows.tolist()] == [
         i if i >= 0 else None for i in ids.tolist()
     ]
-    assert table.find((1 << 63, 0, 0, 0)) is None
+    assert triples.find((1 << 63, 0, 0, 0)) is None
     absent = rng.integers(-INT64_MAX - 1, INT64_MAX, size=(50, 4), endpoint=True)
     assert not (absent[:, None] == rows[None]).all(axis=2).any()
-    assert all(table.find(_triple_key(*row)) is None for row in absent.tolist())
+    assert all(triples.find(_triple_key(*row)) is None for row in absent.tolist())
+
+
+@pytest.mark.parametrize("stand_in", [False, True], ids=["key-hashes", "16-value-hash"])
+def test_numbered_triple_set_answers_as_a_plain_one(stand_in, monkeypatch):
+    # The set _KeyTable.finish returns holds its numbered keys as flags and
+    # any other key in a set; a plain _TripleSet holds every key in its
+    # set.  Fed the same triples, the two must answer alike.
+    if stand_in:
+        monkeypatch.setattr(wordtree, "_key_hashes", stand_in_hashes)
+        monkeypatch.setattr(wordtree, "_key_hash", stand_in_hash)
+    grid = _TripleSet.GRID
+    rng = random.Random(59)
+    lattice = [tuple(rng.randrange(-2, 3) * grid for _ in range(4)) for _ in range(150)]
+    pool = list(lattice)
+    # Copies of lattice triples with one or two components moved to within
+    # 0.0049 grid step of a rounding boundary, on either side of it.
+    for _ in range(150):
+        row = list(rng.choice(lattice))
+        for i in rng.sample(range(4), rng.randint(1, 2)):
+            row[i] += (0.5 + rng.choice((-1, 1)) * rng.uniform(0.0, 0.0049)) * grid
+        pool.append(tuple(row))
+    pool.append((2.0**64 * grid, grid, 0.0, -grid))  # a tuple key
+    table = wordtree._KeyTable()
+    for depth in range(3):
+        rows = np.array(rng.sample(pool, 100))
+        keys, _, packed = wordtree._rounded_keys(*rows.T)
+        table.enter(keys[packed], np.arange(int(packed.sum()), dtype=np.int32), depth)
+    numbered, plain = table.finish(), _TripleSet()
+    draws = [tuple(rng.choice((1.0, -1.0)) * x for x in rng.choice(pool)) for _ in range(3000)]
+    answers = [numbered.try_add(*t) for t in draws]
+    assert answers == [plain.try_add(*t) for t in draws]
+    assert 0 < sum(answers) < len(answers)
+    assert any(numbered.seen) and numbered.other
 
 
 @pytest.mark.parametrize("name", ["hw@1e-2", "g1@1e-2"])
