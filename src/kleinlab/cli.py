@@ -452,8 +452,7 @@ def _cmd_tree_limit(cfg: RunConfig, argv: list[str]) -> int:
     system = load_tree_system(_resolve_input(cfg.input))
     limit = tree_system_limit(system)
     lines = ["points " + " ".join(limit.points)]
-    for row in limit.matrix():
-        lines.append("row " + " ".join(str(x) for x in row))
+    lines += ["row " + text for text in limit.row_texts()]
     _emit(cfg, _header_text(cfg, argv), "\n".join(lines) + "\n")
     print(f"{len(limit.points)} quotient points")
     return 0

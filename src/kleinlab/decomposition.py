@@ -9,8 +9,8 @@ compared to oracles with equality rather than tolerances.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import accumulate, combinations
-from math import gcd, lcm
+from itertools import accumulate, combinations, repeat
+from math import gcd, inf, lcm
 from operator import add
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
@@ -235,7 +235,9 @@ class FiniteMetricSpace:
     The space stores its metric scaled to integers: d(i, j) is
     `Fraction(_scaled[i][j], _den)`, with `_den` the lcm of the entries'
     denominators.  The checks and `tree_system_limit` run on that form,
-    which Python ints keep exact at any size."""
+    which Python ints keep exact at any size.  `tree_system_limit` builds
+    its quotient with `_from_scaled`, which skips these checks: the
+    quotient passes `_certify_shortest_paths` instead."""
 
     def __init__(self, points: Iterable[str], matrix):
         n = self._set_points(points)
@@ -245,13 +247,15 @@ class FiniteMetricSpace:
 
     @classmethod
     def _from_scaled(cls, points: Iterable[str], scaled: list[list[int]], den: int):
-        """The space with d(i, j) = scaled[i][j] / den, built and checked
-        without Fractions; den is first reduced by the entries' gcd, so the
-        space equals the one __init__ gives for the same distances."""
+        """The space with d(i, j) = scaled[i][j] / den, built without
+        Fractions and without checks: the caller vouches for the metric.
+        den is first reduced by the entries' gcd, so the space equals the
+        one __init__ gives for the same distances."""
         space = cls.__new__(cls)
         space._set_points(points)
         g = gcd(den, *(x for row in scaled for x in row))
-        space._set_metric([[x // g for x in row] for row in scaled], den // g)
+        space._den = den // g
+        space._scaled = [[x // g for x in row] for row in scaled]
         return space
 
     def _set_points(self, points: Iterable[str]) -> int:
@@ -307,6 +311,19 @@ class FiniteMetricSpace:
 
         den = self._den
         return [[Fraction(x, den) for x in row] for row in self._scaled]
+
+    def row_texts(self) -> list[str]:
+        """Each row of `matrix()` as the space-separated str of its
+        Fractions, written from the scaled integers without building one."""
+        den = self._den
+        texts = []
+        for row in self._scaled:
+            parts = []
+            for x in row:
+                g = gcd(x, den)
+                parts.append(str(x // g) if g == den else f"{x // g}/{den // g}")
+            texts.append(" ".join(parts))
+        return texts
 
 
 class TreeSystem:
@@ -383,7 +400,7 @@ def tree_system_limit(system: TreeSystem) -> FiniteMetricSpace:
 
     # Every space's scaled metric, rescaled to one common denominator.
     den = lcm(*(space._den for space in system.spaces.values()))
-    adjacency: list[dict[int, int]] = [dict() for _ in range(n)]
+    lightest: list[dict[int, int]] = [dict() for _ in range(n)]
     for t in sorted(system.spaces):
         space = system.spaces[t]
         scale = den // space._den
@@ -392,29 +409,31 @@ def tree_system_limit(system: TreeSystem) -> FiniteMetricSpace:
             if i == j:
                 continue
             w = space._scaled[a][b] * scale
-            if j not in adjacency[i] or w < adjacency[i][j]:
-                adjacency[i][j] = w
-                adjacency[j][i] = w
+            if j not in lightest[i] or w < lightest[i][j]:
+                lightest[i][j] = w
+                lightest[j][i] = w
+    adjacency = [list(edges.items()) for edges in lightest]
 
-    # Exact Dijkstra from every class, on the integers over den.
-    dist = [[0] * n for _ in range(n)]
+    # Exact Dijkstra from every class, on the integers over den; `far`
+    # exceeds every path's length, so it marks a class not reached.
+    far = 1 + sum(w for edges in adjacency for _, w in edges)
+    dist = []
     for s in range(n):
-        best: dict[int, int] = {s: 0}
-        done: set[int] = set()
+        best = [far] * n
+        best[s] = 0
         heap: list[tuple[int, int]] = [(0, s)]
         while heap:
             d, x = heapq.heappop(heap)
-            if x in done:
+            if d > best[x]:  # a stale entry: x was settled nearer
                 continue
-            done.add(x)
-            for y, w in adjacency[x].items():
+            for y, w in adjacency[x]:
                 nd = d + w
-                if y not in best or nd < best[y]:
+                if nd < best[y]:
                     best[y] = nd
                     heapq.heappush(heap, (nd, y))
         for x in range(n):
             if x != s:
-                if x not in best:
+                if best[x] == far:
                     raise MetricDegenerateError(
                         "quotient is disconnected; no finite distance"
                     )
@@ -422,10 +441,39 @@ def tree_system_limit(system: TreeSystem) -> FiniteMetricSpace:
                     raise MetricDegenerateError(
                         f"distinct classes {classes[s]} and {classes[x]} at distance 0"
                     )
-                dist[s][x] = best[x]
+        dist.append(best)
 
+    _certify_shortest_paths(dist, adjacency)
     names = [f"{t}:{p}" for t, p in classes]
     return FiniteMetricSpace._from_scaled(names, dist, den)
+
+
+def _certify_shortest_paths(dist: list[list[int]], adjacency: list[list[tuple[int, int]]]) -> None:
+    """Check, in O(n E), that dist is the shortest-path metric of the graph
+    whose edges x-y of positive weight w are the pairs (y, w) in
+    adjacency[x] (Ahuja, Magnanti and Orlin, Network Flows, 1993, 5.2).
+
+    dist must be symmetric, and each source s must have dist[s][s] == 0
+    and, for each other x, dist[s][x] equal to the least dist[s][y] + w
+    over x's edges: no edge shortens a path from s, and following a tight
+    edge from x strictly lowers the distance, down to s along a path as
+    long as dist[s][x].  Shortest-path distances over positive weights
+    satisfy every metric axiom, so this is as strict as a triple scan.
+    By symmetry, dist[x] holds x's distance from every source, so the
+    sources are checked together, one class x at a time."""
+    for x, (row, column) in enumerate(zip(dist, zip(*dist))):
+        if row != list(column):
+            raise ValueError(f"quotient distances from class {x} are not symmetric")
+    n = len(dist)
+    for x, edges in enumerate(adjacency):
+        row = dist[x]
+        # nearest[s]: the least dist[s][y] + w over x's edges (y, w).
+        via = [map(add, dist[y], repeat(w)) for y, w in edges]
+        nearest = list(map(min, [inf] * n, *via)) if via else [inf] * n
+        nearest[x] = 0
+        if row != nearest:
+            s = next(s for s in range(n) if row[s] != nearest[s])
+            raise ValueError(f"quotient distance from class {s} to class {x} is no shortest path")
 
 
 # -- finite-graph cut analysis ---------------------------------------------------
@@ -705,6 +753,8 @@ def load_tree_system(text: str) -> TreeSystem:
         parts = line.split()
         if parts[0] == "space" and len(parts) == 3:
             sid, n = parts[1], _number(int, parts[2], line_no)
+            if sid in spaces:
+                raise ValueError(f"line {line_no}: duplicate space {sid}")
             matrix = []
             # range(n) comes first, so a space of n <= 0 points takes no line.
             for _, (row_no, row_line) in zip(range(n), lines):

@@ -54,15 +54,16 @@ def _small(A, Bre, Bim, C, eps2):
 
 def _key_hashes(keys):
     """A 64-bit hash of each row of an (n, 4) int64 key array, as uint64s:
-    the xor of the components times odd constants, mixed by MurmurHash3's
-    finalizer, so that keys on a lattice, as integral orbits make them,
-    spread out."""
+    the sum mod 2**64 of the components times odd constants, mixed by
+    MurmurHash3's finalizer, so that keys on a lattice, as integral orbits
+    make them, spread out.  A sum, not an xor: xor-ed products of small
+    components cancel, so a small lattice got few distinct hashes."""
     import numpy as np
 
     u = keys.view(np.uint64)
     h = u[:, 0] * np.uint64(_KEY_MIX[0])
     for j in (1, 2, 3):
-        h ^= u[:, j] * np.uint64(_KEY_MIX[j])
+        h += u[:, j] * np.uint64(_KEY_MIX[j])
     s33 = np.uint64(33)
     for m in _FMIX:
         h ^= h >> s33
@@ -75,7 +76,7 @@ def _key_hash(key: bytes) -> int:
     """_key_hashes of one key packed by _triple_key."""
     h = 0
     for k, m in zip(_KEY.unpack(key), _KEY_MIX):
-        h ^= k * m & _MASK64
+        h = (h + k * m) & _MASK64
     for m in _FMIX:
         h = (h ^ h >> 33) * m & _MASK64
     return h ^ h >> 33

@@ -802,6 +802,21 @@ def test_tree_limit_names_the_line_of_a_zero_denominator(tmp_path):
     assert "Traceback" not in r.stderr
 
 
+def test_tree_limit_refuses_a_repeated_space(tmp_path):
+    ts = tmp_path / "ts.txt"
+    ts.write_text(
+        "space A 2\nrow 0 1\nrow 1 0\n"
+        "space A 2\nrow 0 5\nrow 5 0\n"
+        "space B 2\nrow 0 2\nrow 2 0\n"
+        "tree-edge A B\nglue A B 1 0\n"
+    )
+    r = run_cli("tree-limit", str(ts))
+    assert r.returncode == 2
+    assert "line 4: duplicate space A" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert "row" not in r.stdout
+
+
 def test_cuts_report_on_square(tmp_path):
     graph = tmp_path / "c4.txt"
     graph.write_text("a b\nb c\nc d\nd a\n")

@@ -16,6 +16,7 @@ from kleinlab.decomposition import (
     UnknownPointError,
     UnknownVertexError,
     VertexType,
+    _certify_shortest_paths,
     _components,
     abc_example,
     cut_pairs,
@@ -257,9 +258,10 @@ def reference_metric_error(points, matrix):
 
 
 def assert_metric_checks_match_reference(points, matrix):
-    """Both constructors against the reference: FiniteMetricSpace on the
-    entries, and _from_scaled on integers over a common denominator with a
-    spare factor 6, which it must reduce away."""
+    """FiniteMetricSpace on the entries against the reference; and, on a
+    metric, _from_scaled on integers over a common denominator with a spare
+    factor 6, which it must reduce away.  _from_scaled checks nothing: the
+    quotient it builds is certified by _certify_shortest_paths."""
     expected = reference_metric_error(points, matrix)
     m = [[Fraction(x) for x in row] for row in matrix]
     den = 6 * lcm(*(x.denominator for row in m for x in row))
@@ -272,13 +274,9 @@ def assert_metric_checks_match_reference(points, matrix):
             space.points, space._scaled, space._den
         )
     else:
-        for build in (
-            lambda: FiniteMetricSpace(points, matrix),
-            lambda: FiniteMetricSpace._from_scaled(points, scaled, den),
-        ):
-            with pytest.raises(ValueError) as err:
-                build()
-            assert str(err.value) == expected
+        with pytest.raises(ValueError) as err:
+            FiniteMetricSpace(points, matrix)
+        assert str(err.value) == expected
     return expected
 
 
@@ -354,6 +352,8 @@ def test_limit_of_single_space_is_a_relabeling():
     limit = tree_system_limit(TreeSystem({"A": space}, [], {}))
     assert limit.points == ("A:0", "A:1", "A:2")
     assert limit.distance("A:0", "A:2") == 2
+    point = tree_system_limit(TreeSystem({"A": FiniteMetricSpace(["0"], [[0]])}, [], {}))
+    assert (point.points, point.row_texts()) == (("A:0",), ["0"])
 
 
 def test_limit_of_two_glued_segments_is_a_path():
@@ -436,6 +436,10 @@ def test_load_tree_system_errors():
         load_tree_system("space A 2\nrow 0 1\n")
     with pytest.raises(ValueError):
         load_tree_system("space A 2\nrow 0 1 7\nrow 1 0\n")
+    segment_a = "space A 2\nrow 0 1\nrow 1 0\n"
+    with pytest.raises(ValueError, match="^line 4: duplicate space A$"):
+        load_tree_system(segment_a + "space A 2\nrow 0 5\nrow 5 0\n"
+                         "space B 2\nrow 0 2\nrow 2 0\ntree-edge A B\nglue A B 1 0\n")
 
 
 def metric_closure(n, weights):
@@ -501,30 +505,53 @@ def oracle_limit(system):
     return names, metric_closure(n, weights)
 
 
+def random_tree_system(rng, n_spaces, max_size=6):
+    """Criterion 7's shape: a random tree of random_space spaces of 2 to
+    max_size points, each edge glued along 1 to min(sizes) point pairs.
+    Returns the system and its number of glued pairs."""
+    names = [f"S{k}" for k in range(n_spaces)]
+    spaces = {name: random_space(rng, rng.randint(2, max_size)) for name in names}
+    tree_edges = []
+    gluings = {}
+    glued_pairs = 0
+    for t in range(1, n_spaces):
+        parent = names[rng.randrange(t)]
+        child = names[t]
+        tree_edges.append((parent, child))
+        k = rng.randint(1, min(len(spaces[parent]), len(spaces[child])))
+        left = rng.sample(range(len(spaces[parent])), k)
+        right = rng.sample(range(len(spaces[child])), k)
+        gluings[(parent, child)] = [(str(p), str(q)) for p, q in zip(left, right)]
+        glued_pairs += k
+    return TreeSystem(spaces, tree_edges, gluings), glued_pairs
+
+
+def assert_limit_matches_oracle(system):
+    """The limit equals oracle_limit's, and the checked constructor, with
+    its triple scan, accepts it."""
+    limit = tree_system_limit(system)
+    expect_names, expect_matrix = oracle_limit(system)
+    assert limit.points == tuple(expect_names)
+    assert limit.matrix() == expect_matrix
+    checked = FiniteMetricSpace(limit.points, limit.matrix())
+    assert (checked._scaled, checked._den) == (limit._scaled, limit._den)
+    return limit
+
+
 def test_random_tree_systems_match_independent_oracle():
     rng = random.Random(20260819)
     for _ in range(50):
-        n_spaces = rng.randint(1, 5)
-        names = [f"S{k}" for k in range(n_spaces)]
-        spaces = {name: random_space(rng, rng.randint(2, 6)) for name in names}
-        tree_edges = []
-        gluings = {}
-        glued_pairs = 0
-        for t in range(1, n_spaces):
-            parent = names[rng.randrange(t)]
-            child = names[t]
-            tree_edges.append((parent, child))
-            k = rng.randint(1, min(len(spaces[parent]), len(spaces[child])))
-            left = rng.sample(range(len(spaces[parent])), k)
-            right = rng.sample(range(len(spaces[child])), k)
-            gluings[(parent, child)] = [(str(p), str(q)) for p, q in zip(left, right)]
-            glued_pairs += k
-        system = TreeSystem(spaces, tree_edges, gluings)
-        limit = tree_system_limit(system)
-        expect_names, expect_matrix = oracle_limit(system)
-        assert limit.points == tuple(expect_names)
-        assert limit.matrix() == expect_matrix
-        assert len(limit) == sum(len(s) for s in spaces.values()) - glued_pairs
+        system, glued_pairs = random_tree_system(rng, rng.randint(1, 5))
+        limit = assert_limit_matches_oracle(system)
+        assert len(limit) == sum(len(s) for s in system.spaces.values()) - glued_pairs
+
+
+def test_tree_system_of_forty_spaces_matches_oracle():
+    # Spaces of 2-4 points keep the Fraction Floyd-Warshall oracle, cubic
+    # in the classes, well under a second.
+    system, glued_pairs = random_tree_system(random.Random(20261020), 40, max_size=4)
+    limit = assert_limit_matches_oracle(system)
+    assert len(limit) == sum(len(s) for s in system.spaces.values()) - glued_pairs > 40
 
 
 def test_tree_system_with_coprime_and_float_denominators_matches_oracle():
@@ -545,12 +572,59 @@ def test_tree_system_with_coprime_and_float_denominators_matches_oracle():
             ("A", "F"): [("1", "0"), ("4", "3")],
         },
     )
-    limit = tree_system_limit(system)
-    expect_names, expect_matrix = oracle_limit(system)
-    assert limit.points == tuple(expect_names)
-    assert limit.matrix() == expect_matrix
+    limit = assert_limit_matches_oracle(system)
     denominators = {x.denominator for row in limit.matrix() for x in row}
     assert any(d % 7 == 0 for d in denominators) and any(d % 13 == 0 for d in denominators)
+
+
+def random_weighted_graph(rng, n):
+    """A connected graph on n vertices, a random tree plus about n more
+    edges, with integral weights 1-12: its adjacency as (y, w) lists and
+    its shortest-path matrix as ints."""
+    weights = {}
+    for x in range(1, n):
+        weights[rng.randrange(x), x] = rng.randint(1, 12)
+    for _ in range(n if n > 1 else 0):
+        i, j = sorted(rng.sample(range(n), 2))
+        weights[i, j] = rng.randint(1, 12)
+    adjacency = [[] for _ in range(n)]
+    for (i, j), w in weights.items():
+        adjacency[i].append((j, w))
+        adjacency[j].append((i, w))
+    closure = metric_closure(n, {k: Fraction(w) for k, w in weights.items()})
+    return adjacency, [[int(x) for x in row] for row in closure]
+
+
+def test_certificate_rejects_every_one_entry_edit():
+    rng = random.Random(20261020)
+    for n in (1, 2, 5, 9):
+        adjacency, dist = random_weighted_graph(rng, n)
+        _certify_shortest_paths(dist, adjacency)
+        for s in range(n):
+            bad = [row[:] for row in dist]
+            bad[s][s] = 1
+            with pytest.raises(ValueError, match="is no shortest path"):
+                _certify_shortest_paths(bad, adjacency)
+            for x in range(s + 1, n):
+                for delta in (1, -1):
+                    bad = [row[:] for row in dist]
+                    bad[s][x] += delta
+                    bad[x][s] += delta
+                    with pytest.raises(ValueError, match="is no shortest path"):
+                        _certify_shortest_paths(bad, adjacency)
+                bad = [row[:] for row in dist]
+                bad[x][s] += 1
+                with pytest.raises(ValueError, match=f"from class {s} are not symmetric"):
+                    _certify_shortest_paths(bad, adjacency)
+
+
+@pytest.mark.parametrize("den", [1, 6, 2**64 * 15, 2**70 + 1])
+def test_row_texts_are_the_fractions_str(den):
+    values = [0, den, 7 * den, 3, 10, 2**65, 2**64 * 15 + 1, 2**64 * den]
+    n = len(values)
+    scaled = [values[k:] + values[:k] for k in range(n)]
+    space = FiniteMetricSpace._from_scaled([str(k) for k in range(n)], scaled, den)
+    assert space.row_texts() == [" ".join(str(Fraction(x, den)) for x in row) for row in scaled]
 
 
 # -- graphs, valencies, cut pairs ----------------------------------------------

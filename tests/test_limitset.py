@@ -874,6 +874,21 @@ def test_key_hash_of_one_key_is_key_hashes_of_its_row():
     assert [wordtree._key_hash(_triple_key(*row)) for row in rows.tolist()] == hashes
 
 
+@pytest.mark.parametrize("r", [2, 3, 5, 8])
+def test_key_hashes_are_distinct_on_small_lattices(r):
+    # Xor-ed component products cancel on small keys: [-2, 2]^4 had 261
+    # distinct hashes for its 625 keys.  A row whose hash another key
+    # holds leaves the bulk path, so a small lattice must not collide.
+    axis = np.arange(-r, r + 1, dtype=np.int64)
+    rows = np.stack(np.meshgrid(axis, axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 4)
+    hashes = wordtree._key_hashes(rows)
+    assert len(np.unique(hashes)) == len(rows) == (2 * r + 1) ** 4
+    sample = rows[:: max(1, len(rows) // 500)]
+    assert [wordtree._key_hash(_triple_key(*row)) for row in sample.tolist()] == (
+        wordtree._key_hashes(sample).tolist()
+    )
+
+
 @pytest.mark.parametrize("stand_in", [False, True], ids=["key-hashes", "16-value-hash"])
 def test_key_table_numbers_keys_as_unique_does(stand_in, monkeypatch):
     if stand_in:
