@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import functools
 import importlib
-import itertools
 import os
 import sys
 from typing import TYPE_CHECKING, NamedTuple
@@ -221,11 +220,12 @@ def _commented(header: str, body: str) -> str:
     return "".join(f"# {line}\n" for line in header.splitlines()) + body
 
 
-def _write_atomic(path: str, data: str | bytes | Iterable[str]) -> None:
+def _write_atomic(path: str, data: str | bytes | Iterable[str | bytes]) -> None:
     """Write data to a temp file beside path and rename it over path, so
     path holds either its old bytes or all the new ones.  data is one str
-    or bytes, or an iterable of str chunks, each encoded and written as it
-    comes, so no whole copy of the artifact is held."""
+    or bytes, or an iterable of str and bytes chunks, each written as it
+    comes, so no whole copy of the artifact is held.  An OSError names
+    path, not the temp file."""
     import tempfile
 
     chunks = [data] if isinstance(data, (str, bytes)) else data
@@ -233,16 +233,19 @@ def _write_atomic(path: str, data: str | bytes | Iterable[str]) -> None:
     # mkstemp creates the file 0600; give the artifact the mode open() would.
     umask = os.umask(0)
     os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".kleinlab-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".kleinlab-")
         with os.fdopen(fd, "wb") as fh:
             for chunk in chunks:
                 fh.write(chunk.encode() if isinstance(chunk, str) else chunk)
             os.fchmod(fh.fileno(), 0o666 & ~umask)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 
@@ -261,16 +264,51 @@ def _fmt_complex(z: complex, digits: int = 9) -> str:
     return f"{z.real:.{digits}f}{sign}{abs(z.imag):.{digits}f}i"
 
 
-def _cloud_rows(xy, words: list[str]) -> str:
-    """One 'x y word_length word' line per cloud point, '-' for the empty
-    word.  xy holds each point's 'x y' already formatted, in %.17g, and
-    'inf inf' for infinity."""
-    return "".join(map("%s %d %s\n".__mod__, zip(xy, map(len, words), [w or "-" for w in words])))
+def _word_fields(words: list[str]):
+    """The words as a NUL-padded uint8 field, '-' for the empty word, and
+    their lengths."""
+    import numpy as np
+
+    text = "\0".join(words) + "\0"
+    buf = np.frombuffer(text.encode(), dtype=np.uint8)
+    size = np.diff(np.flatnonzero(buf == 0), prepend=-1)  # each word's bytes and its NUL
+    field = np.zeros((len(words), size.max()), dtype=np.uint8)
+    field[np.arange(field.shape[1]) < size[:, None]] = buf
+    field[size == 1, 0] = ord("-")
+    if len(buf) == len(text):
+        return field, size - 1
+    return field, np.fromiter(map(len, words), dtype=np.int64, count=len(words))
 
 
-def _cloud_text(xy, words: list[str]) -> str:
-    """The cloud rows as an artifact body: a lone newline when there are none."""
-    return _cloud_rows(xy, words) or "\n"
+def _cloud_rows(x, y, words, lengths) -> bytes:
+    """One 'x y word_length word' line per cloud point, from the fields of
+    its x and y in %.17g, 'inf' for infinity, and of its word, '-' for the
+    empty word."""
+    import numpy as np
+
+    from .gasket import _join_rows
+
+    if not len(x):
+        return b""
+    counts = np.array([b"%d" % k for k in range(int(lengths.max()) + 1)])
+    counts = counts.view(np.uint8).reshape(len(counts), -1).take(lengths, axis=0)
+    return _join_rows([x, b" ", y, b" ", counts, b" ", words, b"\n"])
+
+
+def _cloud_text(cloud) -> str:
+    """A LimitSetCloud's rows as an artifact body, formatted a block at a
+    time: a lone newline when there are none."""
+    from .gasket import _ROW_BLOCK, _fields
+
+    z = cloud.z
+    return b"".join(
+        _cloud_rows(
+            _fields(z.real[lo:lo + _ROW_BLOCK], "%.17g"),
+            _fields(z.imag[lo:lo + _ROW_BLOCK], "%.17g"),
+            *_word_fields(cloud.words[lo:lo + _ROW_BLOCK]),
+        )
+        for lo in range(0, len(cloud), _ROW_BLOCK)
+    ).decode() or "\n"
 
 
 def _load_marked_group(cfg: RunConfig):
@@ -301,8 +339,7 @@ def _cmd_points(cfg: RunConfig, argv: list[str]) -> int:
 
     group = _load_marked_group(cfg)
     cloud = limit_points_by_fixed_points(group, cfg.depth)
-    xy = map("%.17g %.17g".__mod__, zip(cloud.z.real.tolist(), cloud.z.imag.tolist()))
-    _emit(cfg, _header_text(cfg, argv), _cloud_text(xy, cloud.words))
+    _emit(cfg, _header_text(cfg, argv), _cloud_text(cloud))
     print(f"{len(cloud)} limit points at depth {cfg.depth}")
     return 0
 
@@ -311,7 +348,9 @@ def _cmd_dfs(cfg: RunConfig, argv: list[str]) -> int:
     import json
     from dataclasses import asdict
 
-    from .gasket import _packing_rows, load_packing
+    import numpy as np
+
+    from .gasket import _join_rows, _packing_rows, load_packing
     from .limitset import DfsConfig, _raster_size, _render, limit_set_dfs
 
     if not cfg.out:
@@ -333,28 +372,29 @@ def _cmd_dfs(cfg: RunConfig, argv: list[str]) -> int:
 
     # The text artifacts go to the writer a block of rows at a time.  The
     # cloud is the centres it kept, which the circles rows have formatted:
-    # each block's cloud rows wait here, as one string, for the cloud file.
-    cloud_blocks: list[str] = []
+    # each block's cloud rows wait here for the cloud file.
+    cloud_blocks: list[bytes] = []
+    in_cloud = np.frombuffer(bytes(result.in_cloud), dtype=bool)
+    exhausted = np.frombuffer(bytes(result.depth_exhausted), dtype=bool)[:, None]
+    flag = np.frombuffer(b"  depth-exhausted", dtype=np.uint8)
 
     def circle_blocks():
         yield commented
         lo = 0
-        for xy, rows in _packing_rows(result.packing):
-            hi = lo + len(rows)
-            words = result.words[lo:hi]
-            flags = ["  depth-exhausted" if f else "" for f in result.depth_exhausted[lo:hi]]
-            marks = [w or "-" for w in words]
-            yield "".join(map("%s  # w=%s%s\n".__mod__, zip(rows, marks, flags)))
-            keep = result.in_cloud[lo:hi]
-            cloud_blocks.append(
-                _cloud_rows(itertools.compress(xy, keep), list(itertools.compress(words, keep)))
-            )
+        for x, y, parts in _packing_rows(result.packing):
+            hi = lo + len(x)
+            words, lengths = _word_fields(result.words[lo:hi])
+            flags = exhausted[lo:hi]
+            flags = [flag * flags] if flags.any() else []
+            yield _join_rows([*parts, b"  # w=", words, *flags, b"\n"])
+            kept = (np.compress(in_cloud[lo:hi], v, axis=0) for v in (x, y, words, lengths))
+            cloud_blocks.append(_cloud_rows(*kept))
             lo = hi
         if not lo:
             yield "\n"
 
     _write_atomic(cfg.out + ".circles.txt", circle_blocks())
-    cloud_body = cloud_blocks if any(cloud_blocks) else ["\n"]
+    cloud_body = cloud_blocks if any(cloud_blocks) else [b"\n"]
     _write_atomic(cfg.out + ".cloud.txt", [commented, *cloud_body])
     cloud_blocks.clear()
 

@@ -17,7 +17,7 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from operator import attrgetter
 
 from .groups import _format_lines
@@ -907,30 +907,282 @@ def load_packing(text: str) -> CirclePacking:
 
 
 def dump_packing(packing: CirclePacking) -> str:
-    return "\n".join(row for _, rows in _packing_rows(packing) for row in rows) + "\n"
+    rows = (_join_rows([*parts, b"\n"]) for _, _, parts in _packing_rows(packing))
+    return b"".join(rows).decode() or "\n"
 
 
 # Circles per block that _packing_rows formats at a time.
-_ROW_BLOCK = 1 << 10
+_ROW_BLOCK = 1 << 11
 
 
 def _packing_rows(packing: CirclePacking):
     """dump_packing's rows, formatted a block of _ROW_BLOCK circles at a
-    time.  Each block is a pair of lists: the centres as 'x y' in %.17g,
-    'inf inf' for a line, which the cloud rows of `dfs` reuse, and the
-    rows."""
+    time.  Each block is (x, y, parts): the centres' %.17g fields, inf for
+    a line, which the cloud rows of `dfs` reuse, and the parts of the rows
+    'C x y radius' and 'L nx ny offset' for _join_rows, without a newline."""
     import numpy as np
 
     z = packing.centres
     for lo in range(0, len(packing), _ROW_BLOCK):
         block = slice(lo, lo + _ROW_BLOCK)
         columns = packing.columns[:, block]
-        xy = list(map("%.17g %.17g".__mod__, zip(z.real[block].tolist(), z.imag[block].tolist())))
+        x, y = _fields(z.real[block], "%.17g"), _fields(z.imag[block], "%.17g")
         with np.errstate(divide="ignore"):  # lines are redone
-            radius = (1.0 / columns[0]).tolist()
-        rows = list(map("C %s %.17g".__mod__, zip(xy, radius)))
-        for k in np.flatnonzero(packing.lines[block]).tolist():
-            _, Bre, Bim, C = columns[:, k].tolist()
-            n, d = _line_geometry(complex(Bre, Bim), C)
-            rows[k] = "L %.17g %.17g %.17g" % (n.real, n.imag, d)
-        yield xy, rows
+            radius = _fields(1.0 / columns[0], "%.17g")
+        kind = np.full((len(radius), 1), ord("C"), dtype=np.uint8)
+        lines = np.flatnonzero(packing.lines[block]).tolist()
+        row_x, row_y = x, y
+        if lines:
+            kind[lines] = ord("L")
+            geometry = [
+                _line_geometry(complex(Bre, Bim), C) for _, Bre, Bim, C in columns[:, lines].T.tolist()
+            ]
+            row_x = _put(x.copy(), lines, [b"%.17g" % n.real for n, _ in geometry])
+            row_y = _put(y.copy(), lines, [b"%.17g" % n.imag for n, _ in geometry])
+            radius = _put(radius, lines, [b"%.17g" % d for _, d in geometry])
+        yield x, y, [kind, b" ", row_x, b" ", row_y, b" ", radius]
+
+
+# -- bulk text formatting ------------------------------------------------------
+#
+# The text artifacts print floats as %.17g or %.4f.  _fields formats a float
+# column in bulk into NUL-padded uint8 rows, each the bytes % gives, and
+# _join_rows lays such fields beside constant text and drops the NULs.
+#
+# %.17g: the digits of x are N, the integer nearest |x| 10^(16 - X) for its
+# decimal exponent X, with 10^16 <= N < 10^17.  The product is taken as a
+# double-double, against 10^s held as hi + lo, by Dekker's exact product
+# ("A floating-point technique for extending the available precision",
+# Numer. Math. 18, 1971) with Veltkamp's split, since numpy has no fused
+# multiply-add.  Its error is below 1e-14, so N is exact unless the product
+# lies within 1e-7 of a half-integer, where % decides.  X comes from log10,
+# which can be one off next to a power of ten, and the rounding can carry
+# into an 18th digit: then N falls outside the range, and % decides too.
+# So does N = 10^16 exactly, which an X one too high can produce.
+#
+# %.4f: the fraction of |x| is exact, and its product with 10^4 is off by at
+# most 1.2e-12, so plain doubles round it exactly outside the same 1e-7
+# window of a tie.
+#
+# Zero, values that are not finite, |x| outside [1e-290, 1e290] for %.17g
+# (the split of 10^s stays finite and normal) and |x| >= 1e15 for %.4f take %
+# too, each written into its row.
+
+_SPLIT = 134217729.0  # 2^27 + 1
+_TIE = 0.5 - 1e-7
+_X_MIN, _X_MAX = -292, 292
+
+
+def _veltkamp(x: float) -> tuple[float, float]:
+    """x as hi + lo, each of at most 26 significant bits, split on the
+    mantissa so that no product overflows."""
+    m, e = math.frexp(x)
+    t = m * _SPLIT
+    hi = t - (t - m)
+    return math.ldexp(hi, e), math.ldexp(m - hi, e)
+
+
+@cache
+def _format_tables():
+    """The kernel's lookup tables, built on first use.
+
+    pow10: rows hi, hi's split and lo of 10^s, s = 16 - X, a column per X.
+    four: the four ASCII digits of 0..9999 as one uint32.  tz4: the
+    trailing zeros of 0..9999, four for 0.  keep: row k is k bytes 0xFF,
+    then zeros, of 16: digits 1..k of a %.17g field, or a %.4f field's k
+    last integer digits, reversed.
+    g_rows: the %.17g field of each X, with the point and without, all but
+    its sign and digits, in a layout of 45 columns: the sign, "0.000", the
+    17 digits each followed by a slot for the point, and an exponent.
+    point: the digit the point follows (16: none, in the "0.000" prefix).
+    kept: the digits up to this one are kept though zero."""
+    import numpy as np
+
+    pow10 = []
+    for X in range(_X_MIN, _X_MAX + 1):
+        if X <= 16:
+            hi = float(10 ** (16 - X))
+            lo = float(10 ** (16 - X) - int(hi))
+        else:
+            d = 10 ** (X - 16)
+            hi = 1 / d
+            m, q = hi.as_integer_ratio()
+            lo = (q - m * d) / (q * d)
+        pow10.append((hi, *_veltkamp(hi), lo))
+    i = np.arange(10000, dtype=np.int16)
+    digits = np.stack((i // 1000, i // 100 % 10, i // 10 % 10, i % 10), axis=1).astype(np.uint8)
+    four = (digits + ord("0")).view("<u4").ravel()
+    # Trailing zeros: 4 for 0, else 1 + the next digit's when one is 0.
+    zero = digits[:, ::-1] == 0
+    tz4 = np.where(zero.all(axis=1), 4, np.argmin(zero, axis=1)).astype(np.int8)
+    keep = np.tri(17, 16, -1, dtype=np.uint8) * np.uint8(0xFF)
+    g_rows = np.zeros((_X_MAX - _X_MIN + 1, 2, 45), dtype=np.uint8)
+    point = np.zeros(len(g_rows), dtype=np.int64)
+    kept = np.zeros(len(g_rows), dtype=np.int64)
+    for i, X in enumerate(range(_X_MIN, _X_MAX + 1)):
+        if -4 <= X < 0:
+            text = b"0." + b"0" * (-X - 1)
+            g_rows[i, :, 1:1 + len(text)] = np.frombuffer(text, dtype=np.uint8)
+            point[i] = 16
+        elif 0 <= X <= 16:
+            point[i] = kept[i] = X
+        else:
+            text = b"e%+03d" % X
+            g_rows[i, :, 40:40 + len(text)] = np.frombuffer(text, dtype=np.uint8)
+        g_rows[i, 1, 7 + 2 * point[i]] = ord(".")
+    return np.array(pow10).T.copy(), four, tz4, keep, g_rows.reshape(-1, 45), point, kept
+
+
+@cache
+def _g17_layout(last_point: int, prefix: bool, exponent: bool):
+    """g_rows narrowed to the columns a block uses: point slots only after
+    digits 0..last_point, and the "0.000" and exponent columns only when
+    some value needs them.  Also the column of digit 0."""
+    cols = [0, *(range(1, 6) if prefix else ())]
+    for j in range(17):
+        cols += [6 + 2 * j, 7 + 2 * j] if j <= last_point else [6 + 2 * j]
+    cols += range(40, 45) if exponent else ()
+    return _format_tables()[4].take(cols, axis=1), 6 if prefix else 1
+
+
+def _put(field, rows: list[int], texts: list[bytes]):
+    """A NUL-padded field with each of rows holding its text instead: field
+    itself, or a wider copy when a text does not fit."""
+    import numpy as np
+
+    width = max(map(len, texts), default=0)
+    if width > field.shape[1]:
+        pad = np.zeros((len(field), width - field.shape[1]), dtype=np.uint8)
+        field = np.concatenate((field, pad), axis=1)
+    for k, text in zip(rows, texts):
+        field[k] = 0
+        field[k, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+    return field
+
+
+def _fields(values, fmt: str):
+    """One NUL-padded uint8 row per value of a float array: the bytes of
+    fmt % value, for fmt "%.17g" or "%.4f"."""
+    import numpy as np
+
+    a = np.abs(values)
+    out, fallback = (_g17 if fmt == "%.17g" else _f4)(a)
+    out[:, 0] = np.signbit(values) * ord("-")
+    rows = np.flatnonzero(fallback).tolist()
+    return _put(out, rows, [(fmt % v).encode() for v in values[rows].tolist()])
+
+
+def _g17(a):
+    """%.17g fields of |x| for a = |x|, less the sign, and the rows that
+    take %."""
+    import numpy as np
+
+    pow10, four, tz4, keep, _, point, kept = _format_tables()
+    n = len(a)
+    ok = (a >= 1e-290) & (a <= 1e290)
+    a = np.where(ok, a, 1.0)
+    X = np.floor(np.log10(a)).astype(np.int64)
+    # N + f = a 10^(16 - X), N the nearest integer.  N is off where the
+    # product lies below 2^53, which is below the range accepted.
+    bh, bhh, bhl, bl = pow10.take(X - _X_MIN, axis=1)
+    p = a * bh
+    t = a * _SPLIT
+    ah = t - (t - a)
+    al = a - ah
+    f = ((ah * bhh - p) + ah * bhl + al * bhh) + al * bhl
+    f += a * bl
+    r = np.rint(f)
+    f -= r
+    N = p.astype(np.int64) + r.astype(np.int64)
+    # Accepted: 10^16 < N < 10^17, by one unsigned compare.
+    fallback = (N - (10**16 + 1)).view(np.uint64) >= 9 * 10**16 - 1
+    fallback |= np.abs(f) > _TIE
+    fallback |= ~ok
+    N[fallback] = 10**16 + 1
+    X[fallback] = 0
+    # Digit 0, then four groups of four digits.
+    lead = N // 10**16
+    N -= lead * 10**16
+    hi = N // 10**8
+    halves = np.stack((hi, N - hi * 10**8), axis=1)
+    q = halves // 10**4
+    groups = np.stack((q, halves - q * 10**4), axis=2).reshape(n, 4)
+    # The last nonzero digit, from the trailing zeros of each group.
+    last = 16 - tz4.take(groups[:, 3])
+    ends = np.flatnonzero(last == 12)
+    if len(ends):
+        tz = tz4.take(groups[ends])
+        t2, t1 = tz[:, 2], tz[:, 1]
+        last[ends] -= t2 + (t2 == 4) * (t1 + (t1 == 4) * tz[:, 0])
+    # Columns for the exponents the block holds: X and the point's digit.
+    low, high = int(X.min(initial=0)), int(X.max(initial=0))
+    split = min(max(high, 0), 16) + 1
+    table, d0 = _g17_layout(split - 1, low < 0 and high >= -4, low < -4 or high > 16)
+    X -= _X_MIN
+    pt = point.take(X)
+    out = table.take(2 * X + (last > pt), axis=0)
+    # Digit 0 is never dropped; digits 1..16 where they are kept, into the
+    # columns with a point slot after them and then the plain ones.
+    out[:, d0] = lead + ord("0")
+    digits = four.take(groups)
+    digits.view(np.uint64)[...] &= keep.view(np.uint64).take(np.maximum(last, kept.take(X)), axis=0)
+    digits = digits.view(np.uint8)
+    out[:, d0 + 2:d0 + 2 * split:2] = digits[:, :split - 1]
+    # The plain columns as one void item a row: one copy, not 17 - split.
+    plain = np.dtype((np.void, 17 - split))
+    out[:, d0 + 2 * split:d0 + split + 17].view(plain)[...] = digits[:, split - 1:].view(plain)
+    return out, fallback
+
+
+def _f4(a):
+    """%.4f fields of |x| for a = |x|, less the sign, and the rows that
+    take %."""
+    import numpy as np
+
+    _, four, _, keep, *_ = _format_tables()
+    n = len(a)
+    ok = a < 1e15
+    a = np.where(ok, a, 0.0)
+    whole = np.floor(a)
+    p = (a - whole) * 1e4
+    frac = np.rint(p)
+    fallback = ~ok | (np.abs(p - frac) > _TIE)
+    carry = frac == 1e4
+    whole += carry
+    frac[carry] = 0.0
+    whole = whole.astype(np.int64)
+    # Four digits to a group, as many groups as the largest integer part needs.
+    ng = (len(b"%d" % whole.max()) + 3) // 4 if n else 1
+    groups = np.empty((n, ng + 1), dtype=np.int64)
+    groups[:, ng] = frac
+    rest = whole
+    for j in range(ng - 1, 0, -1):
+        q = rest // 10**4
+        groups[:, j] = rest - q * 10**4
+        rest = q
+    groups[:, 0] = rest
+    chars = four.take(groups).view(np.uint8).reshape(n, 4 * ng + 4)
+    w = 4 * ng
+    out = np.empty((n, w + 6), dtype=np.uint8)
+    # Leading zeros become NULs, all but the units digit.
+    digits = np.searchsorted(10 ** np.arange(1, w, dtype=np.int64), whole, side="right")
+    np.bitwise_and(chars[:, :w], keep.take(digits + 1, axis=0)[:, w - 1::-1], out=out[:, 1:w + 1])
+    out[:, w + 1] = ord(".")
+    out[:, w + 2:] = chars[:, w:]
+    return out, fallback
+
+
+def _join_rows(parts) -> bytes:
+    """Rows laid out from parts side by side, each part a constant bytes
+    string or a NUL-padded uint8 field with a row per row, and every NUL
+    dropped."""
+    import numpy as np
+
+    n = next(len(p) for p in parts if not isinstance(p, bytes))
+    widths = [len(p) if isinstance(p, bytes) else p.shape[1] for p in parts]
+    out = np.empty((n, sum(widths)), dtype=np.uint8)
+    col = 0
+    for part, w in zip(parts, widths):
+        out[:, col:col + w] = np.frombuffer(part, dtype=np.uint8) if isinstance(part, bytes) else part
+        col += w
+    return out.tobytes().translate(None, b"\0")

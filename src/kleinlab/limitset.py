@@ -448,7 +448,7 @@ def render(
     The outline angles take math's cos and sin, as the samples always have.
     """
     ppm, svg = _render(packing, in_cloud, window, resolution, comment)
-    return RenderResult(ppm, "".join(svg))
+    return RenderResult(ppm, b"".join(svg).decode())
 
 
 def _render(
@@ -458,8 +458,8 @@ def _render(
     resolution: int,
     comment: str | None = None,
 ):
-    """render's pixmap, painted in full, and its SVG as an iterator of text
-    blocks of whole lines, each formatted as it is read."""
+    """render's pixmap, painted in full, and its SVG as an iterator of
+    UTF-8 blocks of whole lines, each formatted as it is read."""
     import numpy as np
 
     width, height = _raster_size(window, resolution)
@@ -564,28 +564,37 @@ def _render(
 
 
 # Circles per block of SVG elements that _render formats at a time.
-_SVG_BLOCK = 1 << 10
+_SVG_BLOCK = 1 << 11
 
 
 def _svg_blocks(head: str, cx, cy, rpx, line_elements: dict[int, str], dots):
-    """The SVG text in blocks: the head, one circle or line element per
+    """The SVG bytes in blocks: the head, one circle or line element per
     circle, a red square per cloud point that `dots` selects, and the
     closing tag.  Each centre's x and y are formatted once, for its circle
-    and its cloud point alike; the squares of each block wait, as one
-    string, for the elements to end."""
-    yield head
-    circle = '<circle cx="%s" cy="%s" r="%.4f" fill="none" stroke="#000000" stroke-width="1"/>\n'
-    rect = '<rect x="%s" y="%s" width="1" height="1" fill="#c80000"/>\n'
+    and its cloud point alike; the squares of each block wait for the
+    elements to end."""
+    import numpy as np
+
+    from .gasket import _fields, _join_rows
+
+    yield head.encode()
     squares = []
     for lo in range(0, len(cx), _SVG_BLOCK):
         hi = lo + _SVG_BLOCK
-        xs, ys = (list(map("%.4f".__mod__, v[lo:hi].tolist())) for v in (cx, cy))
-        elements = list(map(circle.__mod__, zip(xs, ys, rpx[lo:hi].tolist())))
-        for k, text in line_elements.items():
-            if lo <= k < hi:
-                elements[k - lo] = text
-        yield "".join(elements)
-        kept = itertools.compress(zip(xs, ys), dots[lo:hi].tolist())
-        squares.append("".join(map(rect.__mod__, kept)))
+        xs, ys, rs = (_fields(v[lo:hi], "%.4f") for v in (cx, cy, rpx))
+        parts = [b'<circle cx="', xs, b'" cy="', ys, b'" r="', rs,
+                 b'" fill="none" stroke="#000000" stroke-width="1"/>\n']
+        # A line's element stands in place of its circle element.
+        start = 0
+        for k in sorted(k - lo for k in line_elements if lo <= k < hi):
+            yield _join_rows([p if isinstance(p, bytes) else p[start:k] for p in parts])
+            yield line_elements[lo + k].encode()
+            start = k + 1
+        yield _join_rows([p if isinstance(p, bytes) else p[start:] for p in parts])
+        kept = dots[lo:hi]
+        squares.append(_join_rows([
+            b'<rect x="', np.compress(kept, xs, axis=0), b'" y="', np.compress(kept, ys, axis=0),
+            b'" width="1" height="1" fill="#c80000"/>\n',
+        ]))
     yield from squares
-    yield "</svg>\n"
+    yield b"</svg>\n"

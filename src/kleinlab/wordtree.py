@@ -349,18 +349,23 @@ def _below(levels, starts, nodes, depth, lowest=0):
 
 
 class _KeyTable:
-    """The bulk nodes' keys, numbered exactly: one sorted column of
-    _key_hashes tags, each tag's id beside it, and each id's key, so that a
-    row whose tag a different key holds gets no id.  Ids do not follow
-    arrival order.  While the levels grow, `node[k]` and `depth[k]` are the
-    node that keeps key k."""
+    """The bulk nodes' keys, numbered exactly: sorted columns of _key_hashes
+    tags, each tag's id beside it, and each id's key, so that a row whose
+    tag a different key holds gets no id.  Ids do not follow arrival order.
+    While the levels grow, `node[k]` and `depth[k]` are the node that keeps
+    key k.
+
+    The tags are held in two sorted columns: `tags` and a short `recent`
+    one that takes each level's fresh tags.  `recent` goes into `tags` once
+    it outgrows an eighth of it, and at finish, so that a narrow level does
+    not copy every tag held."""
 
     def __init__(self):
         import numpy as np
 
         self.count = 0
-        self.tags = np.zeros(0, dtype=np.uint64)
-        self.ids = np.zeros(0, dtype=np.int32)
+        self.tags = self.recent = np.zeros(0, dtype=np.uint64)
+        self.ids = self.recent_ids = np.zeros(0, dtype=np.int32)
         self.keys = np.zeros((1 << 11, 4), dtype=np.int64)
         self.node = np.zeros(1 << 11, dtype=np.int32)
         self.depth = np.zeros(1 << 11, dtype=np.int32)
@@ -376,11 +381,13 @@ class _KeyTable:
         # Each tag's first row; return_index would sort stably, 4x slower.
         first = np.full(len(tags), len(keys))
         np.minimum.at(first, inverse, np.arange(len(keys)))
-        at = np.searchsorted(self.tags, tags)
-        fresh = at == len(self.tags)
-        fresh[~fresh] = self.tags[at[~fresh]] != tags[~fresh]
-        ids = np.empty(len(tags), dtype=np.int32)
-        ids[~fresh] = self.ids[at[~fresh]]
+        ids = np.full(len(tags), -1, dtype=np.int32)
+        for held, held_ids in ((self.tags, self.ids), (self.recent, self.recent_ids)):
+            if len(held):
+                at = np.minimum(np.searchsorted(held, tags), len(held) - 1)
+                hit = held[at] == tags
+                ids[hit] = held_ids[at[hit]]
+        fresh = ids < 0
         start, self.count = self.count, self.count + int(fresh.sum())
         new = np.arange(start, self.count, dtype=np.int32)
         ids[fresh] = new
@@ -391,8 +398,11 @@ class _KeyTable:
         rows = first[fresh]
         held = slice(start, self.count)
         self.keys[held], self.node[held], self.depth[held] = keys[rows], node[rows], depth
-        self.tags = np.insert(self.tags, at[fresh], tags[fresh])
-        self.ids = np.insert(self.ids, at[fresh], new)
+        at = np.searchsorted(self.recent, tags[fresh])
+        self.recent = np.insert(self.recent, at, tags[fresh])
+        self.recent_ids = np.insert(self.recent_ids, at, new)
+        if len(self.recent) > len(self.tags) // 8:
+            self._merge()
         entered = np.zeros(len(keys), dtype=bool)
         entered[rows] = True
         ids = ids[inverse]
@@ -401,10 +411,20 @@ class _KeyTable:
         ids[other[(self.keys[ids[other]] != keys[other]).any(axis=1)]] = -1
         return ids, entered
 
+    def _merge(self) -> None:
+        """Move the recent tags into the main column."""
+        import numpy as np
+
+        at = np.searchsorted(self.tags, self.recent)
+        self.tags = np.insert(self.tags, at, self.recent)
+        self.ids = np.insert(self.ids, at, self.recent_ids)
+        self.recent, self.recent_ids = self.recent[:0], self.recent_ids[:0]
+
     def finish(self) -> _TripleSet:
         """The keys entered as a _TripleSet, each key's flag clear."""
         import numpy as np
 
+        self._merge()
         # _KEY's layout, so that a key's slice of packed is its _triple_key.
         packed = np.ascontiguousarray(self.keys[: self.count], dtype="<i8").tobytes()
         # The traversal peaks here: drop the growing columns before the copies.

@@ -1,7 +1,6 @@
 import ast
 import collections
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -12,7 +11,9 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from importlib import resources
 
+import numpy as np
 import pytest
 
 from kleinlab import cli, decomposition, gasket, limitset, mobius
@@ -23,12 +24,16 @@ from kleinlab.gasket import (
     apply_to_packing,
     bounded_gasket,
     dump_packing,
+    load_packing,
 )
-from kleinlab.limitset import LimitSetCloud
+from kleinlab.groups import load_marking
+from kleinlab.limitset import DfsConfig, LimitSetCloud, Rectangle, limit_points_by_fixed_points, limit_set_dfs
 from kleinlab.mobius import INFINITY, MoebiusMap
 
 from childenv import child_env
 from gasketgraph import subdivided_gasket_edges
+from randommap import random_map
+import textoracle
 
 ARTIFACT_SUFFIXES = (".circles.txt", ".cloud.txt", ".ppm", ".svg", ".stats.json")
 
@@ -301,6 +306,117 @@ def test_points_rows_match_golden_digest(tmp_path):
     assert hashlib.sha256(b"".join(rows)).hexdigest() == GOLDEN_POINTS_DEPTH8
 
 
+def test_word_fields_count_letters_not_bytes():
+    # A generator may be any lowercase letter, so a word's UTF-8 bytes can
+    # outnumber its letters; the rows print the letters' count.
+    words = ["", "a\u00e9", "\u00c9B", "b"]
+    field, lengths = cli._word_fields(words)
+    assert lengths.tolist() == [0, 2, 2, 1]
+    x = gasket._fields(np.array([0.5, 1.5, np.inf, -0.0]), "%.17g")
+    assert cli._cloud_rows(x, x, field, lengths).decode() == (
+        "0.5 0.5 0 -\n1.5 1.5 2 a\u00e9\ninf inf 2 \u00c9B\n-0 -0 1 b\n"
+    )
+
+
+# The tests' g1: a non-integral marking, so every number takes all 17 digits.
+G1 = MoebiusMap(1 + 0.3j, 0.37, 0.21 - 0.1j, 1.13)
+
+
+def write_conjugated_hw(directory, g):
+    """The hw-gasket marking and seeds seen through g, as marking.txt and
+    seeds.txt in directory: each generator x becomes g x g^-1 and each seed
+    is moved by g."""
+    presets = resources.files("kleinlab").joinpath("presets")
+    group = load_marking(presets.joinpath("hw-marking.txt").read_text())
+    seeds = load_packing(presets.joinpath("hw-seeds.txt").read_text()).circles
+    lines = []
+    for x in group.alphabet.names:
+        m = g.compose(group.letter_map(x)).compose(g.inverse())
+        a, b, c, d = ("[%r,%r]" % (v.real, v.imag) for v in (m.a, m.b, m.c, m.d))
+        lines.append(f"gen {x} = [{a},{b};{c},{d}]\n")
+    (directory / "marking.txt").write_text("".join(lines))
+    (directory / "seeds.txt").write_text(dump_packing(CirclePacking([s.transform(g) for s in seeds])))
+
+
+def split_header(text):
+    """The leading '#' lines of an artifact, and the rest."""
+    lines = text.splitlines(keepends=True)
+    k = next((i for i, line in enumerate(lines) if not line.startswith("#")), len(lines))
+    return "".join(lines[:k]), "".join(lines[k:])
+
+
+@pytest.mark.parametrize("conjugator, depth", [("g1", 64), ("random2", 12)])
+def test_dfs_text_artifacts_match_the_per_row_writers(conjugator, depth, tmp_path, monkeypatch, capsys):
+    # The bulk formatter against the `%` per row that it replaced, on
+    # markings whose numbers are not dyadic, in a window that cuts circles,
+    # and with depth-exhausted rows in some blocks and not in others.
+    g = G1 if conjugator == "g1" else random_map(random.Random(2))
+    write_conjugated_hw(tmp_path, g)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(gasket, "_ROW_BLOCK", 500)
+    monkeypatch.setattr(limitset, "_SVG_BLOCK", 500)
+    window = "-3,-3,3,3"
+    assert cli.main([
+        "dfs", "--marking", "marking.txt", "--seeds", "seeds.txt", "--epsilon", "3e-3",
+        "--depth", str(depth), "--window=" + window, "--resolution", "200", "--out", "run",
+    ]) == 0
+    capsys.readouterr()
+    group = load_marking((tmp_path / "marking.txt").read_text())
+    seeds = tuple(load_packing((tmp_path / "seeds.txt").read_text()).circles)
+    config = DfsConfig(epsilon=3e-3, max_depth=depth, seeds=seeds, window=Rectangle.parse(window))
+    result = limit_set_dfs(group, config)
+    unwindowed = limit_set_dfs(group, DfsConfig(epsilon=3e-3, max_depth=depth, seeds=seeds))
+    assert len(unwindowed.words) > len(result.words) > 2000
+    assert (sum(result.depth_exhausted) > 0) == (depth < 64)
+    header, body = split_header((tmp_path / "run.circles.txt").read_text())
+    assert body == textoracle.circles_body(result)
+    assert (tmp_path / "run.cloud.txt").read_text() == header + textoracle.cloud_body(result)
+    comment = "\n".join(line[2:] for line in header.splitlines())
+    monkeypatch.setattr(limitset, "_svg_blocks", textoracle.svg_blocks)
+    _, svg = limitset._render(result.packing, result.in_cloud, config.window, 200, comment)
+    assert (tmp_path / "run.svg").read_bytes() == b"".join(svg)
+
+
+def test_points_rows_match_the_per_row_writer(tmp_path, monkeypatch, capsys):
+    write_conjugated_hw(tmp_path, G1)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["points", "--marking", "marking.txt", "--depth", "6", "--out", "pts"]) == 0
+    capsys.readouterr()
+    cloud = limit_points_by_fixed_points(load_marking((tmp_path / "marking.txt").read_text()), 6)
+    header, body = split_header((tmp_path / "pts").read_text())
+    assert len(cloud) > 1000
+    assert body == textoracle.points_body(cloud)
+
+
+@pytest.mark.parametrize(
+    "argv, written",
+    [
+        (["dfs", "--preset", "hw-gasket", "--epsilon", "1e-2"], ".circles.txt"),
+        (["points", "--depth", "3"], ""),
+        (["verify-gasket", "preset:hw-seeds"], ""),
+    ],
+    ids=["dfs", "points", "verify-gasket"],
+)
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_write_error_names_the_artifact(argv, written, target, tmp_path, monkeypatch, capsys):
+    # A failed write names the artifact's path, the same on every run, not
+    # the temp file beside it, and leaves no temp file behind.
+    monkeypatch.chdir(tmp_path)
+    if target == "directory":
+        out = "taken"
+        (tmp_path / (out + written)).mkdir()
+    else:
+        out = os.path.join("missing", "x")
+    errors = []
+    for _ in range(2):
+        assert cli.main(argv + ["--out", out]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("io error: ") and f"'{out}{written}'" in errors[0], errors[0]
+    assert ".kleinlab-" not in errors[0]
+    assert not [p for p in tmp_path.rglob(".kleinlab-*")]
+
+
 def cloud_text_oracle(cloud):
     """The cloud rows as they were: one f-string per point."""
     lines = []
@@ -312,8 +428,7 @@ def cloud_text_oracle(cloud):
 
 def points_rows(cloud):
     """The cloud's rows as `points` writes them."""
-    xy = map("%.17g %.17g".__mod__, zip(cloud.z.real.tolist(), cloud.z.imag.tolist()))
-    return cli._cloud_text(xy, cloud.words)
+    return cli._cloud_text(cloud)
 
 
 def test_cloud_rows_match_per_row_oracle():
@@ -328,10 +443,10 @@ def test_cloud_rows_match_per_row_oracle():
     kept = cloud.extend(packing.centres, words)
     expected = cloud_text_oracle(cloud)
     assert points_rows(cloud) == expected
-    centre_text = [xy for block, _ in gasket._packing_rows(packing) for xy in block]
-    dfs_rows = cli._cloud_text(
-        itertools.compress(centre_text, kept), list(itertools.compress(words, kept))
-    )
+    # `dfs` writes the cloud from the centre fields of the circles rows.
+    x, y, _ = next(gasket._packing_rows(packing))
+    word_field, lengths = cli._word_fields(words)
+    dfs_rows = cli._cloud_rows(x[kept], y[kept], word_field[kept], lengths[kept]).decode()
     assert dfs_rows == expected
     assert expected.splitlines()[:3] == ["-0 -0.25 0 -", "-0 -0.5 1 a", "-0.25 0 2 bA"]
     assert "inf inf 1 B" in expected.splitlines()

@@ -548,6 +548,10 @@ def test_dump_packing_matches_per_row_oracle(monkeypatch):
     # A packing made from columns writes the same rows.
     assert dump_packing(CirclePacking.from_columns(_columns(circles))) == text
     assert dump_packing(CirclePacking([])) == "\n"
+    # A line whose numbers are longer than every centre's of its block.
+    narrow = [OrientedCircle.from_center_radius(complex(2.0 + k, 3.0), 0.25) for k in range(3)]
+    narrow.append(OrientedCircle.from_line(-0.6 - 0.8j, 2.5))
+    assert dump_packing(CirclePacking(narrow)) == dump_oracle(narrow)
 
 
 def test_load_packing_matches_per_row_oracle():

@@ -945,6 +945,34 @@ def test_key_table_numbers_keys_as_unique_does(stand_in, monkeypatch):
     assert all(triples.find(_triple_key(*row)) is None for row in absent.tolist())
 
 
+def test_key_table_holds_narrow_levels_apart_until_they_grow():
+    # A narrow level's fresh tags wait in the short `recent` column, where
+    # later levels find them, and reach the main column only once they
+    # outgrow an eighth of it, or at finish.
+    rng = np.random.default_rng(12)
+    table = wordtree._KeyTable()
+    wide = rng.integers(-INT64_MAX - 1, INT64_MAX, size=(800, 4), endpoint=True)
+    wide_ids, _ = table.enter(wide, np.arange(800, dtype=np.int32), 0)
+    assert len(table.tags) == 800 and not len(table.recent)
+    narrow = rng.integers(-INT64_MAX - 1, INT64_MAX, size=(30, 4), endpoint=True)
+    narrow_ids, entered = table.enter(narrow[:20], np.arange(20, dtype=np.int32), 1)
+    assert entered.all() and len(table.recent) == 20 and len(table.tags) == 800
+    # Keys of both columns, and ten fresh ones.
+    keys = np.concatenate((narrow[5:15], wide[:10], narrow[20:]))
+    ids, entered = table.enter(keys, np.arange(30, dtype=np.int32), 2)
+    assert (ids[:10] == narrow_ids[5:15]).all() and (ids[10:20] == wide_ids[:10]).all()
+    assert entered.tolist() == [False] * 20 + [True] * 10
+    assert len(table.recent) == 30 and len(table.tags) == 800
+    # Past 800 / 8 recent tags, the columns merge.
+    more = rng.integers(-INT64_MAX - 1, INT64_MAX, size=(80, 4), endpoint=True)
+    table.enter(more, np.arange(80, dtype=np.int32), 3)
+    assert len(table.tags) == 910 and not len(table.recent)
+    triples = table.finish()
+    assert list(triples.tags) == sorted(triples.tags) and len(triples.ids) == 910
+    rows = np.concatenate((wide, narrow, more))
+    assert sorted(triples.find(_triple_key(*row)) for row in rows.tolist()) == list(range(910))
+
+
 @pytest.mark.parametrize("stand_in", [False, True], ids=["key-hashes", "16-value-hash"])
 def test_numbered_triple_set_answers_as_a_plain_one(stand_in, monkeypatch):
     # The set _KeyTable.finish returns holds its numbered keys as flags and
