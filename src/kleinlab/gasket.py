@@ -964,22 +964,15 @@ def _packing_rows(packing: CirclePacking):
 # most 1.2e-12, so plain doubles round it exactly outside the same 1e-7
 # window of a tie.
 #
-# Zero, values that are not finite, |x| outside [1e-290, 1e290] for %.17g
-# (the split of 10^s stays finite and normal) and |x| >= 1e15 for %.4f take %
-# too, each written into its row.
+# Zero, values that are not finite, |x| outside [1e-30, 1e30] for %.17g and
+# |x| >= 1e15 for %.4f take % too, each written into its row.  The %.17g
+# bounds keep the tables a few kilobytes: the artifacts' numbers lie well
+# inside them.
 
 _SPLIT = 134217729.0  # 2^27 + 1
 _TIE = 0.5 - 1e-7
-_X_MIN, _X_MAX = -292, 292
-
-
-def _veltkamp(x: float) -> tuple[float, float]:
-    """x as hi + lo, each of at most 26 significant bits, split on the
-    mantissa so that no product overflows."""
-    m, e = math.frexp(x)
-    t = m * _SPLIT
-    hi = t - (t - m)
-    return math.ldexp(hi, e), math.ldexp(m - hi, e)
+# The exponents the %.17g tables cover, one past the bounds each way.
+_X_MIN, _X_MAX = -31, 31
 
 
 @cache
@@ -1008,11 +1001,13 @@ def _format_tables():
             hi = 1 / d
             m, q = hi.as_integer_ratio()
             lo = (q - m * d) / (q * d)
-        pow10.append((hi, *_veltkamp(hi), lo))
-    i = np.arange(10000, dtype=np.int16)
-    digits = np.stack((i // 1000, i // 100 % 10, i // 10 % 10, i % 10), axis=1).astype(np.uint8)
+        t = hi * _SPLIT  # Veltkamp's split of hi into two 26-bit halves
+        half = t - (t - hi)
+        pow10.append((hi, half, hi - half, lo))
+    k = np.arange(10000, dtype=np.int16)
+    digits = np.stack((k // 1000, k // 100 % 10, k // 10 % 10, k % 10), axis=1).astype(np.uint8)
     four = (digits + ord("0")).view("<u4").ravel()
-    # Trailing zeros: 4 for 0, else 1 + the next digit's when one is 0.
+    # Trailing zeros: the place of the last nonzero digit from the right.
     zero = digits[:, ::-1] == 0
     tz4 = np.where(zero.all(axis=1), 4, np.argmin(zero, axis=1)).astype(np.int8)
     keep = np.tri(17, 16, -1, dtype=np.uint8) * np.uint8(0xFF)
@@ -1033,7 +1028,6 @@ def _format_tables():
     return np.array(pow10).T.copy(), four, tz4, keep, g_rows.reshape(-1, 45), point, kept
 
 
-@cache
 def _g17_layout(last_point: int, prefix: bool, exponent: bool):
     """g_rows narrowed to the columns a block uses: point slots only after
     digits 0..last_point, and the "0.000" and exponent columns only when
@@ -1079,7 +1073,7 @@ def _g17(a):
 
     pow10, four, tz4, keep, _, point, kept = _format_tables()
     n = len(a)
-    ok = (a >= 1e-290) & (a <= 1e290)
+    ok = (a >= 1e-30) & (a <= 1e30)
     a = np.where(ok, a, 1.0)
     X = np.floor(np.log10(a)).astype(np.int64)
     # N + f = a 10^(16 - X), N the nearest integer.  N is off where the
